@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .geometry import arc_length, as_points, project_point_to_polyline, segment_parameter
 from .map_model import LABEL_PED_CROSSING, MapElement, VectorMap, concatenate
 from .metrics import discrete_frechet
-from .proximity import build_graph, merge_chains, polyline_merge_check
+# polyline_merge_check stays importable from here, next to build_graph
+from .proximity import build_graph, merge_chains, polyline_merge_check  # noqa: F401
 from .quads import merge_quads
 
 __all__ = [
@@ -219,17 +219,6 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     return MapElement(base_el.id, label, base, is_main=True)
 
 
-def _pairwise_graph(elements: list[MapElement], th_prox: float) -> nx.Graph:
-    """Merge-candidate graph ignoring main flags, for fixpoint re-checks."""
-    graph = nx.Graph()
-    graph.add_nodes_from(el.id for el in elements)
-    for i, a in enumerate(elements):
-        for b in elements[i + 1 :]:
-            if polyline_merge_check(a, b, th_prox):
-                graph.add_edge(a.id, b.id)
-    return graph
-
-
 def _run_pass(elements: list[MapElement], chains, config, report) -> list[MapElement]:
     by_id = {el.id: el for el in elements}
     chain_of: dict[str, int] = {}
@@ -276,7 +265,8 @@ def merge_maps(main: VectorMap, secondaries, config: MergeConfig | None = None, 
     passes = 1
 
     while passes < 3:
-        graph = _pairwise_graph(elements, config.th_prox)
+        # every element is main now, so main/main pairs are candidates too
+        graph = build_graph(VectorMap(tuple(elements), "world"), config.th_prox, skip_main_pairs=False)
         chains = merge_chains(graph)
         if not chains:
             break

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .map_model import LABELS, VectorMap
-from .proximity import polyline_merge_check
+from .proximity import candidate_pairs, polyline_merge_check
 
 __all__ = [
     "discrete_frechet",
@@ -125,11 +125,18 @@ def match_elements(
     """
     if est.frame != "world" or gt.frame != "world":
         raise ValueError("matching requires world-frame maps")
+    n_est = len(est.elements)
+    candidates_of: list[list] = [[] for _ in range(n_est)]
+    # pairs come sorted by (est index, GT index), so candidates keep GT order
+    for i, j in candidate_pairs(est.elements + gt.elements, th_prox).tolist():
+        if i < n_est <= j:
+            g = gt.elements[j - n_est]
+            if polyline_merge_check(est.elements[i], g, th_prox):
+                candidates_of[i].append(g)
     pairs: list[tuple[str, str]] = []
     unmatched_est: list[str] = []
     matched_gt: set[str] = set()
-    for e in est.elements:
-        candidates = [g for g in gt.elements if polyline_merge_check(e, g, th_prox)]
+    for e, candidates in zip(est.elements, candidates_of):
         if not candidates:
             unmatched_est.append(e.id)
             continue

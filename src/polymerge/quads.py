@@ -165,9 +165,23 @@ def threshold_region(grid: CoverageGrid, th_cov: float) -> np.ndarray:
     return grid.cell_centers()[mask.ravel()]
 
 
+def _row_extremes(points: np.ndarray) -> np.ndarray:
+    """The leftmost and rightmost point of each distinct y.
+
+    A point between two others of its row lies on the segment joining them,
+    so it is never a strict hull vertex.
+    """
+    pts = points[np.lexsort((points[:, 0], points[:, 1]))]
+    row_start = np.ones(len(pts), dtype=bool)
+    row_start[1:] = pts[1:, 1] != pts[:-1, 1]
+    row_end = np.ones(len(pts), dtype=bool)
+    row_end[:-1] = row_start[1:]
+    return pts[row_start | row_end]
+
+
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, counter-clockwise, no duplicate endpoint."""
-    pts = np.unique(points, axis=0)
+    pts = np.unique(_row_extremes(points), axis=0)
     if len(pts) < 3:
         return pts
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
@@ -198,10 +212,10 @@ def min_rotated_rect(points) -> np.ndarray:
     a collinear set are rejected.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(np.unique(pts, axis=0)) < 3:
-        raise ValueError("min_rotated_rect needs at least 3 distinct points")
     hull = _convex_hull(pts)
     if len(hull) < 3:
+        if len(np.unique(pts, axis=0)) < 3:
+            raise ValueError("min_rotated_rect needs at least 3 distinct points")
         raise ValueError("min_rotated_rect needs non-collinear points")
 
     best_area = np.inf

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from polymerge import MapElement, Pose, VectorMap
 
@@ -56,3 +57,40 @@ def random_world_map(rng, n_elements, scale=20.0, main_fraction=0.3):
 
 def random_pose(rng, span=10.0):
     return Pose.from_yaw(rng.uniform(-np.pi, np.pi), *rng.uniform(-span, span, 2))
+
+
+@st.composite
+def tricky_world_maps(draw, step=0.25, thresholds=(0.25, 0.5, 1.0, 2.0)):
+    """(map, th_prox) on a coordinate lattice of pitch ``step``, built to hit
+    the proximity graph's edge cases: axis-parallel lines, quads, elements
+    sharing one box under several labels and main flags, and copies whose
+    box starts exactly ``th_prox`` after the original's ends."""
+    th = draw(st.sampled_from(thresholds))
+    coord = st.integers(-24, 24).map(lambda k: k * step)
+    length = st.integers(1, 16).map(lambda k: k * step)
+    elements = []
+    for k in range(draw(st.integers(2, 14))):
+        kind = draw(st.sampled_from(["free", "hline", "vline", "rect", "copy", "shift"]))
+        label = draw(st.sampled_from(["divider", "boundary"]))
+        if kind in ("copy", "shift") and elements:
+            src = draw(st.sampled_from(elements))
+            pts = src.points
+            if src.label == "ped_crossing" or draw(st.booleans()):
+                label = src.label
+            if kind == "shift":
+                axis = draw(st.integers(0, 1))
+                sign = draw(st.sampled_from([-1.0, 1.0]))
+                offset = np.zeros(2)
+                offset[axis] = sign * (np.ptp(pts[:, axis]) + th)
+                pts = pts + offset
+        elif kind in ("hline", "vline", "copy", "shift"):
+            x, y, d = draw(coord), draw(coord), draw(length)
+            pts = [(x, y), (x + d, y)] if kind == "hline" else [(x, y), (x, y + d)]
+        elif kind == "rect":
+            x, y, w, h = draw(coord), draw(coord), draw(length), draw(length)
+            pts = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+            label = "ped_crossing"
+        else:
+            pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=5))
+        elements.append(MapElement(f"e{k}", label, np.asarray(pts, float), draw(st.booleans())))
+    return VectorMap(tuple(elements), "world"), th

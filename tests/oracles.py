@@ -219,3 +219,26 @@ def pcm_offset_sweep(p, q, step: float = 0.01) -> float:
         area = float(np.sum(0.5 * (d[:-1] + d[1:]) * np.diff(s)))
         best = min(best, area)
     return best / float(aq[-1])
+
+
+def monotone_chain_hull(points) -> np.ndarray:
+    """Andrew's monotone chain over every distinct point, without the
+    row-extremes trim: counter-clockwise strict vertices from the smallest
+    (x, y)."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) < 3:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])

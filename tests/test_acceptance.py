@@ -85,10 +85,10 @@ def test_graph_against_naive_pairwise(capsys):
     for _ in range(200):
         vmap = random_world_map(rng, int(rng.integers(2, 51)))
         graph = pm.build_graph(vmap, 1.0)
-        impl = {frozenset(e) for e in graph.edges()}
+        impl = {frozenset(e) for e in graph.edges}
         assert impl == naive_graph_edges(vmap, 1.0)
-        assert set(graph.nodes()) == {el.id for el in vmap.elements}
-        for u, v in graph.edges():
+        assert set(graph.nodes) == {el.id for el in vmap.elements}
+        for u, v in graph.edges:
             eu, ev = vmap.element(u), vmap.element(v)
             assert eu.label == ev.label
             assert not (eu.is_main and ev.is_main)

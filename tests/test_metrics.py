@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from polymerge import (
     Pose,
@@ -10,11 +11,12 @@ from polymerge import (
     evaluate_map,
     match_elements,
     pcm,
+    polyline_merge_check,
 )
 from polymerge.geometry import arc_length
 from polymerge.metrics import CSV_HEADER
 
-from helpers import line_element, quad_element, random_polyline
+from helpers import line_element, quad_element, random_polyline, random_world_map, tricky_world_maps
 from oracles import frechet_exhaustive, pcm_offset_sweep
 
 
@@ -140,6 +142,20 @@ def _world_map(elements):
     return VectorMap(tuple(elements), "world")
 
 
+def _naive_match(est, gt, th_prox):
+    """The merge check on every est x GT pair, then the same selection rule."""
+    pairs, unmatched_est, matched_gt = [], [], set()
+    for e in est.elements:
+        candidates = [g for g in gt.elements if polyline_merge_check(e, g, th_prox)]
+        if not candidates:
+            unmatched_est.append(e.id)
+            continue
+        best = min(candidates, key=lambda g: (discrete_frechet(e.points, g.points), g.id))
+        pairs.append((e.id, best.id))
+        matched_gt.add(best.id)
+    return pairs, unmatched_est, [g.id for g in gt.elements if g.id not in matched_gt]
+
+
 class TestMatchElements:
     def test_identity_match(self, small_world_map):
         pairs, un_est, un_gt = match_elements(small_world_map, small_world_map, 1.0)
@@ -183,6 +199,29 @@ class TestMatchElements:
         est = _world_map([line_element("e", "boundary", (0, 0.1), (5, 0.1))])
         pairs, un_est, un_gt = match_elements(est, gt, 1.0)
         assert pairs == [] and un_est == ["e"] and un_gt == ["g"]
+
+    def test_matches_naive_all_pairs_random(self):
+        rng = np.random.default_rng(67)
+        for _ in range(30):
+            gt = random_world_map(rng, int(rng.integers(1, 25)), scale=10.0)
+            noisy = [
+                el.with_points(el.points + rng.normal(0.0, 0.3, el.points.shape))
+                for el in gt.elements
+                if el.label != "ped_crossing"
+            ]
+            taken = {el.id for el in noisy}
+            extra = random_world_map(rng, int(rng.integers(0, 10)), scale=10.0).elements
+            est = _world_map(noisy + [el for el in extra if el.id not in taken])
+            th = float(rng.uniform(0.3, 2.0))
+            assert match_elements(est, gt, th) == _naive_match(est, gt, th)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tricky_world_maps())
+    def test_matches_naive_all_pairs_tricky(self, case):
+        vmap, th = case
+        half = len(vmap.elements) // 2
+        est, gt = _world_map(vmap.elements[:half]), _world_map(vmap.elements[half:])
+        assert match_elements(est, gt, th) == _naive_match(est, gt, th)
 
     def test_world_frame_required(self, small_world_map):
         ego = VectorMap(small_world_map.elements, "ego", Pose.identity())

@@ -2,11 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from polymerge import VectorMap, build_graph, merge_chains, polyline_merge_check
+from polymerge.proximity import candidate_pairs
 
-from helpers import line_element, random_world_map
+from helpers import line_element, random_world_map, tricky_world_maps
 from oracles import naive_graph_edges, naive_merge_check
+
+
+def _edges(graph):
+    return set(map(frozenset, graph.edges))
+
+
+def _unflagged(vmap):
+    return VectorMap(tuple(el.with_points(el.points, is_main=False) for el in vmap.elements), "world")
+
+
+def _all_pairs_edges(vmap, th_prox, skip_main_pairs=True):
+    """The exact check on every unordered pair, no candidate sweep."""
+    els = vmap.elements
+    return {
+        frozenset((a.id, b.id))
+        for i, a in enumerate(els)
+        for b in els[i + 1 :]
+        if not (skip_main_pairs and a.is_main and b.is_main) and polyline_merge_check(a, b, th_prox)
+    }
 
 
 class TestMergeCheck:
@@ -78,7 +99,7 @@ class TestBuildGraph:
         a = line_element("a", "divider", (0, 0), (10, 0), is_main=True)
         b = line_element("b", "divider", (0, 0.2), (10, 0.2), is_main=True)
         graph = build_graph(VectorMap((a, b), "world"), 1.0)
-        assert graph.number_of_edges() == 0
+        assert len(graph.edges) == 0
 
     def test_secondary_bridges_two_mains(self):
         a = line_element("a", "divider", (0, 0), (10, 0), is_main=True)
@@ -95,7 +116,7 @@ class TestBuildGraph:
             line_element(f"s{k}", "boundary", (0, 0.3 * k), (10, 0.3 * k)) for k in range(3)
         )
         graph = build_graph(VectorMap(els, "world"), 1.0)
-        assert graph.number_of_edges() == 3
+        assert len(graph.edges) == 3
 
     def test_label_pairs(self):
         d = line_element("d", "divider", (0, 0), (10, 0))
@@ -130,6 +151,56 @@ class TestBuildGraph:
         e1 = set(map(frozenset, build_graph(vmap, 1.0).edges))
         e2 = set(map(frozenset, build_graph(shuffled, 1.0).edges))
         assert e1 == e2
+
+    def test_later_pass_graph_matches_naive_all_pairs(self):
+        # after a pass every element is main; the re-pass graph checks all pairs
+        rng = np.random.default_rng(53)
+        for _ in range(25):
+            vmap = random_world_map(rng, int(rng.integers(2, 30)), scale=10.0, main_fraction=1.0)
+            th = float(rng.uniform(0.5, 3.0))
+            graph = build_graph(vmap, th, skip_main_pairs=False)
+            assert _edges(graph) == naive_graph_edges(_unflagged(vmap), th)
+
+    def test_box_gap_of_exactly_th_prox(self):
+        for dx, dy in ((1.0, 0.0), (0.0, 1.0)):
+            a = line_element("a", "divider", (0, 0), (2, 0))
+            b = line_element("b", "divider", (2 + dx, dy), (4 + dx, dy))
+            vmap = VectorMap((a, b), "world")
+            assert len(build_graph(vmap, 1.0).edges) == 0
+            assert len(build_graph(vmap, 1.0 + 1e-9).edges) == 1
+
+
+class TestCandidateSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(tricky_world_maps())
+    def test_graph_matches_naive_oracle(self, case):
+        vmap, th = case
+        assert _edges(build_graph(vmap, th)) == naive_graph_edges(vmap, th)
+        later = build_graph(vmap, th, skip_main_pairs=False)
+        assert _edges(later) == naive_graph_edges(_unflagged(vmap), th)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tricky_world_maps(step=0.1, thresholds=(0.1, 0.3, 0.7, 1.0)))
+    def test_sweep_drops_no_pair_the_check_accepts(self, case):
+        # on a 0.1 lattice a box bound plus th_prox rounds; no accepted pair may drop
+        vmap, th = case
+        for skip in (True, False):
+            graph = build_graph(vmap, th, skip_main_pairs=skip)
+            assert _edges(graph) == _all_pairs_edges(vmap, th, skip)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tricky_world_maps())
+    def test_pairs_sorted_unique_and_same_label(self, case):
+        vmap, th = case
+        pairs = list(map(tuple, candidate_pairs(vmap.elements, th).tolist()))
+        assert pairs == sorted(set(pairs))
+        for i, j in pairs:
+            assert i < j
+            assert vmap.elements[i].label == vmap.elements[j].label
+
+    def test_bad_threshold(self):
+        with pytest.raises(ValueError):
+            candidate_pairs([], 0.0)
 
 
 class TestMergeChains:

@@ -14,10 +14,10 @@ from polymerge import (
     rasterize_coverage,
     threshold_region,
 )
-from polymerge.quads import gaussian_kernel, quad_area
+from polymerge.quads import _cell_corner_points, _convex_hull, gaussian_kernel, quad_area
 
 from helpers import quad_element, rect_quad
-from oracles import quad_iou, sweep_min_rect_area
+from oracles import monotone_chain_hull, quad_iou, sweep_min_rect_area
 
 
 def _signed_area(pts):
@@ -255,6 +255,29 @@ class TestMinRotatedRect:
             min_rotated_rect([(0, 0), (1, 1), (2, 2), (3, 3)])
         with pytest.raises(ValueError):
             min_rotated_rect([(0, 0), (0, 0), (0, 0)])
+
+
+class TestConvexHull:
+    def test_trimmed_hull_equals_untrimmed_random(self):
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            # few distinct y values, so that rows hold several points
+            rows = rng.uniform(-5, 5, int(rng.integers(1, n + 1)))
+            pts = np.column_stack([rng.uniform(-5, 5, n), rng.choice(rows, n)])
+            pts = np.vstack([pts, pts[: int(rng.integers(0, n + 1))]])
+            assert np.array_equal(_convex_hull(pts), monotone_chain_hull(pts))
+
+    def test_trimmed_hull_equals_untrimmed_grid_corners(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            cell = float(rng.choice([0.1, 0.25, 0.3]))
+            origin = rng.uniform(-50, 50, 2)
+            mask = rng.random((int(rng.integers(1, 30)), int(rng.integers(1, 30)))) < rng.uniform(0.05, 1)
+            rows, cols = np.nonzero(mask)
+            centers = origin + (np.column_stack([cols, rows]) + 0.5) * cell
+            pts = _cell_corner_points(centers, cell)
+            assert np.array_equal(_convex_hull(pts), monotone_chain_hull(pts))
 
 
 class TestMergeQuads:
