@@ -7,7 +7,15 @@ import os
 import click
 import numpy as np
 
-from .map_model import MapFormatError, VectorMap, load_map, save_map, to_world, write_json_atomic
+from .map_model import (
+    MapFormatError,
+    VectorMap,
+    atomic_writer,
+    load_map,
+    save_map,
+    to_world,
+    write_json_atomic,
+)
 from .merging import MergeConfig, MergeReport, merge_maps
 from .metrics import evaluate_map
 from .synth import NoiseConfig, generate_instances, straight_path_poses, write_instances
@@ -118,10 +126,8 @@ def _svg_plot(gt: VectorMap, est: VectorMap, path) -> None:
                 f'stroke="{color}" stroke-width="{0.004 * max(width, height):.4f}"/>'
             )
     parts.append("</svg>")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)
 
 
 @main.command("eval")
@@ -138,10 +144,8 @@ def eval_cmd(est_path, gt_path, th_prox, out_path, plot_path):
     est = to_world(_load(est_path))
     gt = to_world(_load(gt_path))
     report = evaluate_map(est, gt, th_prox)
-    tmp = f"{out_path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_writer(out_path) as fh:
         fh.write(report.to_csv())
-    os.replace(tmp, out_path)
     if plot_path:
         _svg_plot(gt, est, plot_path)
     click.echo(f"evaluated {len(est)} elements against {len(gt)} -> {out_path}")

@@ -1,4 +1,4 @@
-"""Planar geometry: point-to-polyline projection and rigid frame transforms.
+"""Planar geometry: point-to-polyline projection, ring area and rigid frame transforms.
 
 Polylines are float arrays of shape (N, 2).  Rigid transforms use unit
 quaternions in (w, x, y, z) order; map points live in the z = 0 plane and
@@ -20,6 +20,7 @@ __all__ = [
     "project_point_to_segment",
     "project_point_to_polyline",
     "min_distance_to_polyline",
+    "signed_area",
     "transform_to_world",
 ]
 
@@ -95,20 +96,27 @@ def project_point_to_segment(a, b, c) -> Projection:
     return Projection(foot, 0, t, float(np.linalg.norm(a - foot)))
 
 
-def _foot_points(a, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clamped foot of ``a`` on every segment of ``pts``: (t, feet, distances)."""
-    starts = pts[:-1]
-    ends = pts[1:]
-    d = ends - starts
-    len_sq = np.einsum("ij,ij->i", d, d)
-    raw = np.einsum("ij,ij->i", a - starts, d)
+def _foot_points(a, points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped foot of ``a`` on every segment of a polyline: (t, x, y, distance).
+
+    ``a`` is one point (2,) or many (M, 2); each result has shape (S,) or
+    (M, S).  Working per coordinate builds no (M, S, 2) array.
+    """
+    pts = as_points(points)
+    if len(pts) < 2:
+        raise ValueError("polyline needs at least 2 vertices")
+    x0, y0 = pts[:-1, 0], pts[:-1, 1]
+    dx, dy = pts[1:, 0] - x0, pts[1:, 1] - y0
+    len_sq = dx * dx + dy * dy
+    # a[..., :1] keeps a length-1 axis that broadcasts over the segments
+    ax, ay = a[..., :1], a[..., 1:]
     # degenerate segments project onto their start vertex
-    safe = np.where(len_sq < _DEGENERATE_SQ, 1.0, len_sq)
-    t = np.clip(raw / safe, 0.0, 1.0)
-    t[len_sq < _DEGENERATE_SQ] = 0.0
-    feet = starts + t[:, np.newaxis] * d
-    dist = np.linalg.norm(a - feet, axis=1)
-    return t, feet, dist
+    degenerate = len_sq < _DEGENERATE_SQ
+    t = np.clip(((ax - x0) * dx + (ay - y0) * dy) / np.where(degenerate, 1.0, len_sq), 0.0, 1.0)
+    t[..., degenerate] = 0.0
+    fx, fy = x0 + t * dx, y0 + t * dy
+    ox, oy = ax - fx, ay - fy
+    return t, fx, fy, np.sqrt(ox * ox + oy * oy)
 
 
 def project_point_to_polyline(a, points) -> Projection:
@@ -117,33 +125,22 @@ def project_point_to_polyline(a, points) -> Projection:
     Evaluates the clamped segment projection for every segment and keeps
     the minimum distance; among equidistant segments the lowest index wins.
     """
-    a = np.asarray(a, dtype=float)
-    pts = as_points(points)
-    if len(pts) < 2:
-        raise ValueError("polyline needs at least 2 vertices")
-    t, feet, dist = _foot_points(a, pts)
+    t, fx, fy, dist = _foot_points(np.asarray(a, dtype=float), points)
     k = int(np.argmin(dist))
-    return Projection(feet[k], k, float(t[k]), float(dist[k]))
+    return Projection(np.array([fx[k], fy[k]]), k, float(t[k]), float(dist[k]))
 
 
 def min_distance_to_polyline(points, poly) -> float:
     """Smallest distance from any vertex in ``points`` to the polyline ``poly``."""
-    pts = as_points(points)
-    target = as_points(poly)
-    if len(target) < 2:
-        raise ValueError("polyline needs at least 2 vertices")
-    starts = target[:-1]
-    ends = target[1:]
-    d = ends - starts
-    len_sq = np.einsum("ij,ij->i", d, d)
-    safe = np.where(len_sq < _DEGENERATE_SQ, 1.0, len_sq)
-    # raw[i, j]: parameter of vertex i on segment j
-    raw = np.einsum("ik,jk->ij", pts, d) - np.einsum("jk,jk->j", starts, d)
-    t = np.clip(raw / safe, 0.0, 1.0)
-    t[:, len_sq < _DEGENERATE_SQ] = 0.0
-    feet = starts[np.newaxis, :, :] + t[:, :, np.newaxis] * d[np.newaxis, :, :]
-    dist = np.linalg.norm(pts[:, np.newaxis, :] - feet, axis=2)
-    return float(dist.min())
+    return float(_foot_points(as_points(points), poly)[3].min())
+
+
+def signed_area(points) -> float:
+    """Shoelace area of the closed ring through ``points``; positive when
+    the ring winds counter-clockwise."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:

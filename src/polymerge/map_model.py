@@ -9,6 +9,7 @@ frame, and are immutable once built.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, as_points, transform_to_world
+from .geometry import Pose, as_points, signed_area, transform_to_world
 
 __all__ = [
     "LABELS",
@@ -62,18 +63,13 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
     return o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0
 
 
-def _signed_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def _validate_quad(pts: np.ndarray) -> str | None:
     """Check that 4 points form a simple quadrilateral.  Returns an error text."""
     if len(pts) != 4:
         return f"a {LABEL_PED_CROSSING} needs exactly 4 vertices, got {len(pts)}"
     for i in range(4):
         for j in range(i + 1, 4):
-            if np.allclose(pts[i], pts[j], atol=1e-12):
+            if np.allclose(pts[i], pts[j], rtol=0.0, atol=1e-12):
                 return f"{LABEL_PED_CROSSING} vertices {i} and {j} coincide"
     # opposite edges of the implied closed ring must not cross
     ring = [pts[0], pts[1], pts[2], pts[3]]
@@ -81,7 +77,7 @@ def _validate_quad(pts: np.ndarray) -> str | None:
         ring[1], ring[2], ring[3], ring[0]
     ):
         return f"{LABEL_PED_CROSSING} edges self-intersect"
-    if abs(_signed_area(pts)) < 1e-12:
+    if abs(signed_area(pts)) < 1e-12:
         return f"{LABEL_PED_CROSSING} has zero area"
     return None
 
@@ -91,7 +87,7 @@ def _canonical_quad(pts: np.ndarray) -> np.ndarray:
     corner, winding counter-clockwise.  The stored ring of a quadrilateral
     has no natural first vertex; the canonical form keeps serialization and
     curve comparisons stable."""
-    if _signed_area(pts) < 0:
+    if signed_area(pts) < 0:
         pts = pts[::-1]
     start = min(range(4), key=lambda i: (pts[i, 0], pts[i, 1]))
     return np.roll(pts, -start, axis=0)
@@ -304,20 +300,29 @@ def _map_to_doc(vmap: VectorMap) -> dict:
     return doc
 
 
-def write_json_atomic(doc, path) -> None:
-    """Serialize ``doc`` to ``path`` via a temp file and atomic rename."""
+@contextlib.contextmanager
+def atomic_writer(path):
+    """Text file whose contents replace ``path`` by an atomic rename when the
+    block completes; when anything fails the temp file is removed and
+    ``path`` stays as it was."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(doc, path) -> None:
+    """Serialize ``doc`` to ``path`` via a temp file and atomic rename."""
+    with atomic_writer(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def save_map(vmap: VectorMap, path) -> None:

@@ -15,8 +15,7 @@ import numpy as np
 from .geometry import arc_length, as_points, project_point_to_polyline, segment_parameter
 from .map_model import LABEL_PED_CROSSING, MapElement, VectorMap, concatenate
 from .metrics import discrete_frechet
-# polyline_merge_check stays importable from here, next to build_graph
-from .proximity import build_graph, merge_chains, polyline_merge_check  # noqa: F401
+from .proximity import build_graph, merge_chains
 from .quads import merge_quads
 
 __all__ = [
@@ -29,18 +28,9 @@ __all__ = [
     "smooth",
 ]
 
-ENDPOINT_MODES = ("foot", "source")
-
-
 @dataclass(frozen=True)
 class MergeConfig:
-    """Tuning knobs of the merge pipeline.
-
-    ``endpoint_mode`` selects what gets attached when a source vertex lies
-    beyond an end of the base polyline: the perpendicular foot point on the
-    end segment's supporting line ("foot", default) or the source vertex
-    itself ("source").
-    """
+    """Tuning knobs of the merge pipeline."""
 
     th_prox: float = 1.0
     th_cov: float = 0.5
@@ -48,7 +38,6 @@ class MergeConfig:
     blur_sigma_cells: float = 2.0
     smoothing_enabled: bool = False
     smoothing_window: int = 5
-    endpoint_mode: str = "foot"
 
     def __post_init__(self):
         if self.th_prox <= 0:
@@ -61,8 +50,6 @@ class MergeConfig:
             raise ValueError("blur_sigma_cells must be positive")
         if self.smoothing_window < 3 or self.smoothing_window % 2 == 0:
             raise ValueError("smoothing_window must be an odd number >= 3")
-        if self.endpoint_mode not in ENDPOINT_MODES:
-            raise ValueError(f"endpoint_mode must be one of {ENDPOINT_MODES}")
 
 
 @dataclass
@@ -108,20 +95,18 @@ class MergeReport:
         }
 
 
-def _merge_point(a: np.ndarray, base: np.ndarray, endpoint_mode: str) -> tuple[np.ndarray, int]:
+def _merge_point(a: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, int]:
     """Merge one source vertex into the base; returns (new base, scenario)."""
     pr = project_point_to_polyline(a, base)
     k = pr.segment_index
     raw = segment_parameter(a, base[k], base[k + 1])
     last = len(base) - 2
     if k == 0 and raw < 0.0:
-        # beyond the start: extend backwards
-        new_pt = a if endpoint_mode == "source" else base[0] + raw * (base[1] - base[0])
-        return np.vstack([new_pt, base]), 3
+        # beyond the start: extend backwards to the foot on the first segment's line
+        return np.vstack([base[0] + raw * (base[1] - base[0]), base]), 3
     if k == last and raw > 1.0:
-        # beyond the end: extend forwards
-        new_pt = a if endpoint_mode == "source" else base[-2] + raw * (base[-1] - base[-2])
-        return np.vstack([base, new_pt]), 4
+        # beyond the end: extend forwards to the foot on the last segment's line
+        return np.vstack([base, base[-2] + raw * (base[-1] - base[-2])]), 4
     if pr.t == 0.0 or pr.t == 1.0:
         # foot coincides with a vertex: replace it by the midpoint
         j = k if pr.t == 0.0 else k + 1
@@ -133,25 +118,18 @@ def _merge_point(a: np.ndarray, base: np.ndarray, endpoint_mode: str) -> tuple[n
     return np.vstack([base[: k + 1], midpoint, base[k + 1 :]]), 1
 
 
-def merge_point(a, base, endpoint_mode: str = "foot") -> np.ndarray:
+def merge_point(a, base) -> np.ndarray:
     """Merge a single source vertex ``a`` into the base polyline.
 
     The vertex is projected onto the base.  A foot point strictly inside a
     segment inserts the midpoint of vertex and foot; a foot point on a base
-    vertex replaces that vertex with the midpoint; a vertex whose projection
-    clamps at the first or last vertex extends the base past that end.
+    vertex replaces that vertex with the midpoint; a vertex past the first
+    or last vertex extends the base to its foot on the end segment's line.
     """
-    if endpoint_mode not in ENDPOINT_MODES:
-        raise ValueError(f"endpoint_mode must be one of {ENDPOINT_MODES}")
-    a = np.asarray(a, dtype=float).reshape(2)
-    pts = as_points(base)
-    if len(pts) < 2:
-        raise ValueError("base polyline needs at least 2 vertices")
-    out, _ = _merge_point(a, pts, endpoint_mode)
-    return out
+    return merge_polyline(np.reshape(a, (1, 2)), base)
 
 
-def merge_polyline(source, base, endpoint_mode: str = "foot", scenario_counts=None) -> np.ndarray:
+def merge_polyline(source, base, scenario_counts=None) -> np.ndarray:
     """Fold every vertex of ``source`` into ``base``, in order.
 
     The updated base is threaded through the fold, so later vertices see
@@ -162,7 +140,7 @@ def merge_polyline(source, base, endpoint_mode: str = "foot", scenario_counts=No
     if len(out) < 2:
         raise ValueError("base polyline needs at least 2 vertices")
     for a in src:
-        out, scenario = _merge_point(a, out, endpoint_mode)
+        out, scenario = _merge_point(a, out)
         if scenario_counts is not None:
             scenario_counts[scenario] = scenario_counts.get(scenario, 0) + 1
     return out
@@ -205,7 +183,7 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
         src = el.points
         if discrete_frechet(src[::-1], base) < discrete_frechet(src, base):
             src = src[::-1]
-        base = merge_polyline(src, base, config.endpoint_mode, counts)
+        base = merge_polyline(src, base, counts)
     if config.smoothing_enabled:
         base = smooth(base, config.smoothing_window)
     if report is not None:
@@ -219,7 +197,7 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     return MapElement(base_el.id, label, base, is_main=True)
 
 
-def _run_pass(elements: list[MapElement], chains, config, report) -> list[MapElement]:
+def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[MapElement]:
     by_id = {el.id: el for el in elements}
     chain_of: dict[str, int] = {}
     for c_idx, chain in enumerate(chains):
@@ -257,24 +235,19 @@ def merge_maps(main: VectorMap, secondaries, config: MergeConfig | None = None, 
     """
     if config is None:
         config = MergeConfig()
-    elements = list(concatenate(main, secondaries).elements)
-
-    graph = build_graph(VectorMap(tuple(elements), "world"), config.th_prox)
-    chains = merge_chains(graph)
-    elements = _run_pass(elements, chains, config, report)
-    passes = 1
-
+    vmap = concatenate(main, secondaries)
+    passes = 0
     while passes < 3:
-        # every element is main now, so main/main pairs are candidates too
-        graph = build_graph(VectorMap(tuple(elements), "world"), config.th_prox, skip_main_pairs=False)
-        chains = merge_chains(graph)
-        if not chains:
+        # after the first pass every element is main, so main/main pairs are candidates too
+        chains = merge_chains(build_graph(vmap, config.th_prox, skip_main_pairs=(passes == 0)))
+        # the first pass always runs: it flags every element main
+        if passes and not chains:
             break
-        elements = _run_pass(elements, chains, config, report)
+        vmap = VectorMap(tuple(_run_pass(vmap.elements, chains, config, report)), "world")
         passes += 1
     if report is not None:
         report.passes = passes
-    return VectorMap(tuple(elements), "world")
+    return vmap
 
 
 def smooth(points, window: int) -> np.ndarray:

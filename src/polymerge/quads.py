@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import convolve2d
 
+from .geometry import signed_area
 from .map_model import LABEL_PED_CROSSING, MapElement
 
 __all__ = [
@@ -244,9 +245,7 @@ def min_rotated_rect(points) -> np.ndarray:
 
 def quad_area(points) -> float:
     """Unsigned area of a quadrilateral given by its 4 corners."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    return abs(signed_area(points))
 
 
 def _cell_corner_points(centers: np.ndarray, cell_size: float) -> np.ndarray:

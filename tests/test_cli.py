@@ -164,6 +164,21 @@ class TestEval:
             if cells[2] in ("df", "pcm"):
                 assert cells[-1] == "0"
 
+    def test_failed_report_leaves_no_file(self, runner, tmp_path, gt_file, monkeypatch):
+        from polymerge import EvalReport
+
+        def boom(self):
+            raise RuntimeError("induced")
+
+        monkeypatch.setattr(EvalReport, "to_csv", boom)
+        out_dir = tmp_path / "reports"
+        out_dir.mkdir()
+        result = runner.invoke(main, [
+            "eval", "--est", gt_file, "--gt", gt_file, "--out", str(out_dir / "r.csv"),
+        ])
+        assert result.exit_code == 1
+        assert list(out_dir.iterdir()) == []
+
     def test_nonpositive_threshold_rejected(self, runner, tmp_path, gt_file):
         result = runner.invoke(main, [
             "eval", "--est", gt_file, "--gt", gt_file,

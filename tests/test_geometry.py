@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymerge.geometry import (
     Pose,
@@ -115,7 +117,21 @@ class TestMinDistanceToPolyline:
             a = random_polyline(rng, scale=5.0)
             b = random_polyline(rng, scale=5.0)
             expect = min(project_point_to_polyline(p, b).distance for p in a)
-            assert min_distance_to_polyline(a, b) == pytest.approx(expect, abs=1e-12)
+            assert min_distance_to_polyline(a, b) == expect
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=2, max_size=6),
+        st.integers(0, 5),
+        st.lists(st.tuples(st.floats(-60, 60), st.floats(-60, 60)), min_size=1, max_size=6),
+    )
+    def test_degenerate_segment_matches_per_vertex_projection(self, poly, k, points):
+        k %= len(poly)
+        # vertex k twice: a zero-length segment
+        q = np.array(poly[: k + 1] + poly[k:])
+        p = np.array(points)
+        expect = min(project_point_to_polyline(v, q).distance for v in p)
+        assert min_distance_to_polyline(p, q) == expect
 
     def test_not_symmetric_in_general(self):
         # vertices of a are far from b even though b has a vertex near a

@@ -50,6 +50,13 @@ class TestMapElement:
         with pytest.raises(ValueError, match="coincide"):
             MapElement("c", "ped_crossing", np.array([[0.0, 0], [1, 0], [1, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("offset", [1e6, 5e6])
+    def test_crossing_at_utm_scale_accepted(self, offset):
+        # corners a few meters apart are distinct however far from the origin
+        quad = rect_quad(offset, offset / 2, 4.0, 3.0, angle=0.3)
+        el = MapElement("c", "ped_crossing", quad)
+        assert sorted(map(tuple, el.points)) == sorted(map(tuple, quad))
+
     def test_quad_canonical_form(self):
         # clockwise ring, arbitrary start: stored counter-clockwise from the
         # lexicographically smallest corner
@@ -180,6 +187,20 @@ class TestSerialization:
     def test_no_temp_leftovers(self, tmp_path):
         save_map(VectorMap((), "world"), tmp_path / "m.json")
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+    def test_failed_replace_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        save_map(VectorMap((), "world"), path)
+        before = path.read_bytes()
+
+        def boom(*args):
+            raise OSError("induced")
+
+        monkeypatch.setattr("polymerge.map_model.os.replace", boom)
+        with pytest.raises(OSError):
+            save_map(random_world_map(np.random.default_rng(3), 5), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+        assert path.read_bytes() == before
 
 
 def _write(tmp_path, doc):

@@ -40,12 +40,6 @@ class TestMergePoint:
         out = merge_point((-1, 0.4), [(0, 0), (2, 0)])
         np.testing.assert_allclose(out, [[-1, 0], [0, 0], [2, 0]])
 
-    def test_source_mode_appends_the_vertex_itself(self):
-        out = merge_point((3, 0.4), [(0, 0), (2, 0)], endpoint_mode="source")
-        np.testing.assert_allclose(out, [[0, 0], [2, 0], [3, 0.4]])
-        out = merge_point((-1, 0.4), [(0, 0), (2, 0)], endpoint_mode="source")
-        np.testing.assert_allclose(out, [[-1, 0.4], [0, 0], [2, 0]])
-
     def test_endpoint_hit_is_still_a_replacement(self):
         # clamped onto the first vertex but not beyond it: midpoint replace
         out = merge_point((0, 0.4), [(0, 0), (2, 0)])
@@ -79,10 +73,6 @@ class TestMergePoint:
         out = merge_point((1.5, 0.2), base)
         kept = [v for v in out.tolist() if v in [list(map(float, b)) for b in base]]
         assert kept == [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]]
-
-    def test_bad_endpoint_mode(self):
-        with pytest.raises(ValueError):
-            merge_point((0, 0), [(0, 0), (1, 0)], endpoint_mode="clamp")
 
     def test_short_base_rejected(self):
         with pytest.raises(ValueError):
@@ -145,7 +135,6 @@ class TestMergeConfig:
         assert config.cell_size == 0.1
         assert config.blur_sigma_cells == 2.0
         assert config.smoothing_enabled is False
-        assert config.endpoint_mode == "foot"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -157,7 +146,6 @@ class TestMergeConfig:
             {"blur_sigma_cells": 0.0},
             {"smoothing_window": 4},
             {"smoothing_window": 1},
-            {"endpoint_mode": "clamp"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
