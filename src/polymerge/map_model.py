@@ -304,11 +304,15 @@ def _map_to_doc(vmap: VectorMap) -> dict:
 def atomic_writer(path):
     """Text file whose contents replace ``path`` by an atomic rename when the
     block completes; when anything fails the temp file is removed and
-    ``path`` stays as it was."""
+    ``path`` stays as it was.  The file gets the mode ``open()`` would give
+    it (0o666 less the umask), not mkstemp's 0o600."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)

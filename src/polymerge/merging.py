@@ -16,6 +16,9 @@ from .geometry import arc_length, as_points, project_point_to_polyline, segment_
 from .map_model import LABEL_PED_CROSSING, MapElement, VectorMap, concatenate
 from .metrics import discrete_frechet
 from .proximity import build_graph, merge_chains
+# Re-exported as a module attribute: the benchmark's per-layer trace wraps
+# ``polymerge.merging.polyline_merge_check``.
+from .proximity import polyline_merge_check as polyline_merge_check
 from .quads import merge_quads
 
 __all__ = [

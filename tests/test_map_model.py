@@ -1,6 +1,8 @@
 """Data model validation, canonicalization and JSON round trips."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from polymerge import (
     save_map,
     to_world,
 )
+from polymerge.map_model import atomic_writer
 
 from helpers import line_element, quad_element, random_world_map, rect_quad
 
@@ -201,6 +204,16 @@ class TestSerialization:
             save_map(random_world_map(np.random.default_rng(3), 5), path)
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027])
+    def test_written_file_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with atomic_writer(tmp_path / "r.csv") as fh:
+                fh.write("a,b\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "r.csv").stat().st_mode) == 0o666 & ~umask
 
 
 def _write(tmp_path, doc):
