@@ -8,6 +8,7 @@ import click
 import numpy as np
 
 from .map_model import (
+    LABEL_PED_CROSSING,
     MapFormatError,
     VectorMap,
     atomic_writer,
@@ -120,7 +121,7 @@ def _svg_plot(gt: VectorMap, est: VectorMap, path) -> None:
     ]
     for vmap, color in ((gt, "#888888"), (est, "#d62728")):
         for el in vmap.elements:
-            closed = el.label == "ped_crossing"
+            closed = el.label == LABEL_PED_CROSSING
             parts.append(
                 f'<path d="{path_d(el.points, closed)}" fill="none" '
                 f'stroke="{color}" stroke-width="{0.004 * max(width, height):.4f}"/>'

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, as_points, signed_area, transform_to_world
+from .geometry import Pose, as_points, transform_to_world
 
 __all__ = [
     "LABELS",
@@ -40,57 +41,56 @@ LABELS = (LABEL_PED_CROSSING, LABEL_DIVIDER, LABEL_BOUNDARY)
 
 FRAMES = ("ego", "world")
 
+_EPS = float(np.finfo(float).eps)
+
 
 class MapFormatError(ValueError):
     """A map file or element violates the format contract."""
 
 
-def _segments_cross(p1, p2, p3, p4) -> bool:
-    """True if open segments p1-p2 and p3-p4 properly intersect."""
-
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if v > 1e-12:
-            return 1
-        if v < -1e-12:
-            return -1
-        return 0
-
-    o1 = orient(p1, p2, p3)
-    o2 = orient(p1, p2, p4)
-    o3 = orient(p3, p4, p1)
-    o4 = orient(p3, p4, p2)
-    return o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0
-
-
-def _validate_quad(pts: np.ndarray) -> str | None:
-    """Check that 4 points form a simple quadrilateral.  Returns an error text."""
-    if len(pts) != 4:
-        return f"a {LABEL_PED_CROSSING} needs exactly 4 vertices, got {len(pts)}"
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if np.allclose(pts[i], pts[j], rtol=0.0, atol=1e-12):
-                return f"{LABEL_PED_CROSSING} vertices {i} and {j} coincide"
-    # opposite edges of the implied closed ring must not cross
-    ring = [pts[0], pts[1], pts[2], pts[3]]
-    if _segments_cross(ring[0], ring[1], ring[2], ring[3]) or _segments_cross(
-        ring[1], ring[2], ring[3], ring[0]
-    ):
-        return f"{LABEL_PED_CROSSING} edges self-intersect"
-    if abs(signed_area(pts)) < 1e-12:
-        return f"{LABEL_PED_CROSSING} has zero area"
-    return None
+def _side(a, b, c) -> int:
+    """Which side of the line a-b the point c lies on: 1 left, -1 right,
+    0 when their cross product is within 1e-12 of 0."""
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 1e-12) - (v < -1e-12)
 
 
 def _canonical_quad(pts: np.ndarray) -> np.ndarray:
-    """Rotate the vertex cycle to start at the lexicographically smallest
-    corner, winding counter-clockwise.  The stored ring of a quadrilateral
-    has no natural first vertex; the canonical form keeps serialization and
-    curve comparisons stable."""
-    if signed_area(pts) < 0:
-        pts = pts[::-1]
-    start = min(range(4), key=lambda i: (pts[i, 0], pts[i, 1]))
-    return np.roll(pts, -start, axis=0)
+    """Check that 4 points form a simple quadrilateral and return them in
+    canonical order; raises ValueError naming the problem otherwise.
+
+    The stored ring of a quadrilateral has no natural first vertex, so the
+    canonical form starts at the lexicographically smallest corner and
+    winds counter-clockwise; it keeps serialization and curve comparisons
+    stable.  A quad that is already canonical comes back unchanged.
+    """
+    if len(pts) != 4:
+        raise ValueError(f"a {LABEL_PED_CROSSING} needs exactly 4 vertices, got {len(pts)}")
+    c = pts.tolist()
+    diameter = 0.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            dx = c[i][0] - c[j][0]
+            dy = c[i][1] - c[j][1]
+            if abs(dx) <= 1e-12 and abs(dy) <= 1e-12:
+                raise ValueError(f"{LABEL_PED_CROSSING} vertices {i} and {j} coincide")
+            diameter = max(diameter, math.hypot(dx, dy))
+    # opposite edges of the implied closed ring must not cross: each edge's
+    # ends lie strictly on either side of the other edge's line
+    for a, b, p, q in ((c[0], c[1], c[2], c[3]), (c[1], c[2], c[3], c[0])):
+        if _side(a, b, p) * _side(a, b, q) < 0 and _side(p, q, a) * _side(p, q, b) < 0:
+            raise ValueError(f"{LABEL_PED_CROSSING} edges self-intersect")
+    # shoelace relative to corner 0; corners rounded to the float grid of
+    # their coordinates are off by up to eps * |coord|, so the zero test
+    # scales with how far the crossing sits from the origin
+    (x0, y0), *rest = c
+    (x1, y1), (x2, y2), (x3, y3) = [(x - x0, y - y0) for x, y in rest]
+    area = 0.5 * ((x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2))
+    if abs(area) <= 1e-12 + 8 * _EPS * max(abs(v) for xy in c for v in xy) * diameter:
+        raise ValueError(f"{LABEL_PED_CROSSING} has zero area")
+    order = [0, 1, 2, 3] if area > 0 else [3, 2, 1, 0]
+    start = min(range(4), key=lambda i: c[order[i]])
+    return pts[order[start:] + order[:start]]
 
 
 @dataclass(frozen=True)
@@ -116,17 +116,12 @@ class MapElement:
             )
         try:
             pts = as_points(self.points)
+            if len(pts) < 2:
+                raise ValueError(f"a polyline needs at least 2 vertices, got {len(pts)}")
+            if self.label == LABEL_PED_CROSSING:
+                pts = _canonical_quad(pts)
         except ValueError as exc:
             raise ValueError(f"element '{self.id}': {exc}") from None
-        if len(pts) < 2:
-            raise ValueError(
-                f"element '{self.id}': a polyline needs at least 2 vertices, got {len(pts)}"
-            )
-        if self.label == LABEL_PED_CROSSING:
-            problem = _validate_quad(pts)
-            if problem is not None:
-                raise ValueError(f"element '{self.id}': {problem}")
-            pts = _canonical_quad(pts)
         pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -190,14 +185,11 @@ def concatenate(main: VectorMap, secondaries) -> VectorMap:
     main map are flagged ``is_main``.  An empty main map is legal; it
     bootstraps a global map from scratch.
     """
-    sources = [main, *secondaries]
     merged: list[MapElement] = []
-    for idx, src in enumerate(sources):
-        world = to_world(src)
-        for el in world.elements:
-            merged.append(
-                MapElement(f"{idx}:{el.id}", el.label, el.points, is_main=(idx == 0))
-            )
+    for idx, src in enumerate([main, *secondaries]):
+        for el in src.elements:
+            pts = el.points if src.frame == "world" else transform_to_world(el.points, src.pose)
+            merged.append(MapElement(f"{idx}:{el.id}", el.label, pts, is_main=(idx == 0)))
     return VectorMap(tuple(merged), "world")
 
 
@@ -281,13 +273,18 @@ def load_map(path) -> VectorMap:
         raise MapFormatError(f"{path}: {exc}") from None
 
 
+def pose_to_doc(pose: Pose) -> dict:
+    """The JSON form of a pose, as ``load_map`` reads it."""
+    return {
+        "rotation": [float(v) for v in pose.rotation],
+        "translation": [float(v) for v in pose.translation],
+    }
+
+
 def _map_to_doc(vmap: VectorMap) -> dict:
     doc: dict = {"frame": vmap.frame}
     if vmap.pose is not None:
-        doc["pose"] = {
-            "rotation": [float(v) for v in vmap.pose.rotation],
-            "translation": [float(v) for v in vmap.pose.translation],
-        }
+        doc["pose"] = pose_to_doc(vmap.pose)
     doc["elements"] = [
         {
             "id": el.id,

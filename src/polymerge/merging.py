@@ -31,6 +31,10 @@ __all__ = [
     "smooth",
 ]
 
+# moving-average window of the optional smoothing step
+_SMOOTHING_WINDOW = 5
+
+
 @dataclass(frozen=True)
 class MergeConfig:
     """Tuning knobs of the merge pipeline."""
@@ -40,7 +44,6 @@ class MergeConfig:
     cell_size: float = 0.1
     blur_sigma_cells: float = 2.0
     smoothing_enabled: bool = False
-    smoothing_window: int = 5
 
     def __post_init__(self):
         if self.th_prox <= 0:
@@ -51,8 +54,6 @@ class MergeConfig:
             raise ValueError("cell_size must be positive")
         if self.blur_sigma_cells <= 0:
             raise ValueError("blur_sigma_cells must be positive")
-        if self.smoothing_window < 3 or self.smoothing_window % 2 == 0:
-            raise ValueError("smoothing_window must be an odd number >= 3")
 
 
 @dataclass
@@ -188,7 +189,7 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
             src = src[::-1]
         base = merge_polyline(src, base, counts)
     if config.smoothing_enabled:
-        base = smooth(base, config.smoothing_window)
+        base = smooth(base, _SMOOTHING_WINDOW)
     if report is not None:
         report.add_chain(
             label=label,

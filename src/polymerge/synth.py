@@ -19,6 +19,7 @@ from .map_model import (
     LABEL_PED_CROSSING,
     MapElement,
     VectorMap,
+    pose_to_doc,
     save_map,
     to_world,
     write_json_atomic,
@@ -215,12 +216,7 @@ def write_instances(instances, out_dir) -> list[str]:
         path = os.path.join(out_dir, f"instance_{k}.json")
         save_map(inst, path)
         paths.append(path)
-        poses.append(
-            {
-                "rotation": [float(v) for v in inst.pose.rotation],
-                "translation": [float(v) for v in inst.pose.translation],
-            }
-        )
+        poses.append(pose_to_doc(inst.pose))
     manifest = os.path.join(out_dir, "poses.json")
     write_json_atomic({"poses": poses}, manifest)
     paths.append(manifest)

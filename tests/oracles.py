@@ -242,3 +242,57 @@ def monotone_chain_hull(points) -> np.ndarray:
             upper.pop()
         upper.append(p)
     return np.array(lower[:-1] + upper[:-1])
+
+
+def _segments_cross(p1, p2, p3, p4) -> bool:
+    """True if open segments p1-p2 and p3-p4 properly intersect."""
+
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if v > 1e-12:
+            return 1
+        if v < -1e-12:
+            return -1
+        return 0
+
+    o1 = orient(p1, p2, p3)
+    o2 = orient(p1, p2, p4)
+    o3 = orient(p3, p4, p1)
+    o4 = orient(p3, p4, p2)
+    return o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0
+
+
+def reference_quad_problem(pts) -> str | None:
+    """Crossing check on numpy rows: pairwise ``allclose`` for coincident
+    corners, then a proper-intersection test on both pairs of opposite
+    edges, then the zero-area test of the map format (shoelace about
+    corner 0 against a bound that grows with the coordinates)."""
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) != 4:
+        return f"a ped_crossing needs exactly 4 vertices, got {len(pts)}"
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if np.allclose(pts[i], pts[j], rtol=0.0, atol=1e-12):
+                return f"ped_crossing vertices {i} and {j} coincide"
+    if _segments_cross(pts[0], pts[1], pts[2], pts[3]) or _segments_cross(
+        pts[1], pts[2], pts[3], pts[0]
+    ):
+        return "ped_crossing edges self-intersect"
+    rel = pts - pts[0]
+    area = 0.5 * ((rel[1, 0] * rel[2, 1] - rel[2, 0] * rel[1, 1])
+                  + (rel[2, 0] * rel[3, 1] - rel[3, 0] * rel[2, 1]))
+    diameter = max(np.linalg.norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4))
+    if abs(area) <= 1e-12 + 8 * np.finfo(float).eps * np.max(np.abs(pts)) * diameter:
+        return "ped_crossing has zero area"
+    return None
+
+
+def reference_canonical_quad(pts) -> np.ndarray:
+    """Counter-clockwise ring from the lexicographically smallest corner,
+    winding taken from the plain shoelace."""
+    pts = np.asarray(pts, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    if float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) < 0:
+        pts = pts[::-1]
+    start = min(range(4), key=lambda i: (pts[i, 0], pts[i, 1]))
+    return np.roll(pts, -start, axis=0)

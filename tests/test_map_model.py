@@ -6,6 +6,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymerge import (
     LABELS,
@@ -17,10 +19,20 @@ from polymerge import (
     load_map,
     save_map,
     to_world,
+    transform_to_world,
 )
 from polymerge.map_model import atomic_writer
 
 from helpers import line_element, quad_element, random_world_map, rect_quad
+from oracles import reference_canonical_quad, reference_quad_problem
+
+# corners on the integer lattice around the origin, some moved by about the
+# 1e-12 tolerances of the crossing check: coincident, collinear and crossing
+# cases, and cases on either side of each threshold
+_nudge = st.sampled_from([0.0, 1e-12, -1e-12, 5e-13, 2e-12])
+_lattice_corner = st.tuples(st.integers(-2, 2), st.integers(-2, 2), _nudge, _nudge).map(
+    lambda c: (c[0] + c[2], c[1] + c[3])
+)
 
 
 class TestMapElement:
@@ -59,6 +71,33 @@ class TestMapElement:
         quad = rect_quad(offset, offset / 2, 4.0, 3.0, angle=0.3)
         el = MapElement("c", "ped_crossing", quad)
         assert sorted(map(tuple, el.points)) == sorted(map(tuple, quad))
+
+    @pytest.mark.parametrize("offset", [1e3, 1e4, 1e6])
+    def test_collinear_corners_rejected_far_from_origin(self, offset):
+        # 4 points on one line, rounded to the float grid at the offset,
+        # have a shoelace area of rounding noise, not 0
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            direction = rng.normal(size=2)
+            t = rng.uniform(-3.0, 3.0, 4)
+            quad = offset + t[:, None] * (direction / np.linalg.norm(direction))
+            with pytest.raises(ValueError, match="zero area|self-intersect"):
+                MapElement("c", "ped_crossing", quad)
+        for size in (0.01, 0.001):
+            MapElement("c", "ped_crossing", rect_quad(offset, offset / 2, size, size, 0.3))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_lattice_corner, min_size=4, max_size=4))
+    def test_crossing_check_matches_reference(self, corners):
+        quad = np.array(corners)
+        expected = reference_quad_problem(quad)
+        try:
+            el = MapElement("c", "ped_crossing", quad)
+        except ValueError as exc:
+            assert str(exc) == f"element 'c': {expected}"
+        else:
+            assert expected is None
+            np.testing.assert_array_equal(el.points, reference_canonical_quad(quad))
 
     def test_quad_canonical_form(self):
         # clockwise ring, arbitrary start: stored counter-clockwise from the
@@ -145,6 +184,32 @@ class TestConcatenate:
         )
         out = concatenate(VectorMap((), "world"), [sec])
         np.testing.assert_allclose(out.element("1:s").points, [[5, 6], [5, 7]], atol=1e-12)
+
+    def test_builds_each_element_once(self, small_world_map, monkeypatch):
+        # a tilted crossing whose canonical first corner changes under the pose
+        crossing = MapElement("c", "ped_crossing", rect_quad(3.0, 1.0, 4.0, 3.0, angle=0.3))
+        ego = VectorMap(
+            (line_element("s", "divider", (1, 0), (2, 0), n=3), crossing),
+            "ego",
+            Pose.from_yaw(2.0, 5.0, 5.0),
+        )
+        moved = transform_to_world(crossing.points, ego.pose)
+        built = []
+        post_init = MapElement.__post_init__
+
+        def counting(el):
+            built.append(el.id)
+            post_init(el)
+
+        monkeypatch.setattr(MapElement, "__post_init__", counting)
+        out = concatenate(small_world_map, [ego])
+        assert built == ["0:b1", "0:d1", "0:c1", "1:s", "1:c"]
+        monkeypatch.undo()
+        world = to_world(ego)
+        assert not np.array_equal(world.element("c").points[0], moved[0])
+        for el in ego.elements:
+            expected = world.element(el.id).points
+            assert out.element(f"1:{el.id}").points.tobytes() == expected.tobytes()
 
     def test_inputs_not_mutated(self, small_world_map):
         before = [el.points.copy() for el in small_world_map.elements]

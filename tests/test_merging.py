@@ -144,8 +144,6 @@ class TestMergeConfig:
             {"th_cov": 1.0},
             {"cell_size": -0.1},
             {"blur_sigma_cells": 0.0},
-            {"smoothing_window": 4},
-            {"smoothing_window": 1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
