@@ -48,11 +48,11 @@ class MapFormatError(ValueError):
     """A map file or element violates the format contract."""
 
 
-def _side(a, b, c) -> int:
+def _side(a, b, c, tol: float) -> int:
     """Which side of the line a-b the point c lies on: 1 left, -1 right,
-    0 when their cross product is within 1e-12 of 0."""
+    0 when their cross product is within ``tol`` of 0."""
     v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 1e-12) - (v < -1e-12)
+    return (v > tol) - (v < -tol)
 
 
 def _canonical_quad(pts: np.ndarray) -> np.ndarray:
@@ -75,18 +75,21 @@ def _canonical_quad(pts: np.ndarray) -> np.ndarray:
             if abs(dx) <= 1e-12 and abs(dy) <= 1e-12:
                 raise ValueError(f"{LABEL_PED_CROSSING} vertices {i} and {j} coincide")
             diameter = max(diameter, math.hypot(dx, dy))
+    # corners rounded to the float grid of their coordinates are off by up
+    # to eps * |coord|, so both zero tests below (cross products and the
+    # shoelace) scale with how far the crossing sits from the origin
+    tol = 1e-12 + 8 * _EPS * max(abs(v) for xy in c for v in xy) * diameter
     # opposite edges of the implied closed ring must not cross: each edge's
     # ends lie strictly on either side of the other edge's line
     for a, b, p, q in ((c[0], c[1], c[2], c[3]), (c[1], c[2], c[3], c[0])):
-        if _side(a, b, p) * _side(a, b, q) < 0 and _side(p, q, a) * _side(p, q, b) < 0:
+        if (_side(a, b, p, tol) * _side(a, b, q, tol) < 0
+                and _side(p, q, a, tol) * _side(p, q, b, tol) < 0):
             raise ValueError(f"{LABEL_PED_CROSSING} edges self-intersect")
-    # shoelace relative to corner 0; corners rounded to the float grid of
-    # their coordinates are off by up to eps * |coord|, so the zero test
-    # scales with how far the crossing sits from the origin
+    # shoelace relative to corner 0
     (x0, y0), *rest = c
     (x1, y1), (x2, y2), (x3, y3) = [(x - x0, y - y0) for x, y in rest]
     area = 0.5 * ((x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2))
-    if abs(area) <= 1e-12 + 8 * _EPS * max(abs(v) for xy in c for v in xy) * diameter:
+    if abs(area) <= tol:
         raise ValueError(f"{LABEL_PED_CROSSING} has zero area")
     order = [0, 1, 2, 3] if area > 0 else [3, 2, 1, 0]
     start = min(range(4), key=lambda i: c[order[i]])

@@ -266,7 +266,13 @@ def smooth(points, window: int) -> np.ndarray:
     pts = as_points(points)
     n = len(pts)
     out = pts.copy()
-    for i in range(1, n - 1):
-        half = min(window // 2, i, n - 1 - i)
-        out[i] = pts[i - half : i + half + 1].mean(axis=0)
+    inner = np.arange(1, n - 1)
+    halves = np.minimum(np.minimum(inner, n - 1 - inner), window // 2)
+    for half in range(1, window // 2 + 1):
+        idx = inner[halves == half]
+        # rows summed left to right, then divided: the bits np.mean gives
+        total = pts[idx - half]
+        for k in range(1 - half, half + 1):
+            total = total + pts[idx + k]
+        out[idx] = total / (2 * half + 1)
     return out

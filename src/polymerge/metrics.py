@@ -36,24 +36,32 @@ def discrete_frechet(p, q) -> float:
     if len(p) == 0 or len(q) == 0:
         raise ValueError("discrete_frechet needs non-empty vertex chains")
     dist = cdist(p, q)
-    n, m = dist.shape
-    dp = np.empty_like(dist)
-    dp[0, 0] = dist[0, 0]
-    for j in range(1, m):
-        dp[0, j] = max(dp[0, j - 1], dist[0, j])
-    for i in range(1, n):
-        dp[i, 0] = max(dp[i - 1, 0], dist[i, 0])
-        row = dp[i]
-        prev = dp[i - 1]
-        d = dist[i]
-        for j in range(1, m):
-            best = prev[j]
-            if prev[j - 1] < best:
-                best = prev[j - 1]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = d[j] if d[j] > best else best
-    return float(dp[-1, -1])
+    # row by row on Python floats: indexing a numpy array per cell boxes a
+    # scalar, which costs more than the comparisons; they only pick
+    # existing values, so the result is exact
+    first = dist[0].tolist()
+    prev = []
+    left = first[0]
+    for x in first:
+        left = x if x > left else left
+        prev.append(left)
+    for d in dist[1:]:
+        x, *rest = d.tolist()
+        diag = prev[0]
+        left = x if x > diag else diag
+        row = [left]
+        for up, x in zip(prev[1:], rest):
+            # min over dp[i-1][j], dp[i-1][j-1], dp[i][j-1], first one on ties
+            best = up
+            if diag < best:
+                best = diag
+            if left < best:
+                best = left
+            left = x if x > best else best
+            row.append(left)
+            diag = up
+        prev = row
+    return prev[-1]
 
 
 def _cum_arc(pts: np.ndarray) -> np.ndarray:
@@ -140,9 +148,12 @@ def match_elements(
         if not candidates:
             unmatched_est.append(e.id)
             continue
-        best = min(
-            candidates, key=lambda g: (discrete_frechet(e.points, g.points), g.id)
-        )
+        if len(candidates) == 1:
+            best = candidates[0]
+        else:
+            best = min(
+                candidates, key=lambda g: (discrete_frechet(e.points, g.points), g.id)
+            )
         pairs.append((e.id, best.id))
         matched_gt.add(best.id)
     unmatched_gt = [g.id for g in gt.elements if g.id not in matched_gt]

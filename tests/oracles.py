@@ -1,13 +1,15 @@
 """Independent oracles used to freeze expected values and cross-check results.
 
 Everything here is deliberately brute force: dense sampling, exhaustive
-enumeration, or fine sweeps.  None of it shares code with the package
-implementations it checks.
+enumeration, fine sweeps, or the plain cell-by-cell and vertex-by-vertex
+loops that faster package code must reproduce bit for bit.  None of it
+shares code with the package implementations it checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 def dense_projection(a, b, c, n: int = 100_000) -> tuple[float, np.ndarray]:
@@ -244,14 +246,15 @@ def monotone_chain_hull(points) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _segments_cross(p1, p2, p3, p4) -> bool:
-    """True if open segments p1-p2 and p3-p4 properly intersect."""
+def _segments_cross(p1, p2, p3, p4, tol: float) -> bool:
+    """True if open segments p1-p2 and p3-p4 properly intersect; cross
+    products within ``tol`` of 0 count as collinear."""
 
     def orient(a, b, c):
         v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if v > 1e-12:
+        if v > tol:
             return 1
-        if v < -1e-12:
+        if v < -tol:
             return -1
         return 0
 
@@ -265,8 +268,9 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
 def reference_quad_problem(pts) -> str | None:
     """Crossing check on numpy rows: pairwise ``allclose`` for coincident
     corners, then a proper-intersection test on both pairs of opposite
-    edges, then the zero-area test of the map format (shoelace about
-    corner 0 against a bound that grows with the coordinates)."""
+    edges, then the zero-area test (shoelace about corner 0).  Both zero
+    tests use the bound of the map format, which grows with the
+    coordinates."""
     pts = np.asarray(pts, dtype=float)
     if len(pts) != 4:
         return f"a ped_crossing needs exactly 4 vertices, got {len(pts)}"
@@ -274,15 +278,16 @@ def reference_quad_problem(pts) -> str | None:
         for j in range(i + 1, 4):
             if np.allclose(pts[i], pts[j], rtol=0.0, atol=1e-12):
                 return f"ped_crossing vertices {i} and {j} coincide"
-    if _segments_cross(pts[0], pts[1], pts[2], pts[3]) or _segments_cross(
-        pts[1], pts[2], pts[3], pts[0]
+    diameter = max(np.linalg.norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4))
+    tol = 1e-12 + 8 * np.finfo(float).eps * np.max(np.abs(pts)) * diameter
+    if _segments_cross(pts[0], pts[1], pts[2], pts[3], tol) or _segments_cross(
+        pts[1], pts[2], pts[3], pts[0], tol
     ):
         return "ped_crossing edges self-intersect"
     rel = pts - pts[0]
     area = 0.5 * ((rel[1, 0] * rel[2, 1] - rel[2, 0] * rel[1, 1])
                   + (rel[2, 0] * rel[3, 1] - rel[3, 0] * rel[2, 1]))
-    diameter = max(np.linalg.norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4))
-    if abs(area) <= 1e-12 + 8 * np.finfo(float).eps * np.max(np.abs(pts)) * diameter:
+    if abs(area) <= tol:
         return "ped_crossing has zero area"
     return None
 
@@ -296,3 +301,39 @@ def reference_canonical_quad(pts) -> np.ndarray:
         pts = pts[::-1]
     start = min(range(4), key=lambda i: (pts[i, 0], pts[i, 1]))
     return np.roll(pts, -start, axis=0)
+
+
+def reference_frechet_dp(p, q) -> float:
+    """Discrete Frechet distance by the coupling DP indexed cell by cell in
+    a numpy array, with the comparison order of ``discrete_frechet``."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    dist = cdist(p, q)
+    n, m = dist.shape
+    dp = np.empty_like(dist)
+    dp[0, 0] = dist[0, 0]
+    for j in range(1, m):
+        dp[0, j] = max(dp[0, j - 1], dist[0, j])
+    for i in range(1, n):
+        dp[i, 0] = max(dp[i - 1, 0], dist[i, 0])
+        for j in range(1, m):
+            best = dp[i - 1, j]
+            if dp[i - 1, j - 1] < best:
+                best = dp[i - 1, j - 1]
+            if dp[i, j - 1] < best:
+                best = dp[i, j - 1]
+            dp[i, j] = dist[i, j] if dist[i, j] > best else best
+    return float(dp[-1, -1])
+
+
+def reference_smooth(points, window: int) -> np.ndarray:
+    """Moving average with endpoints fixed, one vertex at a time: each
+    interior vertex is the mean of its window, shrunk symmetrically near
+    the ends."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    out = pts.copy()
+    for i in range(1, n - 1):
+        half = min(window // 2, i, n - 1 - i)
+        out[i] = pts[i - half : i + half + 1].mean(axis=0)
+    return out

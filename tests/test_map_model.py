@@ -81,10 +81,21 @@ class TestMapElement:
             direction = rng.normal(size=2)
             t = rng.uniform(-3.0, 3.0, 4)
             quad = offset + t[:, None] * (direction / np.linalg.norm(direction))
-            with pytest.raises(ValueError, match="zero area|self-intersect"):
+            with pytest.raises(ValueError, match="has zero area"):
                 MapElement("c", "ped_crossing", quad)
         for size in (0.01, 0.001):
             MapElement("c", "ped_crossing", rect_quad(offset, offset / 2, size, size, 0.3))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+    def test_edge_test_scales_with_offset(self, offset):
+        # the straddle cut grows with the coordinates like the zero-area
+        # bound: a real bow-tie still crosses, a thin crossing still stands
+        corners = rect_quad(offset, offset / 2, 4.0, 3.0, angle=0.3)
+        with pytest.raises(ValueError, match="edges self-intersect"):
+            MapElement("c", "ped_crossing", corners[[0, 1, 3, 2]])
+        thin = rect_quad(offset, offset / 2, 0.01, 4.0, angle=0.3)
+        el = MapElement("c", "ped_crossing", thin)
+        assert sorted(map(tuple, el.points)) == sorted(map(tuple, thin))
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_lattice_corner, min_size=4, max_size=4))

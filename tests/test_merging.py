@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymerge import (
     MapElement,
@@ -21,6 +23,7 @@ from polymerge import (
 )
 
 from helpers import line_element, quad_element, random_polyline
+from oracles import reference_smooth
 
 
 class TestMergePoint:
@@ -119,6 +122,17 @@ class TestSmooth:
         np.testing.assert_array_equal(out[0], zig[0])
         np.testing.assert_array_equal(out[-1], zig[-1])
         assert len(out) == len(zig)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 80),
+        st.sampled_from([3, 5, 7, 9]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e3, 1e6]),
+    )
+    def test_matches_per_vertex_mean_exactly(self, n, window, seed, offset):
+        pts = np.random.default_rng(seed).normal(0.0, 5.0, (n, 2)) + offset
+        np.testing.assert_array_equal(smooth(pts, window), reference_smooth(pts, window))
 
     def test_window_validation(self):
         pts = np.array([[0.0, 0], [1, 0], [2, 0]])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymerge import (
     Pose,
@@ -14,10 +15,15 @@ from polymerge import (
     polyline_merge_check,
 )
 from polymerge.geometry import arc_length
+import polymerge.metrics
 from polymerge.metrics import CSV_HEADER
 
 from helpers import line_element, quad_element, random_polyline, random_world_map, tricky_world_maps
-from oracles import frechet_exhaustive, pcm_offset_sweep
+from oracles import frechet_exhaustive, pcm_offset_sweep, reference_frechet_dp
+
+# integer-lattice coordinates give distance ties; free floats give the rest
+_coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-20.0, 20.0))
+_chain = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=15)
 
 
 class TestDiscreteFrechet:
@@ -68,6 +74,18 @@ class TestDiscreteFrechet:
             assert discrete_frechet(p, q) == pytest.approx(
                 frechet_exhaustive(p, q), abs=1e-12
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_chain, _chain, st.sampled_from([0.0, 1e3, 1e6]), st.booleans())
+    def test_matches_reference_dp_exactly(self, p, q, offset, doubled):
+        # 1-vertex chains, repeated vertices (doubled, or lattice repeats),
+        # lattice ties and far offsets; the result is the same float
+        p = np.array(p) + offset
+        q = np.array(q) + offset
+        if doubled:
+            p = np.repeat(p, 2, axis=0)
+        assert discrete_frechet(p, q) == reference_frechet_dp(p, q)
+        assert discrete_frechet(q, p) == reference_frechet_dp(q, p)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -222,6 +240,27 @@ class TestMatchElements:
         half = len(vmap.elements) // 2
         est, gt = _world_map(vmap.elements[:half]), _world_map(vmap.elements[half:])
         assert match_elements(est, gt, th) == _naive_match(est, gt, th)
+
+    def test_frechet_ranks_only_several_candidates(self, small_world_map, monkeypatch):
+        calls = []
+        real = polymerge.metrics.discrete_frechet
+
+        def counting(p, q):
+            calls.append(1)
+            return real(p, q)
+
+        monkeypatch.setattr(polymerge.metrics, "discrete_frechet", counting)
+        # one candidate per estimate: nothing to rank
+        pairs, _, _ = match_elements(small_world_map, small_world_map, 1.0)
+        assert len(pairs) == 3 and calls == []
+        # two candidates: ranked, with the rule of the all-pairs reference
+        gt = _world_map([
+            line_element("low", "divider", (0, 0), (10, 0)),
+            line_element("high", "divider", (0, 0.9), (10, 0.9)),
+        ])
+        est = _world_map([line_element("e", "divider", (0, 0.2), (10, 0.2))])
+        assert match_elements(est, gt, 2.0) == _naive_match(est, gt, 2.0)
+        assert len(calls) == 2
 
     def test_world_frame_required(self, small_world_map):
         ego = VectorMap(small_world_map.elements, "ego", Pose.identity())
