@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 import click
@@ -43,9 +44,18 @@ def _parse_window(value: str) -> tuple[float, float]:
         raise click.BadParameter(
             "expected WIDTHxHEIGHT, e.g. 30x60", param_hint="'--window'"
         ) from None
-    if window[0] <= 0 or window[1] <= 0:
-        raise click.BadParameter("window sides must be positive", param_hint="'--window'")
+    if not all(math.isfinite(side) and side > 0 for side in window):
+        raise click.BadParameter(
+            "window sides must be finite and positive", param_hint="'--window'"
+        )
     return window
+
+
+def _finite(ctx, param, value: float) -> float:
+    """Option callback: nan and inf are usage errors that name the option."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
 
 
 @click.group()
@@ -60,10 +70,14 @@ def main():
               type=click.Path(exists=True, dir_okay=False),
               help="Secondary map file (repeatable).")
 @click.option("--bootstrap", is_flag=True, help="Start from an empty main map.")
-@click.option("--th-prox", default=1.0, show_default=True, help="Proximity threshold in meters.")
-@click.option("--th-cov", default=0.5, show_default=True, help="Coverage quantile threshold.")
-@click.option("--cell-size", default=0.1, show_default=True, help="Raster cell size in meters.")
-@click.option("--blur-sigma", default=2.0, show_default=True, help="Blur sigma in cells.")
+@click.option("--th-prox", default=1.0, show_default=True, callback=_finite,
+              help="Proximity threshold in meters.")
+@click.option("--th-cov", default=0.5, show_default=True, callback=_finite,
+              help="Coverage quantile threshold.")
+@click.option("--cell-size", default=0.1, show_default=True, callback=_finite,
+              help="Raster cell size in meters.")
+@click.option("--blur-sigma", default=2.0, show_default=True, callback=_finite,
+              help="Blur sigma in cells.")
 @click.option("--smooth", "smoothing", is_flag=True, help="Smooth merged polylines.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def merge(main_path, secondary_paths, bootstrap, th_prox, th_cov, cell_size,
@@ -134,7 +148,8 @@ def _svg_plot(gt: VectorMap, est: VectorMap, path) -> None:
 @main.command("eval")
 @click.option("--est", "est_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--gt", "gt_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--th-prox", default=1.0, show_default=True, help="Match threshold in meters.")
+@click.option("--th-prox", default=1.0, show_default=True, callback=_finite,
+              help="Match threshold in meters.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--plot", "plot_path", type=click.Path(dir_okay=False),
               help="Optional SVG overlay of both maps.")
@@ -156,7 +171,7 @@ def eval_cmd(est_path, gt_path, th_prox, out_path, plot_path):
 @click.option("--gt", "gt_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "n_instances", required=True, type=click.IntRange(min=1),
               help="Number of instances.")
-@click.option("--sigma", required=True, type=click.FloatRange(min=0),
+@click.option("--sigma", required=True, type=click.FloatRange(min=0), callback=_finite,
               help="Vertex noise std in meters.")
 @click.option("--dropout", default=0.0, show_default=True,
               type=click.FloatRange(min=0, max=1, max_open=True),

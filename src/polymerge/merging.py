@@ -8,6 +8,7 @@ mutually close elements collapse into a single merged element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,14 +47,14 @@ class MergeConfig:
     smoothing_enabled: bool = False
 
     def __post_init__(self):
-        if self.th_prox <= 0:
-            raise ValueError("th_prox must be positive")
+        if not (math.isfinite(self.th_prox) and self.th_prox > 0):
+            raise ValueError("th_prox must be finite and positive")
         if not 0.0 < self.th_cov < 1.0:
             raise ValueError("th_cov must lie strictly between 0 and 1")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        if self.blur_sigma_cells <= 0:
-            raise ValueError("blur_sigma_cells must be positive")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError("cell_size must be finite and positive")
+        if not (math.isfinite(self.blur_sigma_cells) and self.blur_sigma_cells > 0):
+            raise ValueError("blur_sigma_cells must be finite and positive")
 
 
 @dataclass

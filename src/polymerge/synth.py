@@ -9,6 +9,7 @@ be regenerated independently and the whole run is deterministic.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -45,27 +46,27 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         w, h = self.window
-        if w <= 0 or h <= 0:
-            raise ValueError("window sides must be positive")
+        if not all(math.isfinite(side) and side > 0 for side in (w, h)):
+            raise ValueError("window sides must be finite and positive")
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
 
 
-def _clip_segment(p: np.ndarray, q: np.ndarray, half_w: float, half_h: float):
+def _clip_segment(px: float, py: float, qx: float, qy: float, half_w: float, half_h: float):
     """Liang-Barsky clip of segment p-q against the centered window rect.
 
-    Returns (a, b) endpoints of the clipped piece, or None when the
+    Returns the (x, y) endpoints of the clipped piece, or None when the
     segment misses the window.
     """
-    d = q - p
+    dx, dy = qx - px, qy - py
     t0, t1 = 0.0, 1.0
-    for delta, lo, hi in ((d[0], -half_w - p[0], half_w - p[0]),
-                          (d[1], -half_h - p[1], half_h - p[1])):
+    for delta, lo, hi in ((dx, -half_w - px, half_w - px),
+                          (dy, -half_h - py, half_h - py)):
         if delta == 0.0:
             if lo > 0.0 or hi < 0.0:
                 return None
@@ -77,31 +78,41 @@ def _clip_segment(p: np.ndarray, q: np.ndarray, half_w: float, half_h: float):
         t1 = min(t1, tb)
         if t0 > t1:
             return None
-    return p + t0 * d, p + t1 * d
+    return (px + t0 * dx, py + t0 * dy), (px + t1 * dx, py + t1 * dy)
 
 
 def _crop_polyline(pts: np.ndarray, half_w: float, half_h: float) -> list[np.ndarray]:
-    """Crop a polyline to the window, splitting it where it leaves."""
+    """Crop a polyline to the window, splitting it where it leaves.
+
+    Runs on Python floats; a clipped segment continues the current run
+    when its start matches the run's end under ``np.allclose``'s rule
+    (``|c - v| <= 1e-9 + 1e-5 * |v|`` per coordinate).
+    """
     pieces: list[np.ndarray] = []
-    current: list[np.ndarray] = []
+    current: list[tuple[float, float]] = []
 
     def flush():
-        nonlocal current
-        if len(current) >= 2 and arc_length(np.array(current)) > 1e-9:
-            pieces.append(np.array(current))
-        current = []
+        if len(current) >= 2:
+            piece = np.array(current)
+            if arc_length(piece) > 1e-9:
+                pieces.append(piece)
+        current.clear()
 
-    for p, q in zip(pts[:-1], pts[1:]):
-        clipped = _clip_segment(p, q, half_w, half_h)
+    xy = pts.tolist()
+    for (px, py), (qx, qy) in zip(xy, xy[1:]):
+        clipped = _clip_segment(px, py, qx, qy, half_w, half_h)
         if clipped is None:
             flush()
             continue
         a, b = clipped
-        if current and np.allclose(current[-1], a, atol=1e-9):
-            current.append(b)
-        else:
-            flush()
-            current = [a, b]
+        if current:
+            (cx, cy), (ax, ay) = current[-1], a
+            if (abs(cx - ax) <= 1e-9 + 1e-5 * abs(ax)
+                    and abs(cy - ay) <= 1e-9 + 1e-5 * abs(ay)):
+                current.append(b)
+                continue
+        flush()
+        current.extend((a, b))
     flush()
     return pieces
 
@@ -173,16 +184,33 @@ def _quad_element(el_id: str, pts: np.ndarray) -> MapElement | None:
 
 
 def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap]:
-    """Produce one ego-frame instance of the ground truth per pose."""
-    gt_world = to_world(gt)
+    """Produce one ego-frame instance of the ground truth per pose.
+
+    Each view transforms all map points in one call, then crops only the
+    elements whose ego bounding box meets the window: a box strictly
+    beyond one window edge fails the clippers' own comparisons, so the
+    skipped element would yield no piece.  The RNG is drawn per piece,
+    so skipping changes no draw.
+    """
+    elements = to_world(gt).elements
+    if not elements:
+        return [VectorMap((), "ego", pose) for pose in poses]
     half_w, half_h = cfg.window[0] / 2.0, cfg.window[1] / 2.0
+    stacked = np.vstack([el.points for el in elements])
+    ends = np.cumsum([len(el.points) for el in elements])
+    starts = np.concatenate([[0], ends[:-1]])
     instances = []
     for k, pose in enumerate(poses):
         rng = np.random.default_rng(cfg.seed ^ k)
-        inv = pose.inverse()
+        ego = transform_to_world(stacked, pose.inverse())
+        lo = np.minimum.reduceat(ego, starts)
+        hi = np.maximum.reduceat(ego, starts)
+        meets = ((lo[:, 0] <= half_w) & (hi[:, 0] >= -half_w)
+                 & (lo[:, 1] <= half_h) & (hi[:, 1] >= -half_h))
         observed: list[MapElement] = []
-        for el in gt_world.elements:
-            ego_pts = transform_to_world(el.points, inv)
+        for i in np.flatnonzero(meets).tolist():
+            el = elements[i]
+            ego_pts = ego[starts[i]:ends[i]]
             if el.label == LABEL_PED_CROSSING:
                 cropped = _crop_quad(ego_pts, half_w, half_h)
                 pieces = [] if cropped is None else [(el.id, cropped)]

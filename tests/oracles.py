@@ -3,13 +3,18 @@
 Everything here is deliberately brute force: dense sampling, exhaustive
 enumeration, fine sweeps, or the plain cell-by-cell and vertex-by-vertex
 loops that faster package code must reproduce bit for bit.  None of it
-shares code with the package implementations it checks.
+shares code with the package implementations it checks; where an oracle
+reuses a package helper that the checked code leaves as it is, its
+docstring says so.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from polymerge import MapElement, VectorMap, arc_length, to_world, transform_to_world
+from polymerge.synth import _crop_quad, _quad_element
 
 
 def dense_projection(a, b, c, n: int = 100_000) -> tuple[float, np.ndarray]:
@@ -337,3 +342,87 @@ def reference_smooth(points, window: int) -> np.ndarray:
         half = min(window // 2, i, n - 1 - i)
         out[i] = pts[i - half : i + half + 1].mean(axis=0)
     return out
+
+
+def _reference_clip_segment(p, q, half_w: float, half_h: float):
+    """Liang-Barsky clip of segment p-q on numpy arrays; None when it misses."""
+    d = q - p
+    t0, t1 = 0.0, 1.0
+    for delta, lo, hi in ((d[0], -half_w - p[0], half_w - p[0]),
+                          (d[1], -half_h - p[1], half_h - p[1])):
+        if delta == 0.0:
+            if lo > 0.0 or hi < 0.0:
+                return None
+            continue
+        ta, tb = lo / delta, hi / delta
+        if ta > tb:
+            ta, tb = tb, ta
+        t0 = max(t0, ta)
+        t1 = min(t1, tb)
+        if t0 > t1:
+            return None
+    return p + t0 * d, p + t1 * d
+
+
+def _reference_crop_polyline(pts, half_w: float, half_h: float) -> list[np.ndarray]:
+    """Window runs of a polyline, one numpy segment clip at a time."""
+    pieces = []
+    current = []
+
+    def flush():
+        nonlocal current
+        if len(current) >= 2 and arc_length(np.array(current)) > 1e-9:
+            pieces.append(np.array(current))
+        current = []
+
+    for p, q in zip(pts[:-1], pts[1:]):
+        clipped = _reference_clip_segment(p, q, half_w, half_h)
+        if clipped is None:
+            flush()
+            continue
+        a, b = clipped
+        if current and np.allclose(current[-1], a, atol=1e-9):
+            current.append(b)
+        else:
+            flush()
+            current = [a, b]
+    flush()
+    return pieces
+
+
+def reference_generate_instances(gt, poses, cfg):
+    """Windowed noisy views transformed and cropped one element at a time,
+    every element in every view.  Crossings go through the package's
+    ``_crop_quad`` and ``_quad_element``, which the batched generator
+    shares unchanged; the polyline crop is the numpy one above."""
+    gt_world = to_world(gt)
+    half_w, half_h = cfg.window[0] / 2.0, cfg.window[1] / 2.0
+    instances = []
+    for k, pose in enumerate(poses):
+        rng = np.random.default_rng(cfg.seed ^ k)
+        inv = pose.inverse()
+        observed = []
+        for el in gt_world.elements:
+            ego_pts = transform_to_world(el.points, inv)
+            if el.label == "ped_crossing":
+                cropped = _crop_quad(ego_pts, half_w, half_h)
+                pieces = [] if cropped is None else [(el.id, cropped)]
+            else:
+                runs = _reference_crop_polyline(ego_pts, half_w, half_h)
+                pieces = [
+                    (el.id if j == 0 else f"{el.id}#{j}", run)
+                    for j, run in enumerate(runs)
+                ]
+            for piece_id, pts in pieces:
+                if rng.random() < cfg.dropout:
+                    continue
+                if cfg.sigma > 0:
+                    pts = pts + rng.normal(0.0, cfg.sigma, pts.shape)
+                if el.label == "ped_crossing":
+                    noisy = _quad_element(piece_id, pts)
+                    if noisy is not None:
+                        observed.append(noisy)
+                else:
+                    observed.append(MapElement(piece_id, el.label, pts))
+        instances.append(VectorMap(tuple(observed), "ego", pose))
+    return instances

@@ -115,6 +115,18 @@ class TestMerge:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("option", ["--th-prox", "--th-cov", "--cell-size", "--blur-sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_option_rejected(self, runner, tmp_path, instance_files, option, value):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, [
+            "merge", "--bootstrap", "--secondary", instance_files[0],
+            option, value, "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert option in result.output and "finite" in result.output
+        assert not out.exists()
+
     def test_internal_failure_exits_one(self, runner, tmp_path, instance_files, monkeypatch):
         import polymerge.cli as cli_mod
 
@@ -178,6 +190,16 @@ class TestEval:
         ])
         assert result.exit_code == 1
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_rejected(self, runner, tmp_path, gt_file, value):
+        result = runner.invoke(main, [
+            "eval", "--est", gt_file, "--gt", gt_file,
+            "--th-prox", value, "--out", str(tmp_path / "r.csv"),
+        ])
+        assert result.exit_code == 2
+        assert "--th-prox" in result.output and "finite" in result.output
+        assert not (tmp_path / "r.csv").exists()
 
     def test_nonpositive_threshold_rejected(self, runner, tmp_path, gt_file):
         result = runner.invoke(main, [
@@ -269,6 +291,20 @@ class TestSynth:
         ])
         assert result.exit_code == 2
         assert "dropout" in result.output
+
+    @pytest.mark.parametrize("option, value", [
+        ("--sigma", "inf"), ("--sigma", "nan"),
+        ("--window", "nanx60"), ("--window", "30xinf"), ("--window", "infxnan"),
+    ])
+    def test_non_finite_option_rejected(self, runner, tmp_path, gt_file, option, value):
+        args = {"--sigma": "0.1", "--window": "30x60", option: value}
+        result = runner.invoke(main, [
+            "synth", "--gt", gt_file, "--n", "2", "--seed", "1",
+            "--out", str(tmp_path / "o"), *[x for kv in args.items() for x in kv],
+        ])
+        assert result.exit_code == 2
+        assert option in result.output and "finite" in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_bad_window_rejected(self, runner, tmp_path, gt_file):
         for bad in ("30", "0x60", "axb"):

@@ -1,6 +1,7 @@
 """Point folding scenarios, chain merging and the full map merge."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -158,6 +159,13 @@ class TestMergeConfig:
             {"th_cov": 1.0},
             {"cell_size": -0.1},
             {"blur_sigma_cells": 0.0},
+            {"th_prox": math.nan},
+            {"th_prox": math.inf},
+            {"th_cov": math.nan},
+            {"cell_size": math.nan},
+            {"cell_size": math.inf},
+            {"blur_sigma_cells": math.inf},
+            {"blur_sigma_cells": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

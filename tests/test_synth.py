@@ -1,11 +1,15 @@
 """Synthetic windowed observations of a ground-truth map."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polymerge.synth as synth
 from polymerge import (
     MapElement,
     NoiseConfig,
@@ -14,10 +18,12 @@ from polymerge import (
     generate_instances,
     straight_path_poses,
     to_world,
+    transform_to_world,
     write_instances,
 )
 
-from helpers import line_element, quad_element
+from helpers import line_element, quad_element, rect_quad
+from oracles import reference_generate_instances
 
 
 def _gt_map():
@@ -49,6 +55,11 @@ class TestNoiseConfig:
             {"window": (0.0, 10.0)},
             {"window": (10.0, -5.0)},
             {"n_instances": 0},
+            {"sigma": math.nan},
+            {"sigma": math.inf},
+            {"window": (math.nan, 60.0)},
+            {"window": (30.0, math.inf)},
+            {"window": (-math.inf, 60.0)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -157,6 +168,169 @@ class TestGenerateInstances:
         for el in gt.elements:
             if el.label != "ped_crossing":
                 assert np.array_equal(inst.element(el.id).points, el.points)
+
+
+def _assert_same_instances(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.frame == b.frame == "ego"
+        assert a.pose is b.pose
+        assert [e.id for e in a.elements] == [e.id for e in b.elements]
+        assert [e.label for e in a.elements] == [e.label for e in b.elements]
+        for ea, eb in zip(a.elements, b.elements):
+            assert np.array_equal(ea.points, eb.points)
+
+
+_lattice = st.integers(-80, 80).map(lambda k: k * 0.25)
+
+
+@st.composite
+def _ego_element(draw, half_w, half_h):
+    """Ego-frame points of one element placed against a half_w x half_h
+    window: free, lying on an edge, straddling a corner, poking out past an
+    edge by a hair, fully outside, or a tilted crossing.  Returns
+    (label, points)."""
+    kind = draw(st.sampled_from(["free", "edge", "corner", "spike", "outside", "quad"]))
+    if kind == "quad":
+        cx, cy = draw(_lattice), draw(_lattice)
+        w, h = draw(st.floats(1.0, 6.0)), draw(st.floats(1.0, 6.0))
+        return "ped_crossing", rect_quad(cx, cy, w, h, draw(st.floats(0.0, np.pi)))
+    label = draw(st.sampled_from(["divider", "boundary"]))
+    halves = np.array([half_w, half_h])
+    if kind == "edge":
+        axis, sign = draw(st.integers(0, 1)), draw(st.sampled_from([-1.0, 1.0]))
+        along = draw(st.lists(_lattice, min_size=2, max_size=5, unique=True))
+        pts = np.zeros((len(along), 2))
+        pts[:, axis] = sign * halves[axis]
+        pts[:, 1 - axis] = sorted(along)
+        return label, pts
+    if kind == "corner":
+        corner = halves * [draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)]
+        inner, outer = draw(_lattice), draw(_lattice)
+        return label, np.array([corner + inner, corner, corner - outer])
+    if kind == "spike":
+        # the runs on either side of the tip end within, or just beyond,
+        # the join tolerance 1e-9 + 1e-5 * |v| of each other
+        tip = draw(st.sampled_from([1e-9, 1e-7, 1e-6, 1e-5, 1e-4]))
+        axis, along = draw(st.integers(0, 1)), draw(_lattice)
+        pts = np.array([[halves[axis] - 2.0, along - 1.0], [halves[axis] + tip, along],
+                        [halves[axis] - 1.0, along + 2.0]])
+        return label, pts[:, ::-1] if axis else pts
+    pts = np.array(draw(st.lists(st.tuples(_lattice, _lattice), min_size=2, max_size=6)))
+    if kind == "outside":
+        axis, sign = draw(st.integers(0, 1)), draw(st.sampled_from([-1.0, 1.0]))
+        pts[:, axis] = sign * (halves[axis] + 21.0 + pts[:, axis])
+    return label, pts
+
+
+@st.composite
+def _synth_cases(draw):
+    """(gt, poses, cfg): a world map built around the first pose's window."""
+    half_w, half_h = draw(st.sampled_from([5.0, 7.5, 15.0])), draw(st.sampled_from([5.0, 30.0]))
+    yaw = draw(st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e5]))
+    x0 = offset * draw(st.sampled_from([-1.0, 1.0])) + draw(_lattice)
+    y0 = offset * draw(st.sampled_from([-1.0, 1.0])) + draw(_lattice)
+    pose = Pose.from_yaw(yaw, x0, y0)
+    elements = []
+    for k in range(draw(st.integers(0, 6))):
+        label, ego = draw(_ego_element(half_w, half_h))
+        elements.append(MapElement(f"e{k}", label, transform_to_world(ego, pose)))
+    shifted = Pose.from_yaw(yaw + draw(st.sampled_from([0.0, 0.3])),
+                            x0 + draw(_lattice), y0 + draw(_lattice))
+    cfg = NoiseConfig(
+        sigma=draw(st.sampled_from([0.0, 0.2])),
+        dropout=draw(st.sampled_from([0.0, 0.3])),
+        window=(2 * half_w, 2 * half_h),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return VectorMap(tuple(elements), "world"), [pose, shifted], cfg
+
+
+class TestBatchedViewsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_synth_cases())
+    def test_matches_per_element_reference(self, case):
+        gt, poses, cfg = case
+        _assert_same_instances(
+            generate_instances(gt, poses, cfg), reference_generate_instances(gt, poses, cfg)
+        )
+
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    @pytest.mark.parametrize("side", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    def test_line_on_window_edge_is_kept(self, side, offset):
+        # the ego bounding box of each line touches the window from outside:
+        # one lies on the edge, the other meets the window in a corner only
+        half = np.array([5.0, 10.0])
+        edge, along = np.multiply(side, half), np.array([side[1] != 0, side[0] != 0], float)
+        on_edge = edge + np.outer([-2.0, 0.5, 3.0], along)
+        corner = edge + along * half
+        through_corner = corner + np.outer([0.0, 1.0], np.add(side, along))
+        shift = [offset, -offset]
+        gt = VectorMap((
+            MapElement("edge", "divider", on_edge + shift),
+            MapElement("corner", "boundary", through_corner + shift),
+        ), "world")
+        poses = [Pose.from_yaw(0.0, *shift)]
+        cfg = NoiseConfig(window=tuple(2 * half))
+        got = generate_instances(gt, poses, cfg)
+        assert [e.id for e in got[0].elements] == ["edge"]
+        np.testing.assert_array_equal(got[0].element("edge").points, on_edge)
+        _assert_same_instances(got, reference_generate_instances(gt, poses, cfg))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("tip, ids", [(1e-6, ["s"]), (1e-3, ["s", "s#1"])])
+    def test_run_rejoins_across_hairline_exit(self, tip, ids, axis):
+        # the exit and re-entry points differ by about tip along the edge:
+        # one run when that is within 1e-9 + 1e-5 * |v|, two runs otherwise
+        pts = np.array([(3.0, 0.0), (5.0 + tip, 1.0), (3.0, 2.0)])
+        spike = MapElement("s", "divider", pts[:, ::-1] if axis else pts)
+        gt, poses = VectorMap((spike,), "world"), [Pose.identity()]
+        cfg = NoiseConfig(window=(10.0, 10.0))
+        got = generate_instances(gt, poses, cfg)
+        assert [e.id for e in got[0].elements] == ids
+        _assert_same_instances(got, reference_generate_instances(gt, poses, cfg))
+
+    def test_empty_map(self):
+        empty, poses = VectorMap((), "world"), [Pose.identity(), Pose.from_yaw(1.0, 5.0, 5.0)]
+        cfg = NoiseConfig(sigma=0.2, dropout=0.3)
+        got = generate_instances(empty, poses, cfg)
+        assert [len(inst) for inst in got] == [0, 0]
+        _assert_same_instances(got, reference_generate_instances(empty, poses, cfg))
+
+    def test_crops_only_elements_meeting_the_window(self, monkeypatch):
+        block = _gt_map().elements
+        gt = VectorMap(tuple(
+            MapElement(f"{el.id}@{i}_{j}", el.label, el.points + [40.0 * i, 40.0 * j])
+            for i in range(3) for j in range(3) for el in block
+        ), "world")
+        # the 9 block centers, plus two views between blocks
+        poses = [Pose.from_yaw(0.0, 10.0 + 40.0 * i, 40.0 * j) for i in range(3) for j in range(3)]
+        poses += [Pose.from_yaw(0.2, 30.0, 0.0), Pose.from_yaw(-0.1, 50.0, 22.0)]
+        cfg = NoiseConfig(sigma=0.1, dropout=0.2, window=(30.0, 30.0), seed=11)
+        expected = 0
+        for pose in poses:
+            for el in gt.elements:
+                ego = transform_to_world(el.points, pose.inverse())
+                expected += bool(np.all(ego.min(axis=0) <= 15.0)
+                                 and np.all(ego.max(axis=0) >= -15.0))
+        # each center sees its own block's 3 elements, the view at (30, 0)
+        # the 4 lines of two blocks, the one at (50, 22) a single boundary;
+        # cropping everything would take 11 * 27 = 297 crops
+        assert expected == 9 * 3 + 4 + 1
+
+        calls = []
+        for name in ("_crop_polyline", "_crop_quad"):
+            original = getattr(synth, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(synth, name, counted)
+        got = generate_instances(gt, poses, cfg)
+        assert len(calls) == expected
+        _assert_same_instances(got, reference_generate_instances(gt, poses, cfg))
 
 
 class TestWriteInstances:
