@@ -279,8 +279,8 @@ def load_map(path) -> VectorMap:
 def pose_to_doc(pose: Pose) -> dict:
     """The JSON form of a pose, as ``load_map`` reads it."""
     return {
-        "rotation": [float(v) for v in pose.rotation],
-        "translation": [float(v) for v in pose.translation],
+        "rotation": pose.rotation.tolist(),
+        "translation": pose.translation.tolist(),
     }
 
 
@@ -293,7 +293,7 @@ def _map_to_doc(vmap: VectorMap) -> dict:
             "id": el.id,
             "label": el.label,
             "is_main": el.is_main,
-            "points": [[float(x), float(y)] for x, y in el.points],
+            "points": el.points.tolist(),
         }
         for el in vmap.elements
     ]

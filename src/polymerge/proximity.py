@@ -8,6 +8,7 @@ both axes reach the exact vertex-to-segment check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ def polyline_merge_check(a: MapElement, b: MapElement, th_prox: float) -> bool:
     lies strictly closer than ``th_prox`` to the other element (closest
     point on any segment).  Symmetric in its arguments.
     """
-    if th_prox <= 0:
-        raise ValueError("th_prox must be positive")
+    if not (math.isfinite(th_prox) and th_prox > 0):
+        raise ValueError("th_prox must be finite and positive")
     if a.label != b.label:
         return False
     if _bbox_gap(a.points, b.points) >= th_prox:
@@ -54,8 +55,8 @@ def candidate_pairs(elements, th_prox: float) -> np.ndarray:
     axes, sorted by ``(i, j)``.  Every dropped pair has a box gap of at
     least ``th_prox`` on one axis, which the check rejects as well.
     """
-    if th_prox <= 0:
-        raise ValueError("th_prox must be positive")
+    if not (math.isfinite(th_prox) and th_prox > 0):
+        raise ValueError("th_prox must be finite and positive")
     n = len(elements)
     if n < 2:
         return np.empty((0, 2), dtype=np.intp)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import convolve2d
 
-from .geometry import signed_area
+from .geometry import _foot_points, signed_area
 from .map_model import LABEL_PED_CROSSING, MapElement
 
 __all__ = [
@@ -79,7 +79,6 @@ def _points_in_quad(points: np.ndarray, quad: np.ndarray) -> np.ndarray:
     """Boundary-inclusive containment test for many points in one quad."""
     x, y = points[:, 0], points[:, 1]
     inside = np.zeros(len(points), dtype=bool)
-    on_edge = np.zeros(len(points), dtype=bool)
     for k in range(4):
         x1, y1 = quad[k]
         x2, y2 = quad[(k + 1) % 4]
@@ -90,13 +89,11 @@ def _points_in_quad(points: np.ndarray, quad: np.ndarray) -> np.ndarray:
             flip = np.zeros(len(points), dtype=bool)
             flip[crosses] = x[crosses] < x_hit
             inside ^= flip
-        # points sitting on the edge itself count as covered
-        dx, dy = x2 - x1, y2 - y1
-        len_sq = dx * dx + dy * dy
-        t = np.clip(((x - x1) * dx + (y - y1) * dy) / len_sq, 0.0, 1.0)
-        dist_sq = (x - (x1 + t * dx)) ** 2 + (y - (y1 + t * dy)) ** 2
-        on_edge |= dist_sq <= 1e-18
-    return inside | on_edge
+    # points the parity test leaves out still count when they sit on an edge
+    rest = np.flatnonzero(~inside)
+    edge_dist = _foot_points(points[rest], np.vstack([quad, quad[:1]]))[3]
+    inside[rest] = (edge_dist <= 1e-9).any(axis=1)
+    return inside
 
 
 def rasterize_coverage(quads, cell_size: float) -> CoverageGrid:
@@ -158,8 +155,6 @@ def threshold_region(grid: CoverageGrid, th_cov: float) -> np.ndarray:
     """Centers of all cells with coverage >= ``th_cov`` (row-major order)."""
     if not 0.0 < th_cov < 1.0:
         raise ValueError("th_cov must lie strictly between 0 and 1")
-    if not np.any(grid.values > 0):
-        raise ValueError("coverage grid has no positive cell")
     mask = grid.values >= th_cov
     if not np.any(mask):
         raise EmptyRegionError(f"no cell reaches coverage threshold {th_cov}")
@@ -182,10 +177,10 @@ def _row_extremes(points: np.ndarray) -> np.ndarray:
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, counter-clockwise, no duplicate endpoint."""
+    # np.unique returns the rows sorted by x, then y: the order the chain walks
     pts = np.unique(_row_extremes(points), axis=0)
     if len(pts) < 3:
         return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

@@ -118,42 +118,27 @@ def _crop_polyline(pts: np.ndarray, half_w: float, half_h: float) -> list[np.nda
 
 
 def _clip_polygon(pts: np.ndarray, half_w: float, half_h: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a closed polygon against the window rect."""
-    def clip_edge(poly, inside, intersect):
+    """Sutherland-Hodgman clip of a closed polygon against the window rect.
+
+    Runs on Python floats, one pass per window edge: the half-plane
+    ``side * p[axis] <= limit`` keeps the ring's points inside it and cuts
+    every ring edge that crosses its boundary.
+    """
+    poly = pts.tolist()
+    for axis, side, limit in ((0, -1.0, half_w), (0, 1.0, half_w),
+                              (1, -1.0, half_h), (1, 1.0, half_h)):
+        value = side * limit
         out = []
-        for i, cur in enumerate(poly):
-            prev = poly[i - 1]
-            cur_in, prev_in = inside(cur), inside(prev)
+        for prev, cur in zip(poly[-1:] + poly[:-1], poly):
+            cur_in = side * cur[axis] <= limit
+            if cur_in != (side * prev[axis] <= limit):
+                t = (value - prev[axis]) / (cur[axis] - prev[axis])
+                cut = [value, value]
+                cut[1 - axis] = prev[1 - axis] + t * (cur[1 - axis] - prev[1 - axis])
+                out.append(cut)
             if cur_in:
-                if not prev_in:
-                    out.append(intersect(prev, cur))
                 out.append(cur)
-            elif prev_in:
-                out.append(intersect(prev, cur))
-        return out
-
-    def x_cut(value):
-        def intersect(a, b):
-            t = (value - a[0]) / (b[0] - a[0])
-            return np.array([value, a[1] + t * (b[1] - a[1])])
-        return intersect
-
-    def y_cut(value):
-        def intersect(a, b):
-            t = (value - a[1]) / (b[1] - a[1])
-            return np.array([a[0] + t * (b[0] - a[0]), value])
-        return intersect
-
-    poly = list(pts)
-    for inside, intersect in (
-        (lambda p: p[0] >= -half_w, x_cut(-half_w)),
-        (lambda p: p[0] <= half_w, x_cut(half_w)),
-        (lambda p: p[1] >= -half_h, y_cut(-half_h)),
-        (lambda p: p[1] <= half_h, y_cut(half_h)),
-    ):
-        if not poly:
-            break
-        poly = clip_edge(poly, inside, intersect)
+        poly = out
     return np.array(poly).reshape(-1, 2)
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from polymerge import MapElement, VectorMap, arc_length, to_world, transform_to_world
-from polymerge.synth import _crop_quad, _quad_element
+from polymerge import MapElement, VectorMap, arc_length, min_rotated_rect, to_world, transform_to_world
+from polymerge.synth import _quad_element
 
 
 def dense_projection(a, b, c, n: int = 100_000) -> tuple[float, np.ndarray]:
@@ -390,11 +390,92 @@ def _reference_crop_polyline(pts, half_w: float, half_h: float) -> list[np.ndarr
     return pieces
 
 
+def reference_points_in_quad(points, quad) -> np.ndarray:
+    """Boundary-inclusive containment: crossing-number parity plus an
+    on-edge test that clamps and measures every edge on its own, counting
+    a squared distance <= 1e-18 as on the edge."""
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    on_edge = np.zeros(len(points), dtype=bool)
+    for k in range(4):
+        x1, y1 = quad[k]
+        x2, y2 = quad[(k + 1) % 4]
+        crosses = (y1 > y) != (y2 > y)
+        if np.any(crosses):
+            x_hit = (x2 - x1) * (y[crosses] - y1) / (y2 - y1) + x1
+            flip = np.zeros(len(points), dtype=bool)
+            flip[crosses] = x[crosses] < x_hit
+            inside ^= flip
+        dx, dy = x2 - x1, y2 - y1
+        len_sq = dx * dx + dy * dy
+        t = np.clip(((x - x1) * dx + (y - y1) * dy) / len_sq, 0.0, 1.0)
+        dist_sq = (x - (x1 + t * dx)) ** 2 + (y - (y1 + t * dy)) ** 2
+        on_edge |= dist_sq <= 1e-18
+    return inside | on_edge
+
+
+def reference_clip_polygon(pts, half_w: float, half_h: float) -> np.ndarray:
+    """Sutherland-Hodgman clip against the window, one closure per window
+    edge, on numpy rows."""
+    def clip_edge(poly, inside, intersect):
+        out = []
+        for i, cur in enumerate(poly):
+            prev = poly[i - 1]
+            cur_in, prev_in = inside(cur), inside(prev)
+            if cur_in:
+                if not prev_in:
+                    out.append(intersect(prev, cur))
+                out.append(cur)
+            elif prev_in:
+                out.append(intersect(prev, cur))
+        return out
+
+    def x_cut(value):
+        def intersect(a, b):
+            t = (value - a[0]) / (b[0] - a[0])
+            return np.array([value, a[1] + t * (b[1] - a[1])])
+        return intersect
+
+    def y_cut(value):
+        def intersect(a, b):
+            t = (value - a[1]) / (b[1] - a[1])
+            return np.array([a[0] + t * (b[0] - a[0]), value])
+        return intersect
+
+    poly = list(pts)
+    for inside, intersect in (
+        (lambda p: p[0] >= -half_w, x_cut(-half_w)),
+        (lambda p: p[0] <= half_w, x_cut(half_w)),
+        (lambda p: p[1] >= -half_h, y_cut(-half_h)),
+        (lambda p: p[1] <= half_h, y_cut(half_h)),
+    ):
+        if not poly:
+            break
+        poly = clip_edge(poly, inside, intersect)
+    return np.array(poly).reshape(-1, 2)
+
+
+def _reference_crop_quad(pts, half_w: float, half_h: float):
+    """A fully visible quad as is, else the package's rectangle fit of the
+    clipped ring above; None when less than a triangle is left."""
+    inside = (np.abs(pts[:, 0]) <= half_w) & (np.abs(pts[:, 1]) <= half_h)
+    if np.all(inside):
+        return pts
+    clipped = reference_clip_polygon(pts, half_w, half_h)
+    if len(clipped) < 3:
+        return None
+    try:
+        return min_rotated_rect(clipped)
+    except ValueError:
+        return None
+
+
 def reference_generate_instances(gt, poses, cfg):
     """Windowed noisy views transformed and cropped one element at a time,
-    every element in every view.  Crossings go through the package's
-    ``_crop_quad`` and ``_quad_element``, which the batched generator
-    shares unchanged; the polyline crop is the numpy one above."""
+    every element in every view.  Crossings are cropped by the numpy
+    clip above and built by the package's ``_quad_element``, which the
+    batched generator shares unchanged; the polyline crop is the numpy one
+    above."""
     gt_world = to_world(gt)
     half_w, half_h = cfg.window[0] / 2.0, cfg.window[1] / 2.0
     instances = []
@@ -405,7 +486,7 @@ def reference_generate_instances(gt, poses, cfg):
         for el in gt_world.elements:
             ego_pts = transform_to_world(el.points, inv)
             if el.label == "ped_crossing":
-                cropped = _crop_quad(ego_pts, half_w, half_h)
+                cropped = _reference_crop_quad(ego_pts, half_w, half_h)
                 pieces = [] if cropped is None else [(el.id, cropped)]
             else:
                 runs = _reference_crop_polyline(ego_pts, half_w, half_h)

@@ -127,6 +127,23 @@ class TestMerge:
         assert option in result.output and "finite" in result.output
         assert not out.exists()
 
+    def test_crossings_smaller_than_a_cell_fall_back(self, runner, tmp_path):
+        a = VectorMap((quad_element("a", 0, 0, w=0.01, h=0.01),), "world")
+        b = VectorMap((quad_element("b", 0.002, 0, w=0.012, h=0.012),), "world")
+        save_map(a, tmp_path / "a.json")
+        save_map(b, tmp_path / "b.json")
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, [
+            "merge", "--main", str(tmp_path / "a.json"), "--secondary", str(tmp_path / "b.json"),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        merged = load_map(out)
+        assert len(merged) == 1
+        np.testing.assert_array_equal(merged.elements[0].points, b.elements[0].points)
+        report = json.loads((tmp_path / "m.report.json").read_text())
+        assert [c["fallback"] for c in report["chains"]] == [True]
+
     def test_internal_failure_exits_one(self, runner, tmp_path, instance_files, monkeypatch):
         import polymerge.cli as cli_mod
 

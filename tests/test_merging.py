@@ -304,6 +304,16 @@ class TestMergeMaps:
             discrete_frechet(batch.elements[0].points, online.elements[0].points) < 0.2
         )
 
+    def test_crossings_smaller_than_a_cell_fall_back(self, config):
+        # no raster cell center lies in a 1 cm crossing: the largest input passes
+        main = VectorMap((quad_element("m", 0, 0, w=0.01, h=0.01, is_main=True),), "world")
+        sec = VectorMap((quad_element("s", 0.002, 0, w=0.012, h=0.012),), "world")
+        report = MergeReport()
+        out = merge_maps(main, [sec], config, report)
+        assert [el.id for el in out.elements] == ["0:m"]
+        np.testing.assert_array_equal(out.elements[0].points, sec.elements[0].points)
+        assert [(c.kind, c.fallback) for c in report.chains] == [("quad", True)]
+
     def test_isolated_secondary_reported_and_kept(self, config):
         main = VectorMap(
             (line_element("m", "divider", (0, 0), (4, 0), is_main=True),), "world"

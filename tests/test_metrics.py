@@ -276,6 +276,12 @@ def _translate(vm, dx, dy):
 
 
 class TestEvaluateMap:
+    def test_non_finite_threshold_rejected(self, small_world_map):
+        # nan would otherwise compare False everywhere and match nothing
+        for th in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                evaluate_map(small_world_map, small_world_map, th)
+
     def test_self_evaluation_all_zero(self, small_world_map):
         report = evaluate_map(small_world_map, small_world_map, 1.0)
         for row in report.rows:

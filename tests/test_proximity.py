@@ -76,10 +76,9 @@ class TestMergeCheck:
 
     def test_bad_threshold(self):
         a = line_element("a", "divider", (0, 0), (1, 0))
-        with pytest.raises(ValueError):
-            polyline_merge_check(a, a, 0.0)
-        with pytest.raises(ValueError):
-            polyline_merge_check(a, a, -1.0)
+        for th in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                polyline_merge_check(a, a, th)
 
 
 class TestBuildGraph:
@@ -199,8 +198,9 @@ class TestCandidateSweep:
             assert vmap.elements[i].label == vmap.elements[j].label
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            candidate_pairs([], 0.0)
+        for th in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                candidate_pairs([], th)
 
 
 class TestMergeChains:

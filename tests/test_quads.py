@@ -1,7 +1,11 @@
 """Coverage-grid pipeline for crossing quads and the rotated rectangle fit."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymerge import (
     CoverageGrid,
@@ -14,10 +18,16 @@ from polymerge import (
     rasterize_coverage,
     threshold_region,
 )
-from polymerge.quads import _cell_corner_points, _convex_hull, gaussian_kernel, quad_area
+from polymerge.quads import (
+    _cell_corner_points,
+    _convex_hull,
+    _points_in_quad,
+    gaussian_kernel,
+    quad_area,
+)
 
 from helpers import quad_element, rect_quad
-from oracles import monotone_chain_hull, quad_iou, sweep_min_rect_area
+from oracles import monotone_chain_hull, quad_iou, reference_points_in_quad, sweep_min_rect_area
 
 
 def _signed_area(pts):
@@ -41,6 +51,44 @@ class TestCoverageGrid:
         np.testing.assert_allclose(centers[0], [1.25, 2.25])
         np.testing.assert_allclose(centers[1], [1.75, 2.25])
         np.testing.assert_allclose(centers[3], [1.25, 2.75])
+
+
+@st.composite
+def _quad_and_probes(draw):
+    """A tilted rectangle, perhaps with its corners moved, and probe points:
+    raster cell centers, corners, points on the edges and points within a
+    few 1e-9 m of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([1e-3, 0.01, 1.0, 10.0]))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e5]))
+    quad = rect_quad(offset * rng.choice([-1.0, 1.0]), offset * rng.choice([-1.0, 1.0]),
+                     w=size * rng.uniform(0.2, 1.0), h=size * rng.uniform(0.2, 1.0),
+                     angle=draw(st.floats(0.0, 2 * np.pi)))
+    if draw(st.booleans()):
+        quad = quad + rng.uniform(-0.2, 0.2, (4, 2)) * size
+    start, end = quad, np.roll(quad, -1, axis=0)
+    t = rng.uniform(0.0, 1.0, (4, 8, 1))
+    on_edge = (start[:, None] + t * (end - start)[:, None]).reshape(-1, 2)
+    normal = rng.normal(size=on_edge.shape)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    near = on_edge + normal * rng.choice([1e-10, 5e-10, 1e-9, 2e-9], (len(on_edge), 1))
+    centers = rasterize_coverage([quad], size / 7).cell_centers()
+    return quad, np.vstack([centers, quad, on_edge, near])
+
+
+class TestPointsInQuad:
+    @settings(max_examples=200, deadline=None)
+    @given(_quad_and_probes())
+    def test_matches_per_edge_reference(self, case):
+        quad, points = case
+        np.testing.assert_array_equal(
+            _points_in_quad(points, quad), reference_points_in_quad(points, quad)
+        )
+
+    def test_edges_and_corners_are_covered(self):
+        quad = rect_quad(0.5, 0.5, 1, 1)
+        points = np.array([(0.0, 0.0), (1.0, 0.5), (0.5, 1.0), (0.5, 1.0 + 2e-9), (1.5, 0.5)])
+        assert _points_in_quad(points, quad).tolist() == [True, True, True, False, False]
 
 
 class TestRasterize:
@@ -189,7 +237,7 @@ class TestThresholdRegion:
 
     def test_all_zero_grid_rejected(self):
         grid = CoverageGrid(np.zeros(2), 1.0, np.zeros((3, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyRegionError):
             threshold_region(grid, 0.5)
 
     def test_threshold_range_validated(self):
@@ -356,6 +404,48 @@ class TestMergeQuads:
         merge_quads(members, config, report)
         assert report.chains[0].fallback is False
         assert report.chains[0].kind == "quad"
+
+    def test_crossings_smaller_than_a_cell_fall_back(self, config):
+        # no cell center lies in either 1 cm quad, so the raster is all zero
+        members = [quad_element("a", 0, 0, w=0.01, h=0.01),
+                   quad_element("b", 0.002, 0, w=0.012, h=0.012)]
+        report = MergeReport()
+        out = merge_quads(members, config, report)
+        np.testing.assert_array_equal(out.points, members[1].points)
+        assert report.chains[0].fallback is True
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_valid_chain_gives_valid_crossing(self, data):
+        log_size = st.floats(-3.0, 1.0)
+        size = 10.0 ** data.draw(log_size)
+        tilt = data.draw(st.floats(0.0, np.pi))
+        center = np.array([data.draw(st.floats(-1e5, 1e5)) for _ in range(2)])
+        members = []
+        for k in range(data.draw(st.integers(2, 5))):
+            jitter = np.array([data.draw(st.floats(-1.0, 1.0)) for _ in range(2)]) * size
+            members.append(quad_element(
+                f"q{k}", *(center + jitter),
+                w=10.0 ** data.draw(log_size), h=10.0 ** data.draw(log_size),
+                angle=tilt + data.draw(st.floats(-0.3, 0.3)),
+            ))
+        config = MergeConfig(cell_size=data.draw(st.floats(0.05, 2.0)))
+        report = MergeReport()
+        out = merge_quads(members, config, report)
+        assert out.label == "ped_crossing" and out.is_main and out.points.shape == (4, 2)
+        assert out.id == "q0"
+        # every cell that can carry coverage lies in the members' box grown by
+        # the apron, the blur radius and the rounded-up last cell; each
+        # corner of a rectangle fitted around such cells lies within one
+        # diameter of that box
+        stacked = np.vstack([m.points for m in members])
+        reach = (math.ceil(3.0 * config.blur_sigma_cells) + 2) * config.cell_size
+        lo, hi = stacked.min(axis=0) - reach, stacked.max(axis=0) + reach
+        diameter = float(np.hypot(*(hi - lo)))
+        assert np.all(out.points >= lo - diameter) and np.all(out.points <= hi + diameter)
+        if report.chains[0].fallback:
+            largest = max(members, key=lambda m: (quad_area(m.points), m.id))
+            np.testing.assert_array_equal(out.points, largest.points)
 
     def test_wrong_label_rejected(self, config):
         from helpers import line_element

@@ -23,7 +23,7 @@ from polymerge import (
 )
 
 from helpers import line_element, quad_element, rect_quad
-from oracles import reference_generate_instances
+from oracles import reference_clip_polygon, reference_generate_instances
 
 
 def _gt_map():
@@ -245,6 +245,35 @@ def _synth_cases(draw):
         seed=draw(st.integers(0, 2**16)),
     )
     return VectorMap(tuple(elements), "world"), [pose, shifted], cfg
+
+
+@st.composite
+def _ring_and_window(draw):
+    """A 4-vertex ring whose coordinates are free floats, window edge values
+    or zero, so that vertices land inside, outside, on edges and on corners."""
+    half_w, half_h = draw(st.floats(0.5, 50.0)), draw(st.floats(0.5, 50.0))
+    coord = {half: st.one_of(st.floats(-2.0 * half, 2.0 * half),
+                             st.sampled_from([-half, half, 0.0]))
+             for half in (half_w, half_h)}
+    ring = np.array([[draw(coord[half_w]), draw(coord[half_h])] for _ in range(4)])
+    return ring, half_w, half_h
+
+
+class TestClipPolygon:
+    @settings(max_examples=500, deadline=None)
+    @given(_ring_and_window())
+    def test_matches_closure_reference(self, case):
+        got, expected = synth._clip_polygon(*case), reference_clip_polygon(*case)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_tilted_quad_over_a_corner(self):
+        ring = rect_quad(5.0, 5.0, 4.0, 2.0, 0.4)
+        got = synth._clip_polygon(ring, 5.0, 5.0)
+        assert got.tobytes() == reference_clip_polygon(ring, 5.0, 5.0).tobytes()
+        # two cut points, one kept corner of the quad and the window corner
+        assert len(got) == 4 and np.all(np.abs(got) <= 5.0)
+        assert [5.0, 5.0] in got.tolist()
 
 
 class TestBatchedViewsMatchReference:
