@@ -30,10 +30,18 @@ class _InputError(click.ClickException):
 
 
 def _load(path) -> VectorMap:
+    """The map at ``path`` in the world frame.  An ego map can hold an
+    element that is valid in its own frame but not once moved, say a line
+    shorter than the float spacing at the pose's offset; that is bad input
+    too."""
     try:
-        return load_map(path)
+        vmap = load_map(path)
     except MapFormatError as exc:
         raise _InputError(str(exc)) from None
+    try:
+        return to_world(vmap)
+    except ValueError as exc:
+        raise _InputError(f"{path}: in the world frame, {exc}") from None
 
 
 def _parse_window(value: str) -> tuple[float, float]:
@@ -157,8 +165,8 @@ def eval_cmd(est_path, gt_path, th_prox, out_path, plot_path):
     """Evaluate an estimated map against ground truth; writes a CSV report."""
     if th_prox <= 0:
         raise click.UsageError("th-prox must be positive")
-    est = to_world(_load(est_path))
-    gt = to_world(_load(gt_path))
+    est = _load(est_path)
+    gt = _load(gt_path)
     report = evaluate_map(est, gt, th_prox)
     with atomic_writer(out_path) as fh:
         fh.write(report.to_csv())

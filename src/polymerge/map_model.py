@@ -112,6 +112,8 @@ class MapElement:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError("element id must be a non-empty string")
+        if not isinstance(self.is_main, bool):
+            raise ValueError(f"element '{self.id}': is_main must be a bool")
         if self.label not in LABELS:
             raise ValueError(
                 f"element '{self.id}': unknown label '{self.label}'"
@@ -123,6 +125,15 @@ class MapElement:
                 raise ValueError(f"a polyline needs at least 2 vertices, got {len(pts)}")
             if self.label == LABEL_PED_CROSSING:
                 pts = _canonical_quad(pts)
+            else:
+                # when every step squares to 0, the arc length is 0 as well;
+                # the first step, on Python floats, settles almost every line
+                (x0, y0), (x1, y1) = pts[:2].tolist()
+                dx, dy = x1 - x0, y1 - y0
+                if not (dx * dx or dy * dy):
+                    steps = pts[1:] - pts[:-1]
+                    if not (steps * steps).any():
+                        raise ValueError("polyline has zero arc length: its vertices coincide")
         except ValueError as exc:
             raise ValueError(f"element '{self.id}': {exc}") from None
         pts = np.ascontiguousarray(pts)
@@ -284,22 +295,6 @@ def pose_to_doc(pose: Pose) -> dict:
     }
 
 
-def _map_to_doc(vmap: VectorMap) -> dict:
-    doc: dict = {"frame": vmap.frame}
-    if vmap.pose is not None:
-        doc["pose"] = pose_to_doc(vmap.pose)
-    doc["elements"] = [
-        {
-            "id": el.id,
-            "label": el.label,
-            "is_main": el.is_main,
-            "points": el.points.tolist(),
-        }
-        for el in vmap.elements
-    ]
-    return doc
-
-
 @contextlib.contextmanager
 def atomic_writer(path):
     """Text file whose contents replace ``path`` by an atomic rename when the
@@ -329,7 +324,49 @@ def write_json_atomic(doc, path) -> None:
         fh.write("\n")
 
 
+# The map file layout is the one ``json.dump(doc, fh, indent=2)`` gives, written
+# one element at a time: floats as ``repr`` (what json writes for finite
+# floats), strings escaped to ASCII by json's own encoder.
+_json_str = json.encoder.encode_basestring_ascii
+_VERTEX = "[\n          %r,\n          %r\n        ]"
+_VERTEX_SEP = ",\n        "
+
+
+def _float_list(values, indent: int) -> str:
+    """A JSON list of floats whose items sit ``indent`` spaces deep."""
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(map(repr, values)) + pad[:-2] + "]"
+
+
+def _element_json(el: MapElement) -> str:
+    vertices = _VERTEX_SEP.join([_VERTEX] * len(el.points)) % tuple(el.points.ravel().tolist())
+    return (
+        "    {\n"
+        f'      "id": {_json_str(el.id)},\n'
+        f'      "label": {_json_str(el.label)},\n'
+        f'      "is_main": {"true" if el.is_main else "false"},\n'
+        f'      "points": [\n        {vertices}\n      ]\n'
+        "    }"
+    )
+
+
 def save_map(vmap: VectorMap, path) -> None:
     """Write a vector map as JSON.  Floats keep their full round-trip
     precision, and the file is replaced atomically."""
-    write_json_atomic(_map_to_doc(vmap), path)
+    with atomic_writer(path) as fh:
+        fh.write('{\n  "frame": ' + _json_str(vmap.frame))
+        if vmap.pose is not None:
+            fh.write(
+                ',\n  "pose": {\n    "rotation": ' + _float_list(vmap.pose.rotation.tolist(), 6)
+                + ',\n    "translation": ' + _float_list(vmap.pose.translation.tolist(), 6)
+                + "\n  }"
+            )
+        if not vmap.elements:
+            fh.write(',\n  "elements": []\n}\n')
+            return
+        fh.write(',\n  "elements": [\n')
+        sep = ""
+        for el in vmap.elements:
+            fh.write(sep + _element_json(el))
+            sep = ",\n"
+        fh.write("\n  ]\n}\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import arc_length, as_points, project_point_to_polyline, segment_parameter
-from .map_model import LABEL_PED_CROSSING, MapElement, VectorMap, concatenate
+from .map_model import _EPS, LABEL_PED_CROSSING, MapElement, VectorMap, concatenate
 from .metrics import discrete_frechet
 from .proximity import build_graph, merge_chains
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
@@ -159,6 +159,60 @@ def _select_base(members: list[MapElement]) -> MapElement:
     return sorted(pool, key=lambda el: (-arc_length(el.points), el.id))[0]
 
 
+def _greedy_coupling_below(p: list, q: list, limit: float) -> bool:
+    """True when one monotone coupling of the vertex chains ``p`` and ``q``
+    keeps every coupled distance below ``limit``.  The coupling is greedy:
+    each step takes the cheapest of the diagonal, down and right moves, and
+    once one chain is at its end the rest of the other pairs with that end."""
+    hypot = math.hypot
+    n, m = len(p) - 1, len(q) - 1
+    i = j = 0
+    (x, y), (u, v) = p[0], q[0]
+    if not hypot(x - u, y - v) < limit:
+        return False
+    while i < n and j < m:
+        (x1, y1), (u1, v1) = p[i + 1], q[j + 1]
+        d = hypot(x1 - u1, y1 - v1)
+        down = hypot(x1 - u, y1 - v)
+        right = hypot(x - u1, y - v1)
+        if down < d and down <= right:
+            d, i, x, y = down, i + 1, x1, y1
+        elif right < d:
+            d, j, u, v = right, j + 1, u1, v1
+        else:
+            i, j, x, y, u, v = i + 1, j + 1, x1, y1, u1, v1
+        if not d < limit:
+            return False
+    return all(hypot(x - a, y - b) < limit for a, b in q[j + 1:]) and all(
+        hypot(a - u, b - v) < limit for a, b in p[i + 1:]
+    )
+
+
+def _orient(src: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``src`` in the vertex order it is folded in: reversed when the
+    reversed order has the strictly smaller discrete Frechet distance (DF)
+    to ``base``.
+
+    Bounds settle most members without either DP.  Every coupling contains
+    both end pairs, so the larger end-pair distance of the reversed member,
+    ``lb``, bounds its DF from below; any one monotone coupling bounds the
+    forward DF from above.  When a greedy coupling stays below ``lb``, the
+    reversed DF cannot be the smaller and the given order stands.  The DPs
+    take their distances from ``cdist`` and the bounds from ``math.hypot``,
+    which may differ in the last bits, so the coupling must stay below
+    ``lb`` by a few ulps, plus what rounding squares to subnormals can lose;
+    past 1e150, where squares overflow, the DPs decide.
+    """
+    p, q = src.tolist(), base.tolist()
+    lb = max(math.hypot(p[-1][0] - q[0][0], p[-1][1] - q[0][1]),
+             math.hypot(p[0][0] - q[-1][0], p[0][1] - q[-1][1]))
+    if lb < 1e150 and _greedy_coupling_below(p, q, (lb - 1e-150) / (1.0 + 8.0 * _EPS)):
+        return src
+    if discrete_frechet(src[::-1], base) < discrete_frechet(src, base):
+        return src[::-1]
+    return src
+
+
 def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     """Merge a chain of same-label open polylines into one element.
 
@@ -185,10 +239,7 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     base = np.array(base_el.points)
     counts: dict[int, int] = {}
     for el in rest:
-        src = el.points
-        if discrete_frechet(src[::-1], base) < discrete_frechet(src, base):
-            src = src[::-1]
-        base = merge_polyline(src, base, counts)
+        base = merge_polyline(_orient(el.points, base), base, counts)
     if config.smoothing_enabled:
         base = smooth(base, _SMOOTHING_WINDOW)
     if report is not None:

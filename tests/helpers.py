@@ -91,6 +91,8 @@ def tricky_world_maps(draw, step=0.25, thresholds=(0.25, 0.5, 1.0, 2.0)):
             pts = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
             label = "ped_crossing"
         else:
-            pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=5))
+            # a line whose vertices all coincide is not a valid element
+            pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=5)
+                       .filter(lambda vs: len(set(vs)) > 1))
         elements.append(MapElement(f"e{k}", label, np.asarray(pts, float), draw(st.booleans())))
     return VectorMap(tuple(elements), "world"), th

@@ -331,6 +331,35 @@ def reference_frechet_dp(p, q) -> float:
     return float(dp[-1, -1])
 
 
+def reference_orient(src, base) -> np.ndarray:
+    """The member orientation rule with both DPs always run: ``src``
+    reversed when its reversed order has the strictly smaller discrete
+    Frechet distance to ``base``, else ``src`` as given."""
+    if reference_frechet_dp(src[::-1], base) < reference_frechet_dp(src, base):
+        return src[::-1]
+    return src
+
+
+def reference_map_doc(vmap) -> dict:
+    """The JSON document of a map, as ``json.dump`` would serialize it."""
+    doc: dict = {"frame": vmap.frame}
+    if vmap.pose is not None:
+        doc["pose"] = {
+            "rotation": vmap.pose.rotation.tolist(),
+            "translation": vmap.pose.translation.tolist(),
+        }
+    doc["elements"] = [
+        {
+            "id": el.id,
+            "label": el.label,
+            "is_main": el.is_main,
+            "points": el.points.tolist(),
+        }
+        for el in vmap.elements
+    ]
+    return doc
+
+
 def reference_smooth(points, window: int) -> np.ndarray:
     """Moving average with endpoints fixed, one vertex at a time: each
     interior vertex is the mean of its window, shrunk symmetrically near

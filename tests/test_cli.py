@@ -108,6 +108,32 @@ class TestMerge:
         assert result.exit_code == 2
         assert "bad.json" in result.output
 
+    def test_zero_length_line_exits_two(self, runner, tmp_path):
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps({"frame": "world", "elements": [
+            {"id": "d0", "label": "divider", "points": [[1, 1], [1, 1]]}]}))
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, [
+            "merge", "--bootstrap", "--secondary", str(bad), "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "zero.json" in result.output and "'d0'" in result.output
+        assert not out.exists()
+
+    def test_line_collapsed_by_world_transform_exits_two(self, runner, tmp_path):
+        # 1e-11 m long in its ego frame, shorter than the float spacing at 1e6 m
+        bad = tmp_path / "ego.json"
+        bad.write_text(json.dumps({
+            "frame": "ego", "pose": {"rotation": [1, 0, 0, 0], "translation": [1e6, 0, 0]},
+            "elements": [{"id": "d0", "label": "divider", "points": [[0, 0], [1e-11, 0]]}]}))
+        for args in (["merge", "--bootstrap", "--secondary", str(bad), "--out", str(tmp_path / "x.json")],
+                     ["eval", "--est", str(bad), "--gt", str(bad), "--out", str(tmp_path / "r.csv")]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert "ego.json" in result.output and "world frame" in result.output
+            assert "'d0'" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ego.json"]
+
     def test_missing_file_rejected(self, runner, tmp_path):
         result = runner.invoke(main, [
             "merge", "--bootstrap", "--secondary", str(tmp_path / "nope.json"),
@@ -207,6 +233,21 @@ class TestEval:
         ])
         assert result.exit_code == 1
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("label", ["divider", "boundary"])
+    @pytest.mark.parametrize("side", ["--est", "--gt"])
+    def test_zero_length_line_exits_two(self, runner, tmp_path, gt_file, label, side):
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps({"frame": "world", "elements": [
+            {"id": "z1", "label": label, "points": [[1, 1], [1, 1]]}]}))
+        paths = {"--est": gt_file, "--gt": gt_file, side: str(bad)}
+        result = runner.invoke(main, [
+            "eval", "--est", paths["--est"], "--gt", paths["--gt"], "--out", str(tmp_path / "r.csv"),
+        ])
+        assert result.exit_code == 2
+        assert "zero.json" in result.output and "'z1'" in result.output
+        assert "zero arc length" in result.output
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_threshold_rejected(self, runner, tmp_path, gt_file, value):

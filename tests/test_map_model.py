@@ -6,7 +6,7 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polymerge import (
@@ -24,7 +24,7 @@ from polymerge import (
 from polymerge.map_model import atomic_writer
 
 from helpers import line_element, quad_element, random_world_map, rect_quad
-from oracles import reference_canonical_quad, reference_quad_problem
+from oracles import reference_canonical_quad, reference_map_doc, reference_quad_problem
 
 # corners on the integer lattice around the origin, some moved by about the
 # 1e-12 tolerances of the crossing check: coincident, collinear and crossing
@@ -43,6 +43,33 @@ class TestMapElement:
     def test_too_few_vertices(self):
         with pytest.raises(ValueError, match="at least 2 vertices"):
             MapElement("e1", "divider", np.array([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("pts", [
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[2.0, 3.0], [2.0, 3.0], [2.0, 3.0]],
+        [[1e6, 1e6], [1e6, 1e6]],
+        # 1e-200 apart: each step squares to 0, so the arc length is 0
+        [[0.0, 0.0], [1e-200, 0.0]],
+    ])
+    @pytest.mark.parametrize("label", ["divider", "boundary"])
+    def test_zero_length_polyline_rejected(self, pts, label):
+        with pytest.raises(ValueError, match="'e'.*zero arc length"):
+            MapElement("e", label, np.array(pts))
+
+    @pytest.mark.parametrize("flag", [1, 0, np.True_, "yes", None])
+    def test_is_main_must_be_bool(self, flag):
+        # the map writer spells the flag as json's true/false
+        with pytest.raises(ValueError, match="'e'.*is_main"):
+            MapElement("e", "divider", np.array([[0.0, 0.0], [1.0, 0.0]]), flag)
+
+    @pytest.mark.parametrize("pts", [
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+        # a repeated first vertex, then a real step
+        [[0.0, 0.0], [0.0, 0.0], [0.0, 1e-150]],
+    ])
+    def test_positive_length_polyline_accepted(self, pts):
+        el = MapElement("e", "divider", np.array(pts))
+        assert len(el.points) == 3
 
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -292,6 +319,67 @@ class TestSerialization:
         assert stat.S_IMODE((tmp_path / "r.csv").stat().st_mode) == 0o666 & ~umask
 
 
+# ids that need escaping: quotes, backslashes, control characters, non-ASCII
+# and astral (surrogate-pair) characters, mixed with free text
+_id_chars = st.one_of(
+    st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u4e2d",
+                     "\u2028", "\U0001f600", "\U0001d11e"]),
+    st.characters(),
+)
+# floats whose repr needs care: signed zero, subnormals, exponents either
+# side of 1e16 (repr switches to '1e+16' there), and offsets up to 1e6 m
+_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300,
+                     1e15, 1e16, -1e16, 123456789012345.67, 0.1, 1e6 + 0.1]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.floats(-1e-5, 1e-5, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _any_element(draw, el_id):
+    is_main = draw(st.booleans())
+    if draw(st.booleans()):
+        w, h = draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 5.0))
+        center = draw(st.sampled_from([0.0, 1e3, 1e6, -1e6]))
+        return quad_element(el_id, center, -center, w, h, draw(st.floats(0.0, 3.2)), is_main)
+    pts = np.array(draw(st.lists(st.tuples(_coord, _coord), min_size=2, max_size=6)))
+    assume(np.any(np.diff(pts, axis=0) ** 2))
+    return MapElement(el_id, draw(st.sampled_from(["divider", "boundary"])), pts, is_main)
+
+
+@st.composite
+def _any_map(draw):
+    ids = draw(st.lists(st.text(_id_chars, min_size=1, max_size=8), max_size=5, unique=True))
+    elements = tuple(draw(_any_element(el_id)) for el_id in ids)
+    if draw(st.booleans()):
+        return VectorMap(elements, "world")
+    pose = Pose.from_yaw(draw(st.floats(-4.0, 4.0)), draw(_coord), draw(_coord))
+    return VectorMap(elements, "ego", pose)
+
+
+class TestWriterLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(_any_map())
+    def test_bytes_equal_json_dump(self, tmp_path_factory, vmap):
+        tmp = tmp_path_factory.mktemp("w")
+        save_map(vmap, tmp / "m.json")
+        with open(tmp / "ref.json", "w", encoding="utf-8") as fh:
+            json.dump(reference_map_doc(vmap), fh, indent=2)
+            fh.write("\n")
+        assert (tmp / "m.json").read_bytes() == (tmp / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("vmap", [
+        VectorMap((), "world"),
+        VectorMap((), "ego", Pose.from_yaw(0.3, 1e16, -0.0)),
+    ], ids=["world", "ego"])
+    def test_empty_map(self, tmp_path, vmap):
+        save_map(vmap, tmp_path / "m.json")
+        expected = json.dumps(reference_map_doc(vmap), indent=2) + "\n"
+        assert (tmp_path / "m.json").read_text(encoding="utf-8") == expected
+        assert load_map(tmp_path / "m.json").frame == vmap.frame
+
+
 def _write(tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -356,6 +444,11 @@ class TestLoadErrors:
     def test_single_vertex_names_element(self, tmp_path):
         doc = {"frame": "world", "elements": [{"id": "e9", "label": "divider", "points": [[0, 0]]}]}
         with pytest.raises(MapFormatError, match="'e9'"):
+            load_map(_write(tmp_path, doc))
+
+    def test_zero_length_divider_names_element(self, tmp_path):
+        doc = {"frame": "world", "elements": [{"id": "z", "label": "divider", "points": [[1, 1], [1, 1]]}]}
+        with pytest.raises(MapFormatError, match="bad.json.*'z'.*zero arc length"):
             load_map(_write(tmp_path, doc))
 
     def test_bad_point_pair(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from polymerge import (
     smooth,
 )
 
+from polymerge import merging
+
 from helpers import line_element, quad_element, random_polyline
-from oracles import reference_smooth
+from oracles import reference_orient, reference_smooth
 
 
 class TestMergePoint:
@@ -171,6 +174,79 @@ class TestMergeConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             MergeConfig(**kwargs)
+
+
+_lat = st.integers(-4, 4).map(float)
+
+
+def _lattice_line(min_size=2, max_size=6):
+    return st.lists(st.tuples(_lat, _lat), min_size=min_size, max_size=max_size).filter(
+        lambda vs: len(set(vs)) > 1
+    )
+
+
+@st.composite
+def _orientation_chains(draw):
+    """A divider chain that stresses the member orientation rule: exact and
+    reversed copies of the first member, palindromes (equal distance both
+    ways), 2-vertex members, noisy copies and free lines on an integer
+    lattice (many distance ties), all shifted by up to 1e5 m."""
+    first = np.array(draw(_lattice_line()))
+    members = [first]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["reversed", "copy", "palindrome", "two", "lattice", "noisy"]))
+        if kind == "reversed":
+            pts = first[::-1]
+        elif kind == "copy":
+            pts = first
+        elif kind == "palindrome":
+            half = draw(_lattice_line(max_size=4))
+            pts = np.array(half + half[-2::-1])
+        elif kind == "two":
+            pts = np.array(draw(_lattice_line(max_size=2)))
+        elif kind == "lattice":
+            pts = np.array(draw(_lattice_line()))
+        else:
+            noise = np.random.default_rng(draw(st.integers(0, 2**16))).normal(0.0, 0.2, first.shape)
+            pts = first + noise
+        members.append(pts)
+    offset = draw(st.sampled_from([0.0, 1e5, -1e5])) * np.array([1.0, 0.5])
+    main = draw(st.integers(-1, len(members) - 1))
+    return [MapElement(f"m{k}", "divider", pts + offset, is_main=(k == main))
+            for k, pts in enumerate(members)]
+
+
+class TestOrientation:
+    @settings(max_examples=400, deadline=None)
+    @given(_orientation_chains(), st.booleans())
+    def test_matches_two_dp_rule_bitwise(self, chain, smoothing):
+        config = MergeConfig(smoothing_enabled=smoothing)
+        got_report, want_report = MergeReport(), MergeReport()
+        got = merge_chain(chain, config, got_report)
+        with mock.patch.object(merging, "_orient", reference_orient):
+            want = merge_chain(chain, config, want_report)
+        assert got.id == want.id
+        assert got.points.shape == want.points.shape
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got_report.to_dict() == want_report.to_dict()
+
+    def test_noisy_copy_of_straight_line_needs_no_dp(self, config, monkeypatch):
+        rng = np.random.default_rng(11)
+        base = line_element("m", "divider", (0, 0), (20, 0), n=27, is_main=True)
+        noisy = base.points + rng.normal(0.0, 0.2, base.points.shape)
+        calls = []
+
+        def counting(p, q):
+            calls.append(len(p) * len(q))
+            return discrete_frechet(p, q)
+
+        monkeypatch.setattr(merging, "discrete_frechet", counting)
+        fwd = merge_chain([base, MapElement("s", "divider", noisy)], config)
+        assert calls == []
+        # a reversed copy is not settled by the bounds, and the DPs reverse it
+        rev = merge_chain([base, MapElement("s", "divider", noisy[::-1])], config)
+        assert len(calls) == 2
+        assert rev.points.tobytes() == fwd.points.tobytes()
 
 
 class TestMergeChain:

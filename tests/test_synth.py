@@ -206,7 +206,8 @@ def _ego_element(draw, half_w, half_h):
         return label, pts
     if kind == "corner":
         corner = halves * [draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)]
-        inner, outer = draw(_lattice), draw(_lattice)
+        # not both 0: a line whose vertices all coincide is not a valid element
+        inner, outer = draw(st.tuples(_lattice, _lattice).filter(lambda io: any(io)))
         return label, np.array([corner + inner, corner, corner - outer])
     if kind == "spike":
         # the runs on either side of the tip end within, or just beyond,
@@ -216,7 +217,8 @@ def _ego_element(draw, half_w, half_h):
         pts = np.array([[halves[axis] - 2.0, along - 1.0], [halves[axis] + tip, along],
                         [halves[axis] - 1.0, along + 2.0]])
         return label, pts[:, ::-1] if axis else pts
-    pts = np.array(draw(st.lists(st.tuples(_lattice, _lattice), min_size=2, max_size=6)))
+    pts = np.array(draw(st.lists(st.tuples(_lattice, _lattice), min_size=2, max_size=6)
+                        .filter(lambda vs: len(set(vs)) > 1)))
     if kind == "outside":
         axis, sign = draw(st.integers(0, 1)), draw(st.sampled_from([-1.0, 1.0]))
         pts[:, axis] = sign * (halves[axis] + 21.0 + pts[:, axis])
