@@ -1,13 +1,6 @@
 """Fusion of labeled vector road maps from repeated local observations."""
 
-from .geometry import (
-    Pose,
-    Projection,
-    arc_length,
-    project_point_to_polyline,
-    project_point_to_segment,
-    transform_to_world,
-)
+from .geometry import Pose, arc_length, project_point_to_polyline, project_point_to_segment
 from .map_model import (
     LABELS,
     MapElement,
@@ -19,28 +12,18 @@ from .map_model import (
     to_world,
 )
 from .merging import MergeConfig, MergeReport, merge_chain, merge_maps, merge_point, merge_polyline, smooth
-from .metrics import EvalReport, discrete_frechet, evaluate_map, match_elements, pcm
+from .metrics import discrete_frechet, evaluate_map, match_elements, pcm
 from .proximity import build_graph, merge_chains, polyline_merge_check
-from .quads import (
-    CoverageGrid,
-    EmptyRegionError,
-    blur_coverage,
-    merge_quads,
-    min_rotated_rect,
-    rasterize_coverage,
-    threshold_region,
-)
+from .quads import blur_coverage, merge_quads, min_rotated_rect, rasterize_coverage, threshold_region
 from .synth import NoiseConfig, generate_instances, straight_path_poses, write_instances
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Pose",
-    "Projection",
     "arc_length",
     "project_point_to_segment",
     "project_point_to_polyline",
-    "transform_to_world",
     "LABELS",
     "MapElement",
     "MapFormatError",
@@ -59,8 +42,6 @@ __all__ = [
     "merge_chain",
     "merge_maps",
     "smooth",
-    "CoverageGrid",
-    "EmptyRegionError",
     "rasterize_coverage",
     "blur_coverage",
     "threshold_region",
@@ -70,7 +51,6 @@ __all__ = [
     "pcm",
     "match_elements",
     "evaluate_map",
-    "EvalReport",
     "NoiseConfig",
     "generate_instances",
     "write_instances",

@@ -7,6 +7,7 @@ the z component is dropped again after rotation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,32 +69,26 @@ class Projection:
 def segment_parameter(a, b, c) -> float:
     """Unclamped parameter of the foot of ``a`` on the line through ``b``, ``c``.
 
-    For a degenerate segment (``b`` and ``c`` closer than 1e-12) the
-    parameter is defined as 0.
+    The expression and its order of operations are those of the projection
+    kernel, on Python floats, so the clamped parameter of any projection
+    onto the same segment is this value clamped to [0, 1].  For a
+    degenerate segment (``b`` and ``c`` closer than 1e-12) the parameter is
+    defined as 0.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    bc = c - b
-    len_sq = float(bc @ bc)
+    (ax, ay), (bx, by), (cx, cy) = (np.asarray(p, dtype=float).tolist() for p in (a, b, c))
+    dx, dy = cx - bx, cy - by
+    len_sq = dx * dx + dy * dy
     if len_sq < _DEGENERATE_SQ:
         return 0.0
-    return float((a - b) @ bc / len_sq)
+    return ((ax - bx) * dx + (ay - by) * dy) / len_sq
 
 
 def project_point_to_segment(a, b, c) -> Projection:
-    """Project point ``a`` onto the segment from ``b`` to ``c``.
-
-    The foot point is ``b + t * (c - b)`` with
-    ``t = max(0, min(1, ((a - b) . (c - b)) / |c - b|^2))``, so it never
-    leaves the segment.  A degenerate segment projects to ``b`` with t = 0.
+    """Project point ``a`` onto the segment from ``b`` to ``c``: the
+    polyline projection onto ``(b, c)``.  The foot never leaves the segment,
+    and a degenerate segment projects to ``b`` with t = 0.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    t = max(0.0, min(1.0, segment_parameter(a, b, c)))
-    foot = b + t * (c - b)
-    return Projection(foot, 0, t, float(np.linalg.norm(a - foot)))
+    return project_point_to_polyline(a, (b, c))
 
 
 def _foot_points(a, points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -181,7 +176,8 @@ class Pose:
             raise ValueError(f"rotation must have 4 components, got shape {q.shape}")
         if not np.all(np.isfinite(q)):
             raise ValueError("rotation components must be finite")
-        norm = float(np.linalg.norm(q))
+        w, x, y, z = q.tolist()
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"rotation quaternion norm {norm:.9f} is not 1")
         q = q / norm

@@ -104,23 +104,22 @@ def _merge_point(a: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, int]:
     """Merge one source vertex into the base; returns (new base, scenario)."""
     pr = project_point_to_polyline(a, base)
     k = pr.segment_index
+    if 0.0 < pr.t < 1.0:
+        # foot strictly inside a segment: insert the midpoint
+        return np.vstack([base[: k + 1], 0.5 * (a + pr.point), base[k + 1 :]]), 1
+    # pr.t is this parameter clamped, so only a foot on a vertex can lie past an end
     raw = segment_parameter(a, base[k], base[k + 1])
-    last = len(base) - 2
     if k == 0 and raw < 0.0:
         # beyond the start: extend backwards to the foot on the first segment's line
         return np.vstack([base[0] + raw * (base[1] - base[0]), base]), 3
-    if k == last and raw > 1.0:
+    if k == len(base) - 2 and raw > 1.0:
         # beyond the end: extend forwards to the foot on the last segment's line
         return np.vstack([base, base[-2] + raw * (base[-1] - base[-2])]), 4
-    if pr.t == 0.0 or pr.t == 1.0:
-        # foot coincides with a vertex: replace it by the midpoint
-        j = k if pr.t == 0.0 else k + 1
-        out = base.copy()
-        out[j] = 0.5 * (a + base[j])
-        return out, 2
-    # foot strictly inside a segment: insert the midpoint
-    midpoint = 0.5 * (a + pr.point)
-    return np.vstack([base[: k + 1], midpoint, base[k + 1 :]]), 1
+    # foot coincides with a vertex: replace it by the midpoint
+    j = k if pr.t == 0.0 else k + 1
+    out = base.copy()
+    out[j] = 0.5 * (a + base[j])
+    return out, 2
 
 
 def merge_point(a, base) -> np.ndarray:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from polymerge import MapElement, VectorMap, arc_length, min_rotated_rect, to_world, transform_to_world
+from polymerge import MapElement, VectorMap, arc_length, min_rotated_rect, to_world
+from polymerge.geometry import transform_to_world
 from polymerge.synth import _quad_element
 
 

@@ -2,13 +2,27 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from polymerge import NoiseConfig, Pose, VectorMap, generate_instances, load_map, save_map, write_instances
+import polymerge
+from polymerge import (
+    MapElement,
+    NoiseConfig,
+    Pose,
+    VectorMap,
+    generate_instances,
+    load_map,
+    save_map,
+    write_instances,
+)
 from polymerge.cli import main
+from polymerge.geometry import transform_to_world
+from polymerge.metrics import EvalReport
 
 from helpers import line_element, quad_element
 
@@ -220,8 +234,6 @@ class TestEval:
                 assert cells[-1] == "0"
 
     def test_failed_report_leaves_no_file(self, runner, tmp_path, gt_file, monkeypatch):
-        from polymerge import EvalReport
-
         def boom(self):
             raise RuntimeError("induced")
 
@@ -283,8 +295,6 @@ class TestEval:
         gt = load_map(gt_file)
         pose = Pose.from_yaw(0.4, 3.0, -1.0)
         inv = pose.inverse()
-        from polymerge import transform_to_world
-
         ego_els = tuple(
             el.with_points(transform_to_world(el.points, inv)) for el in gt.elements
         )
@@ -415,4 +425,50 @@ class TestPipelineDeterminism:
             ])
             assert r.exit_code == 0, r.output
             outputs.append((merged.read_bytes(), csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
+class TestBlasKernelIndependence:
+    """A merge writes the same bytes whichever BLAS kernel numpy dispatches to.
+
+    The second run forces OpenBLAS's Prescott kernel, which has no fused
+    multiply-add.  The test only has teeth where numpy uses OpenBLAS with
+    runtime kernel dispatch (the pip wheels) on a CPU whose default kernel
+    differs; elsewhere the variable is ignored and both runs agree trivially.
+    """
+
+    def test_merge_output_is_byte_equal_under_prescott_kernel(self, tmp_path):
+        rng = np.random.default_rng(5)
+        pose = Pose.from_yaw(0.3, 3.5, -2.5)
+        # lines at 0.8 rad near the origin: both terms of a projection's dot
+        # product count, and a last-bit change of it still moves a coordinate
+        u = np.array([np.cos(0.8), np.sin(0.8)])
+        n = np.array([-u[1], u[0]])
+        main_els, ego_els = [], []
+        for k in range(12):
+            origin = np.array([-30.0, -20.0]) + 6.0 * k * n + rng.uniform(0, 10) * u
+            s = np.linspace(0.0, 10.0, 6)
+            main_els.append(MapElement(f"m{k}", "divider", origin + np.outer(s, u)
+                                       + np.outer(rng.normal(0, 0.05, 6), n)))
+            # the secondary line runs 1.5 m past both ends of the main line
+            s = np.linspace(-1.5, 11.5, 6)
+            world = origin + np.outer(s, u) + np.outer(0.3 + rng.normal(0, 0.05, 6), n)
+            ego_els.append(MapElement(f"s{k}", "divider", transform_to_world(world, pose.inverse())))
+        save_map(VectorMap(tuple(main_els), "world"), tmp_path / "main.json")
+        save_map(VectorMap(tuple(ego_els), "ego", pose), tmp_path / "view.json")
+
+        src = os.path.dirname(os.path.dirname(polymerge.__file__))
+        outputs = []
+        for coretype in (None, "Prescott"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            out = tmp_path / f"merged_{coretype}.json"
+            subprocess.run(
+                [sys.executable, "-m", "polymerge.cli", "merge", "--main", str(tmp_path / "main.json"),
+                 "--secondary", str(tmp_path / "view.json"), "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]

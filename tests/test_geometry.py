@@ -1,5 +1,7 @@
 """Projection primitives and rigid transforms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,10 +51,11 @@ class TestProjectPointToSegment:
         rng = np.random.default_rng(7)
         for _ in range(200):
             a, b, c = rng.uniform(-5, 5, (3, 2))
-            if np.linalg.norm(c - b) < 1e-6:
+            dx, dy = c - b
+            if np.hypot(dx, dy) < 1e-6:
                 continue
             pr = project_point_to_segment(a, b, c)
-            raw = float((a - b) @ (c - b) / ((c - b) @ (c - b)))
+            raw = ((a[0] - b[0]) * dx + (a[1] - b[1]) * dy) / (dx * dx + dy * dy)
             assert pr.t == max(0.0, min(1.0, raw))
 
     def test_matches_dense_oracle(self):
@@ -235,3 +238,43 @@ class TestSegmentParameter:
 
     def test_degenerate_is_zero(self):
         assert segment_parameter((5, 5), (1, 1), (1, 1)) == 0.0
+
+
+# UTM-scale positions, segments from 1 mm to 100 m and segments around the
+# 1e-12 degeneracy cut-off; the point sits up to 200 m from the segment
+_coord = st.floats(-1e5, 1e5)
+_length = st.one_of(st.floats(1e-3, 100.0), st.floats(0.0, 1e-11))
+
+
+class TestOneArithmetic:
+    """Every projection and pose normalisation computes with elementwise
+    float operations in one order, so its bits cannot depend on the BLAS
+    kernel numpy dispatches to: ``@`` and ``np.linalg.norm`` of a vector
+    may fuse multiply-adds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_coord, _coord, _length, st.floats(0.0, 2 * math.pi),
+           st.floats(-200.0, 200.0), st.floats(-200.0, 200.0))
+    def test_segment_parameter_and_projection_match_the_kernel(self, bx, by, length, angle, u, v):
+        b = np.array([bx, by])
+        c = b + length * np.array([math.cos(angle), math.sin(angle)])
+        a = b + np.array([u, v])
+        raw = segment_parameter(a, b, c)
+        pr = project_point_to_polyline(a, [b, c])
+        # the kernel's unclamped parameter: its expression on float64 scalars
+        (dx, dy), (ex, ey) = c - b, a - b
+        len_sq = dx * dx + dy * dy
+        assert raw == (0.0 if len_sq < 1e-24 else (ex * dx + ey * dy) / len_sq)
+        assert pr.t == max(0.0, min(1.0, raw))
+        seg = project_point_to_segment(a, b, c)
+        assert np.array_equal(seg.point, pr.point)
+        assert (seg.segment_index, seg.t, seg.distance) == (pr.segment_index, pr.t, pr.distance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda v: math.hypot(*v) > 0.1), st.floats(-5e-7, 5e-7))
+    def test_pose_rotation_is_divided_by_its_elementwise_norm(self, v, scale):
+        q = np.array(v) / math.hypot(*v) * (1.0 + scale)
+        w, x, y, z = q.tolist()
+        expect = q / math.sqrt(w * w + x * x + y * y + z * z)
+        assert np.array_equal(Pose(q, np.zeros(3)).rotation, expect)

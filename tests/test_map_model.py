@@ -19,8 +19,8 @@ from polymerge import (
     load_map,
     save_map,
     to_world,
-    transform_to_world,
 )
+from polymerge.geometry import transform_to_world
 from polymerge.map_model import atomic_writer
 
 from helpers import line_element, quad_element, random_world_map, rect_quad

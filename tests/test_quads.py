@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymerge import (
-    CoverageGrid,
-    EmptyRegionError,
     MergeConfig,
     MergeReport,
     blur_coverage,
@@ -18,6 +16,7 @@ from polymerge import (
     rasterize_coverage,
     threshold_region,
 )
+from polymerge.quads import CoverageGrid, EmptyRegionError
 from polymerge.quads import (
     _cell_corner_points,
     _convex_hull,

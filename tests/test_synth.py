@@ -18,9 +18,9 @@ from polymerge import (
     generate_instances,
     straight_path_poses,
     to_world,
-    transform_to_world,
     write_instances,
 )
+from polymerge.geometry import transform_to_world
 
 from helpers import line_element, quad_element, rect_quad
 from oracles import reference_clip_polygon, reference_generate_instances
