@@ -5,6 +5,18 @@ grid (cell value = fraction of quads covering the cell center), the grid
 is softened with a Gaussian blur in full mode so nothing is cut off at the
 borders, cells above a quantile threshold form the consensus region, and
 the merged crossing is the minimum-area rotated rectangle around it.
+
+``merge_quads`` does work in proportion to the region's edge rather than
+its area, with the same bits as the plain pipeline
+(``rasterize_coverage`` → ``blur_coverage`` → ``threshold_region`` → fit):
+
+- the raster fills each quad's row intervals from one crossing abscissa
+  per row and edge, and measures edge distances only for cell centers
+  that can lie within 1e-9 of an edge;
+- the blur is estimated by two 1-D passes, and only cells whose estimate
+  lies within 1e-9 of ``th_cov`` are convolved exactly;
+- the rectangle is fitted to the leftmost and rightmost cell of each row,
+  the only cells whose corners can be hull vertices.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import convolve1d
 from scipy.signal import convolve2d
 
 from .geometry import _foot_points, signed_area
@@ -29,9 +42,29 @@ __all__ = [
     "merge_quads",
 ]
 
+# A cell center this close to a quad edge counts as covered.
+_ON_EDGE = 1e-9
+# The two-pass blur estimate stays within 1.2e-15 of convolve2d at the
+# default sigma and within 1e-12 over sigma 0.5-4 (tests/test_quads.py);
+# cells whose estimate lies this close to th_cov are convolved exactly.
+_RECHECK_BAND = 1e-9
+
 
 class EmptyRegionError(ValueError):
     """No grid cell reached the coverage threshold."""
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive")
+
+
+def _center_axes(origin: np.ndarray, cell_size: float, shape) -> tuple[np.ndarray, np.ndarray]:
+    """World x of every column center and world y of every row center."""
+    height, width = shape
+    cols = (np.arange(width) + 0.5) * cell_size + origin[0]
+    rows = (np.arange(height) + 0.5) * cell_size + origin[1]
+    return cols, rows
 
 
 @dataclass(frozen=True)
@@ -48,8 +81,7 @@ class CoverageGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        _require_finite_positive("cell_size", self.cell_size)
         origin = np.asarray(self.origin, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if origin.shape != (2,):
@@ -69,31 +101,40 @@ class CoverageGrid:
 
     def cell_centers(self) -> np.ndarray:
         """Centers of all cells, shape (height * width, 2), row-major."""
-        cols = (np.arange(self.width) + 0.5) * self.cell_size + self.origin[0]
-        rows = (np.arange(self.height) + 0.5) * self.cell_size + self.origin[1]
+        cols, rows = _center_axes(self.origin, self.cell_size, self.values.shape)
         xx, yy = np.meshgrid(cols, rows)
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def _points_in_quad(points: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """Boundary-inclusive containment test for many points in one quad."""
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
-    for k in range(4):
-        x1, y1 = quad[k]
-        x2, y2 = quad[(k + 1) % 4]
-        # crossing-number parity against an upward ray
-        crosses = (y1 > y) != (y2 > y)
-        if np.any(crosses):
-            x_hit = (x2 - x1) * (y[crosses] - y1) / (y2 - y1) + x1
-            flip = np.zeros(len(points), dtype=bool)
-            flip[crosses] = x[crosses] < x_hit
-            inside ^= flip
-    # points the parity test leaves out still count when they sit on an edge
-    rest = np.flatnonzero(~inside)
-    edge_dist = _foot_points(points[rest], np.vstack([quad, quad[:1]]))[3]
-    inside[rest] = (edge_dist <= 1e-9).any(axis=1)
-    return inside
+def _on_edge_candidates(start, end, cols, rows, reach):
+    """(edge, row, col) of every cell center within ``reach`` of an edge.
+
+    ``start`` and ``end`` are the edges' endpoints, shape (E, 2).  The rows
+    come from the edge's y extent; each row's columns from the x extent and
+    the band of half-width ``reach * length / |dy|`` around the edge line.
+    """
+    ax, ay, bx, by = start[:, 0], start[:, 1], end[:, 0], end[:, 1]
+    first = np.searchsorted(rows, np.minimum(ay, by) - reach)
+    n_rows = np.searchsorted(rows, np.maximum(ay, by) + reach, "right") - first
+    edge = np.repeat(np.arange(len(start)), n_rows)
+    row = np.arange(len(edge)) - np.repeat(np.cumsum(n_rows) - n_rows - first, n_rows)
+    y = rows[row]
+    dx, dy = (bx - ax)[edge], (by - ay)[edge]
+    x_lo = np.minimum(ax, bx)[edge] - reach
+    x_hi = np.maximum(ax, bx)[edge] + reach
+    sloped = dy != 0.0
+    safe_dy = np.where(sloped, dy, 1.0)
+    # a band that overflows is unbounded: fmax/fmin drop its NaN ends
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_line = ax[edge] + dx * ((y - ay[edge]) / safe_dy)
+        half = reach * np.hypot(dx, dy) / np.abs(safe_dy)
+        x_lo = np.where(sloped, np.fmax(x_lo, x_line - half), x_lo)
+        x_hi = np.where(sloped, np.fmin(x_hi, x_line + half), x_hi)
+    col0 = np.searchsorted(cols, x_lo)
+    n_cols = np.maximum(np.searchsorted(cols, x_hi, "right") - col0, 0)
+    pair = np.repeat(np.arange(len(edge)), n_cols)
+    col = np.arange(len(pair)) - np.repeat(np.cumsum(n_cols) - n_cols - col0, n_cols)
+    return edge[pair], row[pair], col
 
 
 def rasterize_coverage(quads, cell_size: float) -> CoverageGrid:
@@ -103,33 +144,69 @@ def rasterize_coverage(quads, cell_size: float) -> CoverageGrid:
     total quad count; boundary hits count as inside.  The grid covers the
     common bounding box with a one-cell apron so the border of the covered
     area is always representable.
+
+    A center is inside by crossing-number parity against a ray to +x, or
+    on an edge when its distance to it is at most 1e-9.  Per row, each
+    crossing edge meets the ray's line at one abscissa, so a quad covers
+    the columns between the 1st and 2nd and between the 3rd and 4th hit.
     """
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
+    _require_finite_positive("cell_size", cell_size)
     quads = [np.asarray(q, dtype=float) for q in quads]
     if not quads:
         raise ValueError("rasterize_coverage needs at least one quad")
     for q in quads:
         if q.shape != (4, 2):
             raise ValueError("each quad must have exactly 4 vertices")
-    stacked = np.vstack(quads)
-    lo = stacked.min(axis=0) - cell_size
-    hi = stacked.max(axis=0) + cell_size
+    stacked = np.stack(quads)
+    if not np.isfinite(stacked).all():
+        raise ValueError("quad coordinates must be finite")
+    lo = stacked.min(axis=(0, 1)) - cell_size
+    hi = stacked.max(axis=(0, 1)) + cell_size
     width = max(1, int(math.ceil((hi[0] - lo[0]) / cell_size)))
     height = max(1, int(math.ceil((hi[1] - lo[1]) / cell_size)))
-    grid = CoverageGrid(lo, cell_size, np.zeros((height, width)))
-    centers = grid.cell_centers()
-    counts = np.zeros(len(centers))
-    for q in quads:
-        counts += _points_in_quad(centers, q)
-    values = (counts / len(quads)).reshape(height, width)
-    return CoverageGrid(lo, cell_size, values)
+    cols, rows = _center_axes(lo, cell_size, (height, width))
+
+    # parity: (row, quad, edge) crossing abscissae, then per row and quad the
+    # number of columns left of each, i.e. with center x < x_hit
+    start, end = stacked, np.roll(stacked, -1, axis=1)
+    x1, y1, x2, y2 = start[..., 0], start[..., 1], end[..., 0], end[..., 1]
+    y = rows[:, np.newaxis, np.newaxis]
+    crosses = (y1 > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_hit = (x2 - x1) * (y - y1) / (y2 - y1) + x1
+    hits = np.sort(np.where(crosses, np.searchsorted(cols, x_hit), 0), axis=-1)
+    row_base = (np.arange(height) * (width + 1))[:, np.newaxis, np.newaxis]
+    size = height * (width + 1)
+    steps = (np.bincount((hits[..., 0::2] + row_base).ravel(), minlength=size)
+             - np.bincount((hits[..., 1::2] + row_base).ravel(), minlength=size))
+    counts = np.cumsum(steps.reshape(height, width + 1)[:, :width], axis=1)
+
+    # on-edge test for the centers parity left out.  The computed distance
+    # of _foot_points errs by under 1e-14 * scale, and so does the candidate
+    # filter; twice (1e-9 + 1e-12 * scale) keeps every center it can accept.
+    scale = max(float(np.abs(stacked).max()), float(np.abs(cols[[0, -1]]).max()),
+                float(np.abs(rows[[0, -1]]).max()))
+    reach = 2.0 * (_ON_EDGE + 1e-12 * scale)
+    edge, row, col = _on_edge_candidates(start.reshape(-1, 2), end.reshape(-1, 2),
+                                         cols, rows, reach)
+    quad = edge // 4
+    quad, row, col = np.unique(np.stack([quad, row, col]), axis=1)
+    quad_hits = hits[row, quad]
+    parity = (((quad_hits[:, 0] <= col) & (col < quad_hits[:, 1]))
+              | ((quad_hits[:, 2] <= col) & (col < quad_hits[:, 3])))
+    quad, row, col = quad[~parity], row[~parity], col[~parity]
+    for q in np.unique(quad):
+        sel = quad == q
+        points = np.column_stack([cols[col[sel]], rows[row[sel]]])
+        ring = np.vstack([stacked[q], stacked[q, :1]])
+        on_edge = (_foot_points(points, ring)[3] <= _ON_EDGE).any(axis=1)
+        np.add.at(counts, (row[sel][on_edge], col[sel][on_edge]), 1)
+    return CoverageGrid(lo, cell_size, counts / len(quads))
 
 
 def gaussian_kernel(sigma_cells: float) -> np.ndarray:
     """Square 2D Gaussian kernel of radius ceil(3 sigma), normalized to sum 1."""
-    if sigma_cells <= 0:
-        raise ValueError("sigma must be positive")
+    _require_finite_positive("sigma_cells", sigma_cells)
     radius = int(math.ceil(3.0 * sigma_cells))
     ax = np.arange(-radius, radius + 1)
     xx, yy = np.meshgrid(ax, ax)
@@ -161,6 +238,52 @@ def threshold_region(grid: CoverageGrid, th_cov: float) -> np.ndarray:
     return grid.cell_centers()[mask.ravel()]
 
 
+def _separable_blur(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Full-mode blur estimate: two 1-D passes with the kernel's marginal."""
+    radius = kernel.shape[0] // 2
+    marginal = kernel.sum(axis=0)
+    rows_blurred = convolve1d(np.pad(values, radius), marginal, axis=1, mode="constant")
+    return convolve1d(rows_blurred, marginal, axis=0, mode="constant")
+
+
+def _blurred_mask(grid: CoverageGrid, sigma_cells: float, th_cov: float):
+    """``blur_coverage(grid, sigma_cells).values >= th_cov`` and that grid's
+    origin, with the same bits.
+
+    A cell whose separable estimate lies within ``_RECHECK_BAND`` of
+    ``th_cov`` is convolved exactly over its own window, which convolve2d
+    sums in the order it sums the full-mode cell.
+    """
+    kernel = gaussian_kernel(sigma_cells)
+    radius = kernel.shape[0] // 2
+    estimate = _separable_blur(grid.values, kernel)
+    mask = estimate >= th_cov
+    padded = np.pad(grid.values, 2 * radius)
+    side = 2 * radius + 1
+    for i, j in np.argwhere(np.abs(estimate - th_cov) <= _RECHECK_BAND):
+        window = padded[i:i + side, j:j + side]
+        mask[i, j] = convolve2d(window, kernel, mode="valid")[0, 0] >= th_cov
+    return mask, grid.origin - radius * grid.cell_size
+
+
+def _row_end_centers(mask: np.ndarray, origin: np.ndarray, cell_size: float) -> np.ndarray:
+    """Centers of the leftmost and rightmost selected cell of each row.
+
+    Within a row, cell corner x grows with the column, so the corners of
+    these cells are the row extremes the hull keeps (``_row_extremes``).
+    """
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not len(rows):
+        raise EmptyRegionError("no cell reaches the coverage threshold")
+    picked = mask[rows]
+    left = picked.argmax(axis=1)
+    right = mask.shape[1] - 1 - picked[:, ::-1].argmax(axis=1)
+    col_x, row_y = _center_axes(origin, cell_size, mask.shape)
+    ys = row_y[rows]
+    return np.column_stack([np.concatenate([col_x[left], col_x[right]]),
+                            np.concatenate([ys, ys])])
+
+
 def _row_extremes(points: np.ndarray) -> np.ndarray:
     """The leftmost and rightmost point of each distinct y.
 
@@ -175,37 +298,40 @@ def _row_extremes(points: np.ndarray) -> np.ndarray:
     return pts[row_start | row_end]
 
 
+def _half_hull(pts) -> list:
+    """One monotone chain: drops each point that does not turn left."""
+    chain: list = []
+    for p in pts:
+        px, py = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, counter-clockwise, no duplicate endpoint."""
     # np.unique returns the rows sorted by x, then y: the order the chain walks
     pts = np.unique(_row_extremes(points), axis=0)
     if len(pts) < 3:
         return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    # Python floats round each operation as numpy float64 scalars do, faster
+    pts = pts.tolist()
+    return np.array(_half_hull(pts)[:-1] + _half_hull(reversed(pts))[:-1])
 
 
 def min_rotated_rect(points) -> np.ndarray:
     """Minimum-area rotated rectangle enclosing a point set.
 
-    Walks the convex hull with rotating calipers: the optimal rectangle has
-    one side collinear with a hull edge, so each edge direction is tried and
-    the smallest axis-aligned box in that rotated frame wins.  Returns the
-    4 corners in counter-clockwise order.  Fewer than 3 distinct points or
-    a collinear set are rejected.
+    Rotating calipers over the convex hull: the optimal rectangle has one
+    side collinear with a hull edge, so each edge direction (of length at
+    least 1e-12) is tried and the smallest axis-aligned box in that rotated
+    frame wins; the first edge wins a tie.  Returns the 4 corners in
+    counter-clockwise order.  Fewer than 3 distinct points, a collinear set
+    or a hull without such an edge are rejected.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     hull = _convex_hull(pts)
@@ -214,28 +340,24 @@ def min_rotated_rect(points) -> np.ndarray:
             raise ValueError("min_rotated_rect needs at least 3 distinct points")
         raise ValueError("min_rotated_rect needs non-collinear points")
 
-    best_area = np.inf
-    best_corners = None
     edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
-    for edge in edges:
-        norm = float(np.hypot(edge[0], edge[1]))
-        if norm < 1e-12:
-            continue
-        c, s = edge[0] / norm, edge[1] / norm
-        # coordinates in the frame where this edge is horizontal
-        xs = hull[:, 0] * c + hull[:, 1] * s
-        ys = -hull[:, 0] * s + hull[:, 1] * c
-        x0, x1 = xs.min(), xs.max()
-        y0, y1 = ys.min(), ys.max()
-        area = (x1 - x0) * (y1 - y0)
-        if area < best_area:
-            best_area = area
-            local = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-            back = np.column_stack(
-                [local[:, 0] * c - local[:, 1] * s, local[:, 0] * s + local[:, 1] * c]
-            )
-            best_corners = back
-    return best_corners
+    norm = np.hypot(edges[:, 0], edges[:, 1])
+    usable = norm >= 1e-12
+    if not usable.any():
+        raise ValueError("min_rotated_rect needs a hull edge of length >= 1e-12")
+    c = (edges[usable, 0] / norm[usable])[:, np.newaxis]
+    s = (edges[usable, 1] / norm[usable])[:, np.newaxis]
+    # hull coordinates in the frame where each edge is horizontal, one row per edge
+    xs = hull[:, 0] * c + hull[:, 1] * s
+    ys = -hull[:, 0] * s + hull[:, 1] * c
+    x0, x1 = xs.min(axis=1), xs.max(axis=1)
+    y0, y1 = ys.min(axis=1), ys.max(axis=1)
+    k = int(np.argmin((x1 - x0) * (y1 - y0)))
+    c, s = c[k, 0], s[k, 0]
+    local = np.array([[x0[k], y0[k]], [x1[k], y0[k]], [x1[k], y1[k]], [x0[k], y1[k]]])
+    return np.column_stack(
+        [local[:, 0] * c - local[:, 1] * s, local[:, 0] * s + local[:, 1] * c]
+    )
 
 
 def quad_area(points) -> float:
@@ -271,10 +393,10 @@ def merge_quads(chain, config, report=None) -> MapElement:
     out_id = main_ids[0] if main_ids else min(el.id for el in members)
 
     grid = rasterize_coverage([el.points for el in members], config.cell_size)
-    blurred = blur_coverage(grid, config.blur_sigma_cells)
+    mask, origin = _blurred_mask(grid, config.blur_sigma_cells, config.th_cov)
     fallback = False
     try:
-        centers = threshold_region(blurred, config.th_cov)
+        centers = _row_end_centers(mask, origin, config.cell_size)
         corners = min_rotated_rect(_cell_corner_points(centers, config.cell_size))
     except EmptyRegionError:
         fallback = True

@@ -10,11 +10,15 @@ docstring says so.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.signal import convolve2d
 from scipy.spatial.distance import cdist
 
 from polymerge import MapElement, VectorMap, arc_length, min_rotated_rect, to_world
 from polymerge.geometry import transform_to_world
+from polymerge.quads import gaussian_kernel
 from polymerge.synth import _quad_element
 
 
@@ -442,6 +446,79 @@ def reference_points_in_quad(points, quad) -> np.ndarray:
         dist_sq = (x - (x1 + t * dx)) ** 2 + (y - (y1 + t * dy)) ** 2
         on_edge |= dist_sq <= 1e-18
     return inside | on_edge
+
+
+def reference_rasterize_coverage(quads, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coverage raster (origin, values) by testing every cell center of the
+    apron-padded bounding box against every quad with
+    ``reference_points_in_quad``."""
+    quads = [np.asarray(q, dtype=float) for q in quads]
+    stacked = np.vstack(quads)
+    lo = stacked.min(axis=0) - cell_size
+    hi = stacked.max(axis=0) + cell_size
+    width = max(1, int(math.ceil((hi[0] - lo[0]) / cell_size)))
+    height = max(1, int(math.ceil((hi[1] - lo[1]) / cell_size)))
+    cols = (np.arange(width) + 0.5) * cell_size + lo[0]
+    rows = (np.arange(height) + 0.5) * cell_size + lo[1]
+    xx, yy = np.meshgrid(cols, rows)
+    centers = np.column_stack([xx.ravel(), yy.ravel()])
+    counts = np.zeros(len(centers))
+    for q in quads:
+        counts += reference_points_in_quad(centers, q)
+    return lo, (counts / len(quads)).reshape(height, width)
+
+
+def reference_region_mask(values, sigma_cells: float, th_cov: float) -> np.ndarray:
+    """Cells whose full-mode Gaussian blur (one 2-D ``convolve2d`` over the
+    whole grid) reaches ``th_cov``.  The kernel is the package's
+    ``gaussian_kernel``, which the checked code leaves as it is."""
+    return convolve2d(values, gaussian_kernel(sigma_cells), mode="full") >= th_cov
+
+
+def reference_min_rotated_rect(points):
+    """Rotating calipers one hull edge at a time on numpy scalars, over
+    ``monotone_chain_hull``; an edge shorter than 1e-12 is skipped, and a
+    later edge wins only with a strictly smaller area.  None when no edge
+    is usable."""
+    hull = monotone_chain_hull(points)
+    best_area, best = np.inf, None
+    for edge in np.diff(np.vstack([hull, hull[:1]]), axis=0):
+        norm = float(np.hypot(edge[0], edge[1]))
+        if norm < 1e-12:
+            continue
+        c, s = edge[0] / norm, edge[1] / norm
+        xs = hull[:, 0] * c + hull[:, 1] * s
+        ys = -hull[:, 0] * s + hull[:, 1] * c
+        x0, x1, y0, y1 = xs.min(), xs.max(), ys.min(), ys.max()
+        area = (x1 - x0) * (y1 - y0)
+        if area < best_area:
+            best_area = area
+            local = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+            best = np.column_stack(
+                [local[:, 0] * c - local[:, 1] * s, local[:, 0] * s + local[:, 1] * c]
+            )
+    return best
+
+
+def reference_merge_quads(members, config) -> np.ndarray:
+    """Fused crossing corners by the whole-raster pipeline: reference
+    raster, full blur and cut, then the rectangle around the corners of
+    every selected cell; the largest quad (ties to the larger id) when no
+    cell is selected.  The rectangle goes through the package's
+    ``MapElement`` corner order, as the fused element does."""
+    origin, values = reference_rasterize_coverage([m.points for m in members], config.cell_size)
+    mask = reference_region_mask(values, config.blur_sigma_cells, config.th_cov)
+    if not mask.any():
+        return max(members, key=lambda m: (polygon_area(m.points), m.id)).points
+    radius = (gaussian_kernel(config.blur_sigma_cells).shape[0]) // 2
+    origin = origin - radius * config.cell_size
+    rows, cols = np.nonzero(mask)
+    centers = np.column_stack([(cols + 0.5) * config.cell_size + origin[0],
+                               (rows + 0.5) * config.cell_size + origin[1]])
+    h = 0.5 * config.cell_size
+    offsets = np.array([[-h, -h], [h, -h], [h, h], [-h, h]])
+    rect = reference_min_rotated_rect((centers[:, None, :] + offsets[None]).reshape(-1, 2))
+    return MapElement("fused", "ped_crossing", rect).points
 
 
 def reference_clip_polygon(pts, half_w: float, half_h: float) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Coverage-grid pipeline for crossing quads and the rotated rectangle fit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.signal import convolve2d
 
 from polymerge import (
+    MapElement,
     MergeConfig,
     MergeReport,
     blur_coverage,
@@ -16,17 +19,27 @@ from polymerge import (
     rasterize_coverage,
     threshold_region,
 )
+from polymerge import quads
 from polymerge.quads import CoverageGrid, EmptyRegionError
 from polymerge.quads import (
+    _blurred_mask,
     _cell_corner_points,
     _convex_hull,
-    _points_in_quad,
+    _separable_blur,
     gaussian_kernel,
     quad_area,
 )
 
 from helpers import quad_element, rect_quad
-from oracles import monotone_chain_hull, quad_iou, reference_points_in_quad, sweep_min_rect_area
+from oracles import (
+    monotone_chain_hull,
+    quad_iou,
+    reference_merge_quads,
+    reference_min_rotated_rect,
+    reference_rasterize_coverage,
+    reference_region_mask,
+    sweep_min_rect_area,
+)
 
 
 def _signed_area(pts):
@@ -53,44 +66,73 @@ class TestCoverageGrid:
 
 
 @st.composite
-def _quad_and_probes(draw):
-    """A tilted rectangle, perhaps with its corners moved, and probe points:
-    raster cell centers, corners, points on the edges and points within a
-    few 1e-9 m of them."""
+def _tilted_quads(draw):
+    """1-3 tilted rectangles, perhaps with their corners moved, up to 1e6 m
+    from the origin, and a cell size of a 3rd to a 12th of their size."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.sampled_from([1e-3, 0.01, 1.0, 10.0]))
-    offset = draw(st.sampled_from([0.0, 1e3, 1e5]))
-    quad = rect_quad(offset * rng.choice([-1.0, 1.0]), offset * rng.choice([-1.0, 1.0]),
-                     w=size * rng.uniform(0.2, 1.0), h=size * rng.uniform(0.2, 1.0),
-                     angle=draw(st.floats(0.0, 2 * np.pi)))
-    if draw(st.booleans()):
-        quad = quad + rng.uniform(-0.2, 0.2, (4, 2)) * size
-    start, end = quad, np.roll(quad, -1, axis=0)
-    t = rng.uniform(0.0, 1.0, (4, 8, 1))
-    on_edge = (start[:, None] + t * (end - start)[:, None]).reshape(-1, 2)
-    normal = rng.normal(size=on_edge.shape)
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    near = on_edge + normal * rng.choice([1e-10, 5e-10, 1e-9, 2e-9], (len(on_edge), 1))
-    centers = rasterize_coverage([quad], size / 7).cell_centers()
-    return quad, np.vstack([centers, quad, on_edge, near])
+    offset = draw(st.sampled_from([0.0, 1e3, 1e5, 1e6]))
+    center = offset * rng.choice([-1.0, 1.0], 2)
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        quad = rect_quad(*(center + rng.uniform(-0.3, 0.3, 2) * size),
+                         w=size * rng.uniform(0.2, 1.0), h=size * rng.uniform(0.2, 1.0),
+                         angle=draw(st.floats(0.0, 2 * np.pi)))
+        if draw(st.booleans()):
+            quad = quad + rng.uniform(-0.2, 0.2, (4, 2)) * size
+        shapes.append(quad)
+    return shapes, size / draw(st.sampled_from([3, 7, 12]))
 
 
-class TestPointsInQuad:
-    @settings(max_examples=200, deadline=None)
-    @given(_quad_and_probes())
-    def test_matches_per_edge_reference(self, case):
-        quad, points = case
-        np.testing.assert_array_equal(
-            _points_in_quad(points, quad), reference_points_in_quad(points, quad)
-        )
+@st.composite
+def _lattice_quads(draw):
+    """1-3 quads with corners on the half-cell lattice of their raster, so
+    on cell centers and cell borders, with horizontal and vertical edges,
+    up to 1e6 m from the origin; one corner may then move by up to 2e-9."""
+    cell = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e6])) * draw(st.sampled_from([-1.0, 1.0]))
+    half_steps = st.integers(1, 8)
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        cx, cy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        shapes.append(np.array([
+            [offset + (cx + sx * draw(half_steps)) * cell / 2,
+             offset + (cy + sy * draw(half_steps)) * cell / 2]
+            for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1))
+        ]))
+    nudge = draw(st.sampled_from([0.0, 0.0, 5e-10, -1e-9, 1e-9, 2e-9]))
+    shapes[0][draw(st.integers(0, 3)), draw(st.integers(0, 1))] += nudge
+    return shapes, cell
 
-    def test_edges_and_corners_are_covered(self):
-        quad = rect_quad(0.5, 0.5, 1, 1)
-        points = np.array([(0.0, 0.0), (1.0, 0.5), (0.5, 1.0), (0.5, 1.0 + 2e-9), (1.5, 0.5)])
-        assert _points_in_quad(points, quad).tolist() == [True, True, True, False, False]
+
+def _side_by_side_squares(size, offset):
+    """Two squares sharing an edge: every covered center has coverage 0.5,
+    so the blurred interior lands on 0.5 up to rounding."""
+    return [quad_element("a", offset, offset, w=size, h=size),
+            quad_element("b", offset + size, offset, w=size, h=size)]
 
 
 class TestRasterize:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_tilted_quads(), _lattice_quads()))
+    def test_matches_per_edge_reference(self, case):
+        shapes, cell = case
+        grid = rasterize_coverage(shapes, cell)
+        origin, values = reference_rasterize_coverage(shapes, cell)
+        assert grid.origin.tobytes() == origin.tobytes()
+        assert grid.values.tobytes() == values.tobytes()
+
+    def test_edges_and_corners_are_covered(self):
+        # centers lie at -0.25 + 0.5 k: on the right and top edges and the corner
+        square = np.array([(0.0, 0.0), (1.25, 0.0), (1.25, 1.25), (0.0, 1.25)])
+        expected = np.zeros((5, 5))
+        expected[1:4, 1:4] = 1.0
+        np.testing.assert_array_equal(rasterize_coverage([square], 0.5).values, expected)
+        # 2e-9 inside, the right column and the top row are no longer on an edge
+        shrunk = square - [(0.0, 0.0), (2e-9, 0.0), (2e-9, 2e-9), (0.0, 2e-9)]
+        expected[1:4, 3] = expected[3, 1:4] = 0.0
+        np.testing.assert_array_equal(rasterize_coverage([shrunk], 0.5).values, expected)
+
     def test_single_unit_square(self):
         grid = rasterize_coverage([rect_quad(0.5, 0.5, 1, 1)], 0.1)
         centers = grid.cell_centers()
@@ -141,6 +183,29 @@ class TestRasterize:
             rasterize_coverage([np.zeros((3, 2))], 0.1)
         with pytest.raises(ValueError):
             rasterize_coverage([rect_quad(0, 0, 1, 1)], 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf, -math.inf])
+    def test_sizes_must_be_finite_and_positive(self, bad):
+        grid = CoverageGrid(np.zeros(2), 0.1, np.ones((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cell_size must be finite and positive"):
+                CoverageGrid(np.zeros(2), bad, np.zeros((2, 2)))
+            with pytest.raises(ValueError, match="cell_size must be finite and positive"):
+                rasterize_coverage([rect_quad(0, 0, 1, 1)], bad)
+            with pytest.raises(ValueError, match="sigma_cells must be finite and positive"):
+                blur_coverage(grid, bad)
+            with pytest.raises(ValueError, match="sigma_cells must be finite and positive"):
+                gaussian_kernel(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_quad_coordinates_must_be_finite(self, bad):
+        quad = rect_quad(0, 0, 1, 1)
+        quad[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="quad coordinates must be finite"):
+                rasterize_coverage([rect_quad(2, 0, 1, 1), quad], 0.1)
 
     def test_values_stay_within_unit_interval(self):
         rng = np.random.default_rng(71)
@@ -203,6 +268,37 @@ class TestBlur:
         out = blur_coverage(grid, 1.0)
         peak = out.cell_centers()[np.argmax(out.values.ravel())]
         np.testing.assert_allclose(peak, grid.cell_centers()[4 * 9 + 4], atol=1e-12)
+
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.7, 1.0, 1.5, 2.0, 2.5, 3.3, 4.0])
+    def test_separable_estimate_within_margin(self, sigma):
+        # 1000x inside the band in which the threshold cut rechecks exactly
+        rng = np.random.default_rng(int(sigma * 10))
+        kernel = gaussian_kernel(sigma)
+        for members in range(1, 9):
+            values = rng.integers(0, members + 1, (24, 31)) / members
+            exact = convolve2d(values, kernel, mode="full")
+            assert np.abs(_separable_blur(values, kernel) - exact).max() <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mask_matches_full_convolution(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        members = data.draw(st.integers(1, 8))
+        height, width = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30))
+        values = rng.integers(0, members + 1, (height, width)) / members
+        if data.draw(st.booleans()):
+            # a constant half coverage blurs to 0.5 up to rounding
+            values = np.full((height, width), 0.5)
+        sigma = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.3, 4.0]))
+        # 0.5 and its float neighbours, which the blur of 0.5 can land on
+        th = data.draw(st.sampled_from([0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                                        1.0 / members, 0.3, 0.9]))
+        assume(0.0 < th < 1.0)
+        grid = CoverageGrid(rng.uniform(-1e6, 1e6, 2), 0.1, values)
+        mask, origin = _blurred_mask(grid, sigma, th)
+        assert mask.tobytes() == reference_region_mask(values, sigma, th).tobytes()
+        assert origin.tobytes() == blur_coverage(grid, sigma).origin.tobytes()
 
 
 class TestThresholdRegion:
@@ -302,6 +398,30 @@ class TestMinRotatedRect:
             min_rotated_rect([(0, 0), (1, 1), (2, 2), (3, 3)])
         with pytest.raises(ValueError):
             min_rotated_rect([(0, 0), (0, 0), (0, 0)])
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_calipers(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        offset = data.draw(st.sampled_from([0.0, 1e3, 1e6]))
+        if data.draw(st.booleans()):
+            pts = rng.uniform(-5, 5, (data.draw(st.integers(3, 40)), 2))
+        else:
+            # corners of grid cells: collinear runs and tied areas
+            cell = float(rng.choice([0.1, 0.25]))
+            mask = rng.random((data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)))) < 0.6
+            rows, cols = np.nonzero(mask)
+            assume(len(rows))
+            pts = _cell_corner_points((np.column_stack([cols, rows]) + 0.5) * cell, cell)
+        pts = pts + offset
+        assume(len(monotone_chain_hull(pts)) >= 3)
+        expected = reference_min_rotated_rect(pts)
+        if expected is None:
+            with pytest.raises(ValueError, match="hull edge"):
+                min_rotated_rect(pts)
+        else:
+            assert min_rotated_rect(pts).tobytes() == expected.tobytes()
 
 
 class TestConvexHull:
@@ -445,6 +565,74 @@ class TestMergeQuads:
         if report.chains[0].fallback:
             largest = max(members, key=lambda m: (quad_area(m.points), m.id))
             np.testing.assert_array_equal(out.points, largest.points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_whole_raster_pipeline(self, data):
+        kind = data.draw(st.sampled_from(["tilted", "lattice", "side by side"]))
+        if kind == "side by side":
+            cell = 0.1
+            members = _side_by_side_squares(data.draw(st.sampled_from([1.0, 2.0, 3.0])),
+                                            data.draw(st.sampled_from([0.0, 1e3, 1e6])))
+        else:
+            shapes, cell = data.draw(_tilted_quads() if kind == "tilted" else _lattice_quads())
+            members = []
+            for k, shape in enumerate(shapes):
+                try:
+                    members.append(MapElement(f"q{k}", "ped_crossing", shape))
+                except ValueError:  # moved corners may make the quad invalid
+                    pass
+            assume(len(members) >= 2)
+        config = MergeConfig(cell_size=cell, th_cov=data.draw(st.sampled_from([0.3, 0.5, 0.9])),
+                             blur_sigma_cells=data.draw(st.sampled_from([0.5, 2.0])))
+        out = merge_quads(members, config)
+        assert out.points.tobytes() == reference_merge_quads(members, config).tobytes()
+
+    @pytest.mark.parametrize("th_cov", [0.5, np.nextafter(0.5, 1.0)])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_exact_recheck_decides_cells_on_the_threshold(self, monkeypatch, offset, th_cov):
+        # the interior blurs to 0.5 + 1.1e-16 under convolve2d but to 0.5
+        # under the separable estimate, so only the recheck keeps it above
+        # the upper threshold
+        config = MergeConfig(th_cov=th_cov)
+        windows = []
+
+        def counting(a, b, mode="full"):
+            windows.append(mode)
+            return convolve2d(a, b, mode=mode)
+
+        monkeypatch.setattr(quads, "convolve2d", counting)
+        members = _side_by_side_squares(3.0, offset)
+        report = MergeReport()
+        out = merge_quads(members, config, report)
+        assert windows and set(windows) == {"valid"}
+        assert report.chains[0].fallback is False
+        assert out.points.tobytes() == reference_merge_quads(members, config).tobytes()
+
+    def test_work_stays_near_the_region_edge(self, config, monkeypatch):
+        members = [quad_element("a", 0.0, 0.0, w=4, h=3, angle=0.4),
+                   quad_element("b", 0.15, -0.1, w=4, h=3, angle=0.45)]
+        seen = {"foot points": 0, "windows": 0}
+        foot_points, conv = quads._foot_points, quads.convolve2d
+
+        def counting_foot(points, poly):
+            seen["foot points"] += len(points)
+            return foot_points(points, poly)
+
+        def counting_conv(a, b, mode="full"):
+            seen["windows"] += 1
+            return conv(a, b, mode=mode)
+
+        monkeypatch.setattr(quads, "_foot_points", counting_foot)
+        monkeypatch.setattr(quads, "convolve2d", counting_conv)
+        cells = rasterize_coverage([m.points for m in members], config.cell_size).values.size
+        out = merge_quads(members, config)
+        assert cells > 2000
+        # the whole-raster pipeline tests ~2 x cells points and convolves
+        # every cell with the full kernel
+        assert seen["foot points"] <= 20
+        assert seen["windows"] <= 20
+        assert out.points.tobytes() == reference_merge_quads(members, config).tobytes()
 
     def test_wrong_label_rejected(self, config):
         from helpers import line_element
