@@ -17,7 +17,6 @@ __all__ = [
     "Pose",
     "as_points",
     "arc_length",
-    "segment_parameter",
     "project_point_to_segment",
     "project_point_to_polyline",
     "min_distance_to_polyline",
@@ -66,23 +65,6 @@ class Projection:
     distance: float
 
 
-def segment_parameter(a, b, c) -> float:
-    """Unclamped parameter of the foot of ``a`` on the line through ``b``, ``c``.
-
-    The expression and its order of operations are those of the projection
-    kernel, on Python floats, so the clamped parameter of any projection
-    onto the same segment is this value clamped to [0, 1].  For a
-    degenerate segment (``b`` and ``c`` closer than 1e-12) the parameter is
-    defined as 0.
-    """
-    (ax, ay), (bx, by), (cx, cy) = (np.asarray(p, dtype=float).tolist() for p in (a, b, c))
-    dx, dy = cx - bx, cy - by
-    len_sq = dx * dx + dy * dy
-    if len_sq < _DEGENERATE_SQ:
-        return 0.0
-    return ((ax - bx) * dx + (ay - by) * dy) / len_sq
-
-
 def project_point_to_segment(a, b, c) -> Projection:
     """Project point ``a`` onto the segment from ``b`` to ``c``: the
     polyline projection onto ``(b, c)``.  The foot never leaves the segment,
@@ -112,6 +94,28 @@ def _foot_points(a, points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     fx, fy = x0 + t * dx, y0 + t * dy
     ox, oy = ax - fx, ay - fy
     return t, fx, fy, np.sqrt(ox * ox + oy * oy)
+
+
+def _segment_foot(ax, ay, bx, by, cx, cy) -> tuple[float, float, float, float, float]:
+    """``_foot_points`` of one point on one segment, on Python floats:
+    (unclamped t, t, foot x, foot y, distance).
+
+    The kernel's expressions in the kernel's order, so every value has the
+    bits of the kernel's entry for that segment, and t is the unclamped
+    parameter clamped to [0, 1].  A degenerate segment (``b`` and ``c``
+    closer than 1e-12) has both parameters 0.
+    """
+    dx, dy = cx - bx, cy - by
+    len_sq = dx * dx + dy * dy
+    if len_sq < _DEGENERATE_SQ:
+        raw = t = 0.0
+    else:
+        raw = ((ax - bx) * dx + (ay - by) * dy) / len_sq
+        # as np.clip: NaN stays NaN
+        t = 0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw
+    fx, fy = bx + t * dx, by + t * dy
+    ox, oy = ax - fx, ay - fy
+    return raw, t, fx, fy, math.sqrt(ox * ox + oy * oy)
 
 
 def project_point_to_polyline(a, points) -> Projection:

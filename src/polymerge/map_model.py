@@ -181,13 +181,22 @@ class VectorMap:
         raise KeyError(element_id)
 
 
+def _world_points(vmap: VectorMap) -> list[np.ndarray]:
+    """Every element's points in the world frame.  An ego map's points are
+    stacked into one ``transform_to_world`` call; the transform works row
+    by row, so each row has the bits of a per-element call."""
+    if vmap.frame == "world" or not vmap.elements:
+        return [el.points for el in vmap.elements]
+    stacked = np.concatenate([el.points for el in vmap.elements])
+    ends = np.cumsum([len(el.points) for el in vmap.elements])
+    return np.split(transform_to_world(stacked, vmap.pose), ends[:-1])
+
+
 def to_world(vmap: VectorMap) -> VectorMap:
     """Express a map in the world frame (identity for world maps)."""
     if vmap.frame == "world":
         return vmap
-    elements = tuple(
-        el.with_points(transform_to_world(el.points, vmap.pose)) for el in vmap.elements
-    )
+    elements = tuple(el.with_points(pts) for el, pts in zip(vmap.elements, _world_points(vmap)))
     return VectorMap(elements, "world")
 
 
@@ -201,8 +210,7 @@ def concatenate(main: VectorMap, secondaries) -> VectorMap:
     """
     merged: list[MapElement] = []
     for idx, src in enumerate([main, *secondaries]):
-        for el in src.elements:
-            pts = el.points if src.frame == "world" else transform_to_world(el.points, src.pose)
+        for el, pts in zip(src.elements, _world_points(src)):
             merged.append(MapElement(f"{idx}:{el.id}", el.label, pts, is_main=(idx == 0)))
     return VectorMap(tuple(merged), "world")
 

@@ -4,6 +4,14 @@ Each source vertex is projected onto the base polyline and handled by one
 of four cases: midpoint insertion inside a segment, midpoint replacement
 of a hit vertex, or extension past the first or last vertex.  Chains of
 mutually close elements collapse into a single merged element.
+
+A member is projected onto its base once, onto the original segments.
+Each current segment belongs to the family of the original segment it
+descends from, or is an extension.  A running bound of how far a touched
+family has moved from its original segment turns those distances into
+lower bounds, so a vertex is re-projected exactly only onto the touched
+families that could be nearest, and onto the extensions.  Equidistant
+segments go to the lowest index, as ``np.argmin`` over the whole base.
 """
 
 from __future__ import annotations
@@ -13,7 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import arc_length, as_points, project_point_to_polyline, segment_parameter
+from .geometry import _foot_points, _segment_foot, arc_length, as_points
+# Re-exported as a module attribute: the benchmark's per-layer trace wraps
+# ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
+from .geometry import project_point_to_polyline as project_point_to_polyline
 from .map_model import _EPS, LABEL_PED_CROSSING, MapElement, VectorMap, concatenate
 from .metrics import discrete_frechet
 from .proximity import build_graph, merge_chains
@@ -34,6 +45,11 @@ __all__ = [
 
 # moving-average window of the optional smoothing step
 _SMOOTHING_WINDOW = 5
+# cells of one block of the fold's (vertices, segments) distance matrix, so
+# that its memory stays bounded when a long member meets a long base
+_BLOCK_CELLS = 1 << 16
+# past this coordinate magnitude squares of differences may overflow
+_HUGE = 1e150
 
 
 @dataclass(frozen=True)
@@ -100,28 +116,6 @@ class MergeReport:
         }
 
 
-def _merge_point(a: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, int]:
-    """Merge one source vertex into the base; returns (new base, scenario)."""
-    pr = project_point_to_polyline(a, base)
-    k = pr.segment_index
-    if 0.0 < pr.t < 1.0:
-        # foot strictly inside a segment: insert the midpoint
-        return np.vstack([base[: k + 1], 0.5 * (a + pr.point), base[k + 1 :]]), 1
-    # pr.t is this parameter clamped, so only a foot on a vertex can lie past an end
-    raw = segment_parameter(a, base[k], base[k + 1])
-    if k == 0 and raw < 0.0:
-        # beyond the start: extend backwards to the foot on the first segment's line
-        return np.vstack([base[0] + raw * (base[1] - base[0]), base]), 3
-    if k == len(base) - 2 and raw > 1.0:
-        # beyond the end: extend forwards to the foot on the last segment's line
-        return np.vstack([base, base[-2] + raw * (base[-1] - base[-2])]), 4
-    # foot coincides with a vertex: replace it by the midpoint
-    j = k if pr.t == 0.0 else k + 1
-    out = base.copy()
-    out[j] = 0.5 * (a + base[j])
-    return out, 2
-
-
 def merge_point(a, base) -> np.ndarray:
     """Merge a single source vertex ``a`` into the base polyline.
 
@@ -133,21 +127,203 @@ def merge_point(a, base) -> np.ndarray:
     return merge_polyline(np.reshape(a, (1, 2)), base)
 
 
+class _Fold:
+    """One member's fold into a base; ``merge_polyline`` says how it works.
+
+    Family f is original segment f.  Its current vertices are original
+    vertex f, the midpoints ``inner[f]`` it gained, and original vertex
+    f + 1, which it shares with family f + 1; vertices move in place.
+    ``front`` and ``back`` hold the extensions before the first and after
+    the last original vertex.  A segment is named (fam, pos): fam -1 for the
+    front extensions, 0 .. n - 1 for a family, n for the back extensions,
+    and pos its index in that chain, so the names sort in polyline order.
+    """
+
+    def __init__(self, src: np.ndarray, base: np.ndarray):
+        self.src, self.base = src, base
+        self.verts = base.tolist()
+        self.inner: dict[int, list] = {}
+        self.moved: set[int] = set()
+        self.front: list = []
+        self.back: list = []
+        n = len(base) - 1
+        # H[f]; -inf while family f is untouched
+        self.bound = np.full(n, -np.inf)
+        self.rows = max(1, _BLOCK_CELLS // n)
+        self.dist = self.exact = np.empty((0, n))
+        self.scale = max(float(np.abs(src).max(initial=0.0)), float(np.abs(base).max()))
+
+    def chain(self, fam: int) -> list:
+        if fam < 0:
+            return self.front + self.verts[:1]
+        if fam == len(self.bound):
+            return self.verts[-1:] + self.back
+        return [self.verts[fam], *self.inner.get(fam, ()), self.verts[fam + 1]]
+
+    def polyline(self) -> np.ndarray:
+        out = self.base.copy()
+        for k in self.moved:
+            out[k] = self.verts[k]
+        if self.inner:
+            fams = sorted(self.inner)
+            at = np.repeat(np.array(fams) + 1, [len(self.inner[f]) for f in fams])
+            out = np.insert(out, at, [v for f in fams for v in self.inner[f]], axis=0)
+        if self.front or self.back:
+            out = np.concatenate([np.reshape(self.front, (-1, 2)), out,
+                                  np.reshape(self.back, (-1, 2))])
+        return out
+
+    def nearest(self, i: int, ax: float, ay: float):
+        """The segment ``np.argmin`` over the current polyline picks for
+        source vertex ``i`` at (ax, ay), and its ``_segment_foot``."""
+        if self.scale >= _HUGE:
+            return self._nearest_by_argmin(ax, ay)
+        r = i % self.rows
+        if r == 0:
+            self.dist = _foot_points(self.src[i:i + self.rows], self.base)[3]
+            self.exact = self.dist.copy()
+            self.exact[:, self.bound > -np.inf] = np.inf
+        row = self.exact[r]
+        fam = int(row.argmin())
+        best_d, best, foot = float(row[fam]), (fam, 0), None
+
+        def consider(fam):
+            nonlocal best_d, best, foot
+            chain = self.chain(fam)
+            for pos in range(len(chain) - 1):
+                (bx, by), (cx, cy) = chain[pos], chain[pos + 1]
+                res = _segment_foot(ax, ay, bx, by, cx, cy)
+                if res[4] < best_d or (res[4] == best_d and (fam, pos) < best):
+                    best_d, best, foot = res[4], (fam, pos), res
+
+        if self.front:
+            consider(-1)
+        if self.back:
+            consider(len(self.bound))
+        # the margin merge_polyline's docstring derives
+        limit = best_d + (1e-12 * self.scale + 1e-150)
+        for near in (self.dist[r] - self.bound <= limit).nonzero()[0].tolist():
+            consider(near)
+        if foot is None:
+            (bx, by), (cx, cy) = self.verts[fam:fam + 2]
+            foot = _segment_foot(ax, ay, bx, by, cx, cy)
+        return best, foot
+
+    def _nearest_by_argmin(self, ax: float, ay: float):
+        """``nearest`` where squares may overflow: the kernel over the whole
+        current polyline and ``np.argmin``, its NaN rule included."""
+        k = int(np.argmin(_foot_points(np.array([ax, ay]), self.polyline())[3]))
+        for fam in range(-1, len(self.bound) + 1):
+            chain = self.chain(fam)
+            if k < len(chain) - 1:
+                (bx, by), (cx, cy) = chain[k], chain[k + 1]
+                return (fam, k), _segment_foot(ax, ay, bx, by, cx, cy)
+            k -= len(chain) - 1
+
+    def touch(self, fam: int, v: list) -> None:
+        """Family ``fam`` (none if out of range) gained or moved vertex ``v``."""
+        if 0 <= fam < len(self.bound):
+            (bx, by), (cx, cy) = self.base[fam:fam + 2].tolist()
+            h, old = _segment_foot(v[0], v[1], bx, by, cx, cy)[4], self.bound[fam]
+            if old == -np.inf:
+                self.exact[:, fam] = np.inf
+            if h > old:
+                self.bound[fam] = h
+
+    def fold(self, ax: float, ay: float, where, foot) -> int:
+        """Fold (ax, ay) into segment ``where``; returns the scenario."""
+        fam, pos = where
+        raw, t, fx, fy, _ = foot
+        n = len(self.bound)
+        if 0.0 < t < 1.0:
+            # foot strictly inside a segment: insert the midpoint
+            m = [0.5 * (ax + fx), 0.5 * (ay + fy)]
+            if fam < 0:
+                self.front.insert(pos + 1, m)
+            elif fam == n:
+                self.back.insert(pos, m)
+            else:
+                self.inner.setdefault(fam, []).insert(pos, m)
+                self.touch(fam, m)
+            return 1
+        # t is raw clamped, so only a foot on a vertex can lie past an end
+        chain = self.chain(fam)
+        (x0, y0), (x1, y1) = chain[pos], chain[pos + 1]
+        if raw < 0.0 and where == ((-1, 0) if self.front else (0, 0)):
+            # beyond the start: extend backwards to the foot on the first segment's line
+            self.front.insert(0, self._grown(x0 + raw * (x1 - x0), y0 + raw * (y1 - y0)))
+            return 3
+        if raw > 1.0 and where == ((n, len(self.back) - 1) if self.back
+                                   else (n - 1, len(self.inner.get(n - 1, ())))):
+            # beyond the end: extend forwards to the foot on the last segment's line
+            self.back.append(self._grown(x0 + raw * (x1 - x0), y0 + raw * (y1 - y0)))
+            return 4
+        # foot coincides with a vertex: replace it by the midpoint
+        j = pos if t == 0.0 else pos + 1
+        v = chain[j]
+        v[0], v[1] = 0.5 * (ax + v[0]), 0.5 * (ay + v[1])
+        # original vertex k, if v is one, belongs to families k - 1 and k
+        k = fam if j == 0 else fam + 1 if j == len(chain) - 1 else -1
+        if 0 <= k <= n:
+            self.moved.add(k)
+            self.touch(k - 1, v)
+            self.touch(k, v)
+        else:
+            self.touch(fam, v)
+        return 2
+
+    def _grown(self, x: float, y: float) -> list:
+        self.scale = max(self.scale, abs(x), abs(y))
+        return [x, y]
+
+
 def merge_polyline(source, base, scenario_counts=None) -> np.ndarray:
     """Fold every vertex of ``source`` into ``base``, in order.
 
     The updated base is threaded through the fold, so later vertices see
-    the effect of earlier ones.
+    the effect of earlier ones.  Each vertex folds into the current segment
+    nearest to it, the lowest index among equidistant ones: the segment and
+    the bits that ``np.argmin`` over ``_foot_points`` of the whole current
+    base would give.
+
+    The member is projected onto the base once: one ``_foot_points(src,
+    base)`` call (per block of ``_BLOCK_CELLS`` cells) gives D[i, f], the
+    distance of vertex i to original segment f.  Every current segment
+    descends from one original segment, its family, or extends the base
+    past an end.  A family no fold has touched is still its original
+    segment, so D is its distance to the bit.  For a touched family, H[f] is
+    the largest distance to segment f of any vertex its segments have had.
+    A segment lies in the hull of its two vertices and the distance to a
+    segment is convex, so every segment of family f lies within H[f] of
+    segment f, and D[i, f] - H[f] bounds vertex i's distance to all of them
+    from below.  For each vertex, the nearest untouched family (one argmin)
+    and every extension segment give an exact distance d; only the touched
+    families whose bound is within d + margin are re-projected, segment by
+    segment, with ``_segment_foot``.
+
+    The margin is 1e-12 S + 1e-150, where S bounds every coordinate of the
+    source, the base and the extensions.  The kernel's foot lies within
+    10 ulps of S of a point of the segment (on the start point of a
+    degenerate one), that point within 30 ulps of S of the segment's
+    nearest point, and the computed distance within 3 ulps, plus 3.2e-162
+    from squares that go subnormal, of the distance to the foot.  So every computed distance,
+    of D, of H and of each re-projection, is within 5.3e-15 S + 3.2e-162 of
+    the true one, and the computed bound D - H errs by less than
+    1.1e-14 S + 1e-161: a skipped segment is farther than d by a computed
+    distance too, so it can neither win nor tie.  Past S = 1e150 squares
+    may overflow; there each vertex takes ``np.argmin`` over the kernel on
+    the whole current base.
     """
     src = as_points(source)
-    out = as_points(base)
-    if len(out) < 2:
+    pts = as_points(base)
+    if len(pts) < 2:
         raise ValueError("base polyline needs at least 2 vertices")
-    for a in src:
-        out, scenario = _merge_point(a, out)
+    fold = _Fold(src, pts)
+    for i, (ax, ay) in enumerate(src.tolist()):
+        scenario = fold.fold(ax, ay, *fold.nearest(i, ax, ay))
         if scenario_counts is not None:
             scenario_counts[scenario] = scenario_counts.get(scenario, 0) + 1
-    return out
+    return fold.polyline()
 
 
 def _select_base(members: list[MapElement]) -> MapElement:
@@ -219,7 +395,9 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     none: the longest element overall, ties by smallest id).  The remaining
     members are folded in by descending arc length; each is reversed first
     when its reversed orientation is closer to the base in Frechet distance.
-    The result keeps the base's id and label and is flagged as main.
+    Smoothing, when enabled, is skipped where it would leave the line with
+    no length.  The result keeps the base's id and label and is flagged as
+    main.
     """
     members = list(chain)
     if len(members) < 2:
@@ -235,12 +413,16 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     rest = [el for el in members if el is not base_el]
     rest.sort(key=lambda el: -arc_length(el.points))
 
-    base = np.array(base_el.points)
+    base = base_el.points
     counts: dict[int, int] = {}
     for el in rest:
         base = merge_polyline(_orient(el.points, base), base, counts)
     if config.smoothing_enabled:
-        base = smooth(base, _SMOOTHING_WINDOW)
+        smoothed = smooth(base, _SMOOTHING_WINDOW)
+        # a line back at its start can average onto that point: no length left
+        steps = smoothed[1:] - smoothed[:-1]
+        if (steps * steps).any():
+            base = smoothed
     if report is not None:
         report.add_chain(
             label=label,

@@ -17,7 +17,7 @@ from scipy.signal import convolve2d
 from scipy.spatial.distance import cdist
 
 from polymerge import MapElement, VectorMap, arc_length, min_rotated_rect, to_world
-from polymerge.geometry import transform_to_world
+from polymerge.geometry import project_point_to_polyline, transform_to_world
 from polymerge.quads import gaussian_kernel
 from polymerge.synth import _quad_element
 
@@ -343,6 +343,35 @@ def reference_orient(src, base) -> np.ndarray:
     if reference_frechet_dp(src[::-1], base) < reference_frechet_dp(src, base):
         return src[::-1]
     return src
+
+
+def reference_merge_polyline(source, base, scenario_counts=None) -> np.ndarray:
+    """The fold one source vertex at a time: a ``project_point_to_polyline``
+    call on the whole current base per vertex, then a new base array.  The
+    unclamped parameter is the projection kernel's expression on Python
+    floats.  Reuses that package helper, which the fold no longer calls."""
+    out = np.asarray(base, dtype=float)
+    for a in np.asarray(source, dtype=float).reshape(-1, 2):
+        pr = project_point_to_polyline(a, out)
+        k = pr.segment_index
+        (ax, ay), (bx, by), (cx, cy) = a.tolist(), out[k].tolist(), out[k + 1].tolist()
+        dx, dy = cx - bx, cy - by
+        len_sq = dx * dx + dy * dy
+        raw = 0.0 if len_sq < 1e-24 else ((ax - bx) * dx + (ay - by) * dy) / len_sq
+        if 0.0 < pr.t < 1.0:
+            out, scenario = np.vstack([out[: k + 1], 0.5 * (a + pr.point), out[k + 1 :]]), 1
+        elif k == 0 and raw < 0.0:
+            out, scenario = np.vstack([out[0] + raw * (out[1] - out[0]), out]), 3
+        elif k == len(out) - 2 and raw > 1.0:
+            out, scenario = np.vstack([out, out[-2] + raw * (out[-1] - out[-2])]), 4
+        else:
+            j = k if pr.t == 0.0 else k + 1
+            out = out.copy()
+            out[j] = 0.5 * (a + out[j])
+            scenario = 2
+        if scenario_counts is not None:
+            scenario_counts[scenario] = scenario_counts.get(scenario, 0) + 1
+    return out
 
 
 def reference_map_doc(vmap) -> dict:

@@ -148,6 +148,23 @@ class TestMerge:
             assert "'d0'" in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ego.json"]
 
+    def test_smoothing_that_would_collapse_a_line_keeps_the_fold(self, runner, tmp_path):
+        # smoothing would average both interior vertices onto the shared ends
+        main_doc = {"frame": "world", "elements": [
+            {"id": "d", "label": "divider", "points": [[1, 2], [0, 0], [2, 4], [1, 2]]}]}
+        sec_doc = {"frame": "world", "elements": [
+            {"id": "d", "label": "divider", "points": [[1, 2], [2, 4], [0, 0], [1, 2]]}]}
+        (tmp_path / "main.json").write_text(json.dumps(main_doc))
+        (tmp_path / "sec.json").write_text(json.dumps(sec_doc))
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, [
+            "merge", "--main", str(tmp_path / "main.json"),
+            "--secondary", str(tmp_path / "sec.json"), "--smooth", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        merged = load_map(out)
+        assert [el.points.tolist() for el in merged.elements] == [main_doc["elements"][0]["points"]]
+
     def test_missing_file_rejected(self, runner, tmp_path):
         result = runner.invoke(main, [
             "merge", "--bootstrap", "--secondary", str(tmp_path / "nope.json"),

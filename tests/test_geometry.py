@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from polymerge.geometry import (
     Pose,
+    _segment_foot,
     arc_length,
     as_points,
     min_distance_to_polyline,
     project_point_to_polyline,
     project_point_to_segment,
-    segment_parameter,
     transform_to_world,
 )
 
@@ -232,12 +232,14 @@ class TestPose:
 
 
 class TestSegmentParameter:
+    """The unclamped parameter of ``_segment_foot``, the scalar kernel."""
+
     def test_unclamped_values(self):
-        assert segment_parameter((3, 1), (0, 0), (2, 0)) == 1.5
-        assert segment_parameter((-1, 1), (0, 0), (2, 0)) == -0.5
+        assert _segment_foot(3.0, 1.0, 0.0, 0.0, 2.0, 0.0) == (1.5, 1.0, 2.0, 0.0, math.hypot(1, 1))
+        assert _segment_foot(-1.0, 1.0, 0.0, 0.0, 2.0, 0.0)[:2] == (-0.5, 0.0)
 
     def test_degenerate_is_zero(self):
-        assert segment_parameter((5, 5), (1, 1), (1, 1)) == 0.0
+        assert _segment_foot(5.0, 5.0, 1.0, 1.0, 1.0, 1.0)[:4] == (0.0, 0.0, 1.0, 1.0)
 
 
 # UTM-scale positions, segments from 1 mm to 100 m and segments around the
@@ -259,13 +261,14 @@ class TestOneArithmetic:
         b = np.array([bx, by])
         c = b + length * np.array([math.cos(angle), math.sin(angle)])
         a = b + np.array([u, v])
-        raw = segment_parameter(a, b, c)
+        raw, t, fx, fy, dist = _segment_foot(*a.tolist(), *b.tolist(), *c.tolist())
         pr = project_point_to_polyline(a, [b, c])
         # the kernel's unclamped parameter: its expression on float64 scalars
         (dx, dy), (ex, ey) = c - b, a - b
         len_sq = dx * dx + dy * dy
         assert raw == (0.0 if len_sq < 1e-24 else (ex * dx + ey * dy) / len_sq)
-        assert pr.t == max(0.0, min(1.0, raw))
+        assert pr.t == t == max(0.0, min(1.0, raw))
+        assert (pr.point.tolist(), pr.distance) == ([fx, fy], dist)
         seg = project_point_to_segment(a, b, c)
         assert np.array_equal(seg.point, pr.point)
         assert (seg.segment_index, seg.t, seg.distance) == (pr.segment_index, pr.t, pr.distance)

@@ -20,10 +20,11 @@ from polymerge import (
     save_map,
     to_world,
 )
+from polymerge import map_model
 from polymerge.geometry import transform_to_world
 from polymerge.map_model import atomic_writer
 
-from helpers import line_element, quad_element, random_world_map, rect_quad
+from helpers import line_element, quad_element, random_polyline, random_world_map, rect_quad
 from oracles import reference_canonical_quad, reference_map_doc, reference_quad_problem
 
 # corners on the integer lattice around the origin, some moved by about the
@@ -248,6 +249,29 @@ class TestConcatenate:
         for el in ego.elements:
             expected = world.element(el.id).points
             assert out.element(f"1:{el.id}").points.tobytes() == expected.tobytes()
+
+    def test_one_transform_per_ego_map_with_per_element_bits(self, small_world_map, monkeypatch):
+        rng = np.random.default_rng(41)
+        egos = [
+            VectorMap(tuple(MapElement(f"e{k}", "divider", random_polyline(rng, scale=30.0))
+                            for k in range(int(rng.integers(1, 6))))
+                      + (MapElement("c", "ped_crossing", rect_quad(3.0, 1.0, 4.0, 3.0, 0.3)),),
+                      "ego", Pose.from_yaw(rng.uniform(-np.pi, np.pi), *rng.uniform(-1e5, 1e5, 2)))
+            for _ in range(3)
+        ]
+        calls = []
+
+        def counting(points, pose):
+            calls.append(len(points))
+            return transform_to_world(points, pose)
+
+        monkeypatch.setattr(map_model, "transform_to_world", counting)
+        out = concatenate(small_world_map, egos)
+        assert calls == [sum(len(el.points) for el in ego.elements) for ego in egos]
+        for idx, ego in enumerate(egos, start=1):
+            for el in ego.elements:
+                expected = MapElement("x", el.label, transform_to_world(el.points, ego.pose)).points
+                assert out.element(f"{idx}:{el.id}").points.tobytes() == expected.tobytes()
 
     def test_inputs_not_mutated(self, small_world_map):
         before = [el.points.copy() for el in small_world_map.elements]

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polymerge import (
@@ -25,9 +25,10 @@ from polymerge import (
 )
 
 from polymerge import merging
+from polymerge.geometry import _segment_foot
 
 from helpers import line_element, quad_element, random_polyline
-from oracles import reference_orient, reference_smooth
+from oracles import reference_merge_polyline, reference_orient, reference_smooth
 
 
 class TestMergePoint:
@@ -186,6 +187,66 @@ def _lattice_line(min_size=2, max_size=6):
 
 
 @st.composite
+def _fold_cases(draw):
+    """(source, base) for the fold: lines on an integer lattice (exact
+    distance ties), bases with repeated vertices (degenerate segments),
+    sources that run past both ends of the base and noisy copies of it,
+    shifted by 0 or 1e5 m or scaled to near 1e150, on both sides of the
+    bound where the fold stops trusting its distance bounds, or to 1e155,
+    where squares overflow."""
+    base = draw(st.lists(st.tuples(_lat, _lat), min_size=2, max_size=8))
+    kind = draw(st.sampled_from(["lattice", "repeated", "past_ends", "noisy"]))
+    if kind == "repeated":
+        base = [v for v in base for _ in range(draw(st.integers(1, 3)))]
+    source = draw(st.lists(st.tuples(_lat, _lat), min_size=0, max_size=6))
+    if kind == "past_ends":
+        (x0, y0), (x1, y1), (xm, ym), (xn, yn) = base[0], base[1], base[-2], base[-1]
+        before = [(x0 + j * (x0 - x1), y0 + j * (y0 - y1)) for j in range(3, 0, -1)]
+        after = [(xn + j * (xn - xm), yn + j * (yn - ym)) for j in range(1, 4)]
+        source = before + source + after
+    base, source = np.array(base), np.array(source).reshape(-1, 2)
+    if kind == "noisy":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        source = np.concatenate([source, base + rng.normal(0.0, 0.3, base.shape)])
+    if draw(st.booleans()):
+        source = source[::-1]
+    scale, offset = draw(st.sampled_from([(1.0, 0.0), (1.0, 1e5), (1.0, -1e5), (1e148, 0.0),
+                                          (1e149, 0.0), (1e150, 0.0), (1e155, 0.0)]))
+    return source * scale + offset, base * scale + offset
+
+
+class TestFold:
+    @settings(max_examples=600, deadline=None)
+    @given(_fold_cases(), st.sampled_from([merging._BLOCK_CELLS, 1, 7]))
+    def test_matches_per_vertex_fold_bitwise(self, case, block_cells):
+        source, base = case
+        got_counts, want_counts = {}, {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            with mock.patch.object(merging, "_BLOCK_CELLS", block_cells):
+                got = merge_polyline(source, base, got_counts)
+            want = reference_merge_polyline(source, base, want_counts)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_counts == want_counts
+
+    def test_noisy_copy_reprojects_few_segments(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        base = np.column_stack([np.linspace(0.0, 150.0, 201), np.zeros(201)])
+        source = base + rng.normal(0.0, 0.2, base.shape)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _segment_foot(*args)
+
+        monkeypatch.setattr(merging, "_segment_foot", counting)
+        got = merge_polyline(source, base)
+        assert got.tobytes() == reference_merge_polyline(source, base).tobytes()
+        # the per-vertex fold projects onto ~300 segments per vertex
+        assert len(calls) <= 5 * len(source)
+
+
+@st.composite
 def _orientation_chains(draw):
     """A divider chain that stresses the member orientation rule: exact and
     reversed copies of the first member, palindromes (equal distance both
@@ -216,9 +277,17 @@ def _orientation_chains(draw):
             for k, pts in enumerate(members)]
 
 
+# smoothing averages both interior vertices onto the shared start and end
+_COLLAPSING_PAIR = [
+    MapElement("m0", "divider", np.array([[1.0, 2], [0, 0], [2, 4], [1, 2]]), is_main=True),
+    MapElement("m1", "divider", np.array([[1.0, 2], [2, 4], [0, 0], [1, 2]])),
+]
+
+
 class TestOrientation:
     @settings(max_examples=400, deadline=None)
     @given(_orientation_chains(), st.booleans())
+    @example(_COLLAPSING_PAIR, True)
     def test_matches_two_dp_rule_bitwise(self, chain, smoothing):
         config = MergeConfig(smoothing_enabled=smoothing)
         got_report, want_report = MergeReport(), MergeReport()
