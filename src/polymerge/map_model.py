@@ -10,6 +10,7 @@ frame, and are immutable once built.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -42,6 +43,8 @@ LABELS = (LABEL_PED_CROSSING, LABEL_DIVIDER, LABEL_BOUNDARY)
 FRAMES = ("ego", "world")
 
 _EPS = float(np.finfo(float).eps)
+_FLOAT_MAX = float(np.finfo(float).max)
+_JSON_NUMBERS = frozenset((int, float))
 
 
 class MapFormatError(ValueError):
@@ -227,6 +230,9 @@ def _parse_pose(obj, where: str) -> Pose:
         raise MapFormatError(f"{where}: pose rotation must be [w, x, y, z]")
     if not isinstance(trans, list) or len(trans) != 3:
         raise MapFormatError(f"{where}: pose translation must be [x, y, z]")
+    for key, values in (("rotation", rot), ("translation", trans)):
+        if any(type(v) not in _JSON_NUMBERS for v in values):
+            raise MapFormatError(f"{where}: pose {key} must hold numbers, got {json.dumps(values)}")
     try:
         return Pose(np.array(rot, dtype=float), np.array(trans, dtype=float))
     except (TypeError, ValueError) as exc:
@@ -250,11 +256,19 @@ def _parse_element(obj, index: int) -> MapElement:
     for k, p in enumerate(pts):
         if not isinstance(p, list) or len(p) != 2:
             raise MapFormatError(f"{where}: points[{k}] must be an [x, y] pair")
+        # exact types: json reads true as a bool, which is an int subclass
+        if type(p[0]) not in _JSON_NUMBERS or type(p[1]) not in _JSON_NUMBERS:
+            raise MapFormatError(f"{where}: points[{k}] must hold two numbers, got {json.dumps(p)}")
     is_main = obj.get("is_main", False)
     if not isinstance(is_main, bool):
         raise MapFormatError(f"{where}: field 'is_main' must be a boolean")
     try:
-        return MapElement(el_id, label, np.array(pts, dtype=float).reshape(-1, 2), is_main)
+        xy = np.fromiter(itertools.chain.from_iterable(pts), float, 2 * len(pts))
+    except OverflowError:
+        k = next(k for k, p in enumerate(pts) if max(map(abs, p)) > _FLOAT_MAX)
+        raise MapFormatError(f"{where}: points[{k}] is beyond the float range") from None
+    try:
+        return MapElement(el_id, label, xy.reshape(-1, 2), is_main)
     except (TypeError, ValueError) as exc:
         raise MapFormatError(str(exc)) from None
 

@@ -29,13 +29,57 @@ def discrete_frechet(p, q) -> float:
     """Discrete Frechet distance between two vertex chains.
 
     Dynamic program over the coupling lattice:
-    dp[i][j] = max(|p_i - q_j|, min(dp[i-1][j], dp[i][j-1], dp[i-1][j-1])).
+    dp[i][j] = max(|p_i - q_j|, min(dp[i-1][j], dp[i][j-1], dp[i-1][j-1])),
+    run only when two bounds from the same distance matrix do not meet.
+
+    Every coupling contains both end pairs and a cell in every row and
+    every column, so no coupling's largest distance is below either
+    end-pair distance, any row's minimum or any column's minimum: the
+    largest of these bounds the result from below.  One greedy coupling
+    bounds it from above.  All three are picks from the same floats, so
+    when the bounds are equal that float is the DP's answer.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
     if len(p) == 0 or len(q) == 0:
         raise ValueError("discrete_frechet needs non-empty vertex chains")
     dist = cdist(p, q)
+    # numpy reductions keep a NaN, which fails the test below and goes to the DP
+    lower = float(np.max((dist[0, 0], dist[-1, -1],
+                          dist.min(axis=1).max(), dist.min(axis=0).max())))
+    if _greedy_coupling_within(dist, lower):
+        return lower
+    return _frechet_dp(dist)
+
+
+def _greedy_coupling_within(dist: np.ndarray, limit: float) -> bool:
+    """True when the greedy monotone coupling that
+    ``merging._greedy_coupling_below`` walks, taken here on ``dist`` itself,
+    couples no distance above ``limit``.  Each step takes the cheapest of
+    the diagonal, down and right moves, and once one chain is at its end
+    the rest of the other pairs with that end.  False for a NaN limit."""
+    if limit != limit:
+        return False
+    at = dist.item
+    n, m = dist.shape[0] - 1, dist.shape[1] - 1
+    i = j = 0
+    while i < n and j < m:
+        d, down, right = at(i + 1, j + 1), at(i + 1, j), at(i, j + 1)
+        if down < d and down <= right:
+            d, i = down, i + 1
+        elif right < d:
+            d, j = right, j + 1
+        else:
+            i, j = i + 1, j + 1
+        if d > limit:
+            return False
+    tail = dist[i, j + 1:] if i == n else dist[i + 1:, j]
+    return not (tail > limit).any()
+
+
+def _frechet_dp(dist: np.ndarray) -> float:
+    """The discrete Frechet DP over a distance matrix, exactly as written in
+    ``discrete_frechet``'s docstring."""
     # row by row on Python floats: indexing a numpy array per cell boxes a
     # scalar, which costs more than the comparisons; they only pick
     # existing values, so the result is exact
@@ -222,20 +266,20 @@ def evaluate_map(
     by_label: dict[str, dict[str, list[float]]] = {
         label: {"pcm": [], "df": []} for label in LABELS
     }
+    est_by_id = {el.id: el for el in est.elements}
+    gt_by_id = {el.id: el for el in gt.elements}
     for est_id, gt_id in pairs:
-        e = est.element(est_id)
-        g = gt.element(gt_id)
+        e = est_by_id[est_id]
+        g = gt_by_id[gt_id]
         by_label[e.label]["pcm"].append(pcm(e.points, g.points))
         by_label[e.label]["df"].append(discrete_frechet(e.points, g.points))
 
-    est_labels = {el.id: el.label for el in est.elements}
-    gt_labels = {el.id: el.label for el in gt.elements}
     rows = []
     for label in LABELS:
         rows.append(_stat_row(label, kind, "pcm", by_label[label]["pcm"]))
         rows.append(_stat_row(label, kind, "df", by_label[label]["df"]))
-        n_est = sum(1 for i in unmatched_est if est_labels[i] == label)
-        n_gt = sum(1 for i in unmatched_gt if gt_labels[i] == label)
+        n_est = sum(1 for i in unmatched_est if est_by_id[i].label == label)
+        n_gt = sum(1 for i in unmatched_gt if gt_by_id[i].label == label)
         rows.append(MetricRow(label, kind, "unmatched_est", None, None, None, None, n_est))
         rows.append(MetricRow(label, kind, "unmatched_gt", None, None, None, None, n_gt))
     return EvalReport(tuple(rows))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import min_distance_to_polyline
+from .geometry import _segment_foot, min_distance_to_polyline
 from .map_model import MapElement, VectorMap
 
 __all__ = ["ProximityGraph", "polyline_merge_check", "candidate_pairs", "build_graph", "merge_chains"]
@@ -29,12 +29,30 @@ def _bbox_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.hypot(gap[0], gap[1]))
 
 
+def _witness_near(src: np.ndarray, poly: np.ndarray, th_prox: float) -> bool:
+    """True when the middle vertex of ``src`` lies closer than ``th_prox``
+    to the middle segment of ``poly`` or to one of its two neighbours."""
+    ax, ay = src[len(src) // 2].tolist()
+    k = (len(poly) - 2) // 2
+    near = poly[max(k - 1, 0):k + 3].tolist()
+    return any(
+        _segment_foot(ax, ay, bx, by, cx, cy)[4] < th_prox
+        for (bx, by), (cx, cy) in zip(near, near[1:])
+    )
+
+
 def polyline_merge_check(a: MapElement, b: MapElement, th_prox: float) -> bool:
     """Decide whether two elements are close enough to merge.
 
     True when the labels match and at least one vertex of either element
     lies strictly closer than ``th_prox`` to the other element (closest
     point on any segment).  Symmetric in its arguments.
+
+    Each element's middle vertex is tried first against the other's middle
+    segments, which settles most overlapping pairs without the full
+    kernel.  ``_segment_foot`` gives the bits of the kernel's entry for
+    that vertex and segment, so a witness closer than ``th_prox`` makes
+    the kernel's minimum closer too, and a miss leaves the kernel to decide.
     """
     if not (math.isfinite(th_prox) and th_prox > 0):
         raise ValueError("th_prox must be finite and positive")
@@ -42,6 +60,8 @@ def polyline_merge_check(a: MapElement, b: MapElement, th_prox: float) -> bool:
         return False
     if _bbox_gap(a.points, b.points) >= th_prox:
         return False
+    if _witness_near(a.points, b.points, th_prox) or _witness_near(b.points, a.points, th_prox):
+        return True
     return (
         min_distance_to_polyline(a.points, b.points) < th_prox
         or min_distance_to_polyline(b.points, a.points) < th_prox

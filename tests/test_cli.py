@@ -148,6 +148,17 @@ class TestMerge:
             assert "'d0'" in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ego.json"]
 
+    def test_string_coordinates_exit_two(self, runner, tmp_path):
+        bad = tmp_path / "str.json"
+        bad.write_text(json.dumps({"frame": "world", "elements": [
+            {"id": "d0", "label": "divider", "points": [[0, 0], ["1.5", 0]]}]}))
+        for args in (["merge", "--bootstrap", "--secondary", str(bad), "--out", str(tmp_path / "x.json")],
+                     ["eval", "--est", str(bad), "--gt", str(bad), "--out", str(tmp_path / "r.csv")]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert "'d0'" in result.output and "points[1]" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["str.json"]
+
     def test_smoothing_that_would_collapse_a_line_keeps_the_fold(self, runner, tmp_path):
         # smoothing would average both interior vertices onto the shared ends
         main_doc = {"frame": "world", "elements": [

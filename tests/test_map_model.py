@@ -451,6 +451,14 @@ class TestLoadErrors:
         with pytest.raises(MapFormatError, match="translation"):
             load_map(_write(tmp_path, doc))
 
+    @pytest.mark.parametrize("key, bad", [
+        ("rotation", ["1", 0, 0, 0]), ("rotation", [1, 0, 0, False]), ("translation", [0, None, 0]),
+    ])
+    def test_pose_component_that_is_not_a_number(self, tmp_path, key, bad):
+        pose = {"rotation": [1, 0, 0, 0], "translation": [0, 0, 0], key: bad}
+        with pytest.raises(MapFormatError, match=f"pose {key} must hold numbers"):
+            load_map(_write(tmp_path, {"frame": "ego", "pose": pose, "elements": []}))
+
     def test_elements_not_list(self, tmp_path):
         with pytest.raises(MapFormatError, match="'elements'"):
             load_map(_write(tmp_path, {"frame": "world", "elements": {}}))
@@ -479,6 +487,32 @@ class TestLoadErrors:
         doc = {"frame": "world", "elements": [{"id": "e", "label": "divider", "points": [[0, 0], [1]]}]}
         with pytest.raises(MapFormatError, match=r"points\[1\]"):
             load_map(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("bad", ["1.5", " 7 ", True, False, None, [1], {"x": 1}])
+    def test_coordinate_that_is_not_a_number(self, tmp_path, bad):
+        doc = {"frame": "world", "elements": [{"id": "e", "label": "divider", "points": [[0, 0], [1, bad]]}]}
+        with pytest.raises(MapFormatError, match=r"'e': points\[1\] must hold two numbers"):
+            load_map(_write(tmp_path, doc))
+
+    def test_integer_coordinates_load_as_floats(self, tmp_path):
+        doc = {"frame": "world", "elements": [
+            {"id": "e", "label": "divider", "points": [[0, -3], [2**53 + 1, 2.5]]}]}
+        pts = load_map(_write(tmp_path, doc)).element("e").points
+        assert pts.dtype == np.float64
+        assert pts.tolist() == [[0.0, -3.0], [float(2**53 + 1), 2.5]]
+
+    def test_integer_beyond_the_float_range(self, tmp_path):
+        doc = {"frame": "world", "elements": [
+            {"id": "e", "label": "divider", "points": [[0, 0], [1, 1], [10**400, 0]]}]}
+        with pytest.raises(MapFormatError, match=r"'e': points\[2\] is beyond the float range"):
+            load_map(_write(tmp_path, doc))
+
+    def test_nan_coordinate_is_not_finite(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"frame": "world", "elements": [{"id": "e", "label": "divider",'
+                        ' "points": [[0, 0], [1, NaN]]}]}')
+        with pytest.raises(MapFormatError, match="'e'.*finite"):
+            load_map(path)
 
     def test_is_main_not_bool(self, tmp_path):
         doc = {

@@ -1,5 +1,7 @@
 """Curve metrics and the map evaluation report."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,51 @@ from oracles import frechet_exhaustive, pcm_offset_sweep, reference_frechet_dp
 # integer-lattice coordinates give distance ties; free floats give the rest
 _coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-20.0, 20.0))
 _chain = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=15)
+
+
+_offset = st.sampled_from([0.0, 1e3, 1e6, 1e5, -1e5])
+_not_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def _frechet_cases(draw):
+    """(p, q) vertex chains: free pairs, noisy and reversed copies, zigzags
+    about a chain, on the lattice or off it, far from the origin, and now
+    and then with a NaN or an infinite coordinate."""
+    p = np.array(draw(_chain))
+    kind = draw(st.sampled_from(["free", "noisy", "reversed", "zigzag"]))
+    if kind == "free":
+        q = np.array(draw(_chain))
+    else:
+        noise = draw(st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+                              min_size=len(p), max_size=len(p)))
+        q = p + np.array(noise)
+        if kind == "reversed":
+            q = q[::-1]
+        elif kind == "zigzag":
+            q[::2, 1] += draw(st.floats(0.1, 3.0))
+    p, q = p + draw(_offset), q + draw(_offset)
+    if draw(st.integers(0, 9)) == 0:
+        chain = draw(st.sampled_from([p, q]))
+        chain[draw(st.integers(0, len(chain) - 1)), draw(st.integers(0, 1))] = draw(_not_finite)
+    return p, q
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _count_dp(monkeypatch) -> list:
+    """Record every run of the Frechet DP behind ``discrete_frechet``."""
+    runs = []
+    real = polymerge.metrics._frechet_dp
+
+    def counting(dist):
+        runs.append(dist.shape)
+        return real(dist)
+
+    monkeypatch.setattr(polymerge.metrics, "_frechet_dp", counting)
+    return runs
 
 
 class TestDiscreteFrechet:
@@ -75,17 +122,40 @@ class TestDiscreteFrechet:
                 frechet_exhaustive(p, q), abs=1e-12
             )
 
-    @settings(max_examples=300, deadline=None)
-    @given(_chain, _chain, st.sampled_from([0.0, 1e3, 1e6]), st.booleans())
-    def test_matches_reference_dp_exactly(self, p, q, offset, doubled):
-        # 1-vertex chains, repeated vertices (doubled, or lattice repeats),
-        # lattice ties and far offsets; the result is the same float
-        p = np.array(p) + offset
-        q = np.array(q) + offset
+    @settings(max_examples=400, deadline=None)
+    @given(_frechet_cases(), st.booleans())
+    def test_matches_reference_dp_exactly(self, case, doubled):
+        # bounds that meet and bounds that do not: 1-vertex chains, repeated
+        # vertices (doubled, or lattice repeats), lattice ties, far offsets,
+        # NaN and inf; the result has the bits of the reference DP
+        p, q = case
         if doubled:
             p = np.repeat(p, 2, axis=0)
-        assert discrete_frechet(p, q) == reference_frechet_dp(p, q)
-        assert discrete_frechet(q, p) == reference_frechet_dp(q, p)
+        for a, b in ((p, q), (q, p)):
+            assert _bits(discrete_frechet(a, b)) == _bits(reference_frechet_dp(a, b))
+
+    def test_bounds_settle_noisy_copies_and_lone_vertices(self, monkeypatch):
+        dp_runs = _count_dp(monkeypatch)
+        rng = np.random.default_rng(41)
+        line = np.column_stack([np.arange(30) * 0.75, np.zeros(30)])
+        cases = [(line, line + rng.normal(0.0, 0.2, line.shape)) for _ in range(20)]
+        # a lone vertex against a chain farthest in its middle: only the
+        # column (row) minima bound the distance from below
+        peak = np.array([[1.0, 0.0], [5.0, 0.0], [1.0, 0.0]])
+        cases += [([(0.0, 0.0)], peak), (peak, [(0.0, 0.0)])]
+        for p, q in cases:
+            assert _bits(discrete_frechet(p, q)) == _bits(reference_frechet_dp(p, q))
+        assert dp_runs == []
+
+    def test_dp_decides_when_the_bounds_differ(self, monkeypatch):
+        dp_runs = _count_dp(monkeypatch)
+        # q runs the segment forth, back and forth again: every vertex of
+        # either chain has a partner at distance 0, so the lower bound is 0,
+        # but no monotone coupling follows q back
+        p = [(0.0, 0.0), (4.0, 0.0)]
+        q = [(0.0, 0.0), (4.0, 0.0), (0.0, 0.0), (4.0, 0.0)]
+        assert discrete_frechet(p, q) == reference_frechet_dp(p, q) == 4.0
+        assert len(dp_runs) == 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polymerge import VectorMap, build_graph, merge_chains, polyline_merge_check
+import polymerge.proximity
+from polymerge import MapElement, VectorMap, build_graph, merge_chains, polyline_merge_check
 from polymerge.proximity import candidate_pairs
 
 from helpers import line_element, random_world_map, tricky_world_maps
@@ -28,6 +30,37 @@ def _all_pairs_edges(vmap, th_prox, skip_main_pairs=True):
         for b in els[i + 1 :]
         if not (skip_main_pairs and a.is_main and b.is_main) and polyline_merge_check(a, b, th_prox)
     }
+
+
+@st.composite
+def _overlap_pairs(draw):
+    """(a, b, th_prox): a lattice chain and a piece of it, moved across by
+    0, th_prox / 2, th_prox or 2 th_prox, so that middle-vertex witnesses
+    hit, miss on partial overlaps, or lie exactly th_prox away."""
+    th = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    coord = st.integers(-8, 8).map(lambda k: k * 0.25)
+    steps = draw(st.lists(st.tuples(st.integers(1, 8).map(lambda k: k * 0.25), coord),
+                          min_size=1, max_size=10))
+    pts = np.cumsum([(draw(coord), draw(coord)), *steps], axis=0)
+    lo = draw(st.integers(0, len(pts) - 2))
+    hi = draw(st.integers(lo + 2, len(pts)))
+    piece = pts[lo:hi] + [draw(coord), draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) * th]
+    if draw(st.booleans()):
+        piece = piece[::-1]
+    return MapElement("a", "divider", pts), MapElement("b", "divider", piece), th
+
+
+def _count_kernel(monkeypatch) -> list:
+    """Record every ``min_distance_to_polyline`` call of the merge check."""
+    calls = []
+    real = polymerge.proximity.min_distance_to_polyline
+
+    def counting(points, poly):
+        calls.append(len(points))
+        return real(points, poly)
+
+    monkeypatch.setattr(polymerge.proximity, "min_distance_to_polyline", counting)
+    return calls
 
 
 class TestMergeCheck:
@@ -79,6 +112,44 @@ class TestMergeCheck:
         for th in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite and positive"):
                 polyline_merge_check(a, a, th)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_overlap_pairs())
+    def test_matches_naive_oracle_on_overlaps(self, case):
+        a, b, th = case
+        assert polyline_merge_check(a, b, th) == naive_merge_check(a, b, th)
+        assert polyline_merge_check(b, a, th) == naive_merge_check(b, a, th)
+
+    def test_witness_at_exactly_th_prox_does_not_settle(self, monkeypatch):
+        kernel = _count_kernel(monkeypatch)
+        # every middle-vertex witness is exactly th_prox away; only the
+        # kernel, over all vertices, finds a's end vertex 0.5 from b
+        a = MapElement("a", "divider", np.array([[0, 0], [4, 0], [8, 0], [8, 0.5]]))
+        b = MapElement("b", "divider", np.array([[0, 1], [4, 1], [8, 1]]))
+        assert polyline_merge_check(a, b, 1.0) and naive_merge_check(a, b, 1.0)
+        assert len(kernel) == 1
+        # boxes overlap, and no vertex comes closer than exactly th_prox
+        c = line_element("c", "divider", (0, 0), (8, 0), n=3)
+        d = MapElement("d", "divider", np.array([[0, 1], [4, 1], [8, 1], [12, 1], [12, -3]]))
+        assert not polyline_merge_check(c, d, 1.0) and not naive_merge_check(c, d, 1.0)
+
+    def test_partial_overlap_misses_the_witness(self, monkeypatch):
+        kernel = _count_kernel(monkeypatch)
+        # b covers only a's first fifth: both middle vertices are far
+        a = line_element("a", "divider", (0, 0), (50, 0), n=51)
+        b = line_element("b", "divider", (0, 0.5), (10, 0.5), n=11)
+        assert polyline_merge_check(a, b, 1.0) and naive_merge_check(a, b, 1.0)
+        assert len(kernel) == 1
+
+    def test_noisy_copy_needs_no_kernel(self, monkeypatch):
+        kernel = _count_kernel(monkeypatch)
+        rng = np.random.default_rng(43)
+        line = np.column_stack([np.arange(30) * 0.75, np.zeros(30)])
+        a = MapElement("a", "divider", line)
+        for _ in range(20):
+            b = MapElement("b", "divider", line + rng.normal(0.0, 0.2, line.shape))
+            assert polyline_merge_check(a, b, 1.0) and polyline_merge_check(b, a, 1.0)
+        assert kernel == []
 
 
 class TestBuildGraph:
