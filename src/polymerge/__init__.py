@@ -14,7 +14,7 @@ from .map_model import (
 from .merging import MergeConfig, MergeReport, merge_chain, merge_maps, merge_point, merge_polyline, smooth
 from .metrics import discrete_frechet, evaluate_map, match_elements, pcm
 from .proximity import build_graph, merge_chains, polyline_merge_check
-from .quads import blur_coverage, merge_quads, min_rotated_rect, rasterize_coverage, threshold_region
+from .quads import merge_quads, min_rotated_rect, rasterize_coverage
 from .synth import NoiseConfig, generate_instances, straight_path_poses, write_instances
 
 __version__ = "0.1.0"
@@ -43,8 +43,6 @@ __all__ = [
     "merge_maps",
     "smooth",
     "rasterize_coverage",
-    "blur_coverage",
-    "threshold_region",
     "min_rotated_rect",
     "merge_quads",
     "discrete_frechet",

@@ -230,11 +230,16 @@ def _parse_pose(obj, where: str) -> Pose:
         raise MapFormatError(f"{where}: pose rotation must be [w, x, y, z]")
     if not isinstance(trans, list) or len(trans) != 3:
         raise MapFormatError(f"{where}: pose translation must be [x, y, z]")
+    parts = []
     for key, values in (("rotation", rot), ("translation", trans)):
         if any(type(v) not in _JSON_NUMBERS for v in values):
             raise MapFormatError(f"{where}: pose {key} must hold numbers, got {json.dumps(values)}")
+        try:
+            parts.append(np.array(values, dtype=float))
+        except OverflowError:
+            raise MapFormatError(f"{where}: pose {key} is beyond the float range") from None
     try:
-        return Pose(np.array(rot, dtype=float), np.array(trans, dtype=float))
+        return Pose(*parts)
     except (TypeError, ValueError) as exc:
         raise MapFormatError(f"{where}: {exc}") from None
 
@@ -284,6 +289,8 @@ def load_map(path) -> VectorMap:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise MapFormatError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MapFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(doc, dict):
         raise MapFormatError(f"{path}: top level must be an object")
     frame = doc.get("frame")

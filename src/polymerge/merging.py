@@ -20,13 +20,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .geometry import _foot_points, _segment_foot, arc_length, as_points
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
 from .geometry import project_point_to_polyline as project_point_to_polyline
-from .map_model import _EPS, LABEL_PED_CROSSING, MapElement, VectorMap, concatenate
-from .metrics import discrete_frechet
+from .map_model import LABEL_PED_CROSSING, MapElement, VectorMap, concatenate
+from .metrics import _greedy_coupling_within, discrete_frechet
 from .proximity import build_graph, merge_chains
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.polyline_merge_check``.
@@ -334,54 +335,24 @@ def _select_base(members: list[MapElement]) -> MapElement:
     return sorted(pool, key=lambda el: (-arc_length(el.points), el.id))[0]
 
 
-def _greedy_coupling_below(p: list, q: list, limit: float) -> bool:
-    """True when one monotone coupling of the vertex chains ``p`` and ``q``
-    keeps every coupled distance below ``limit``.  The coupling is greedy:
-    each step takes the cheapest of the diagonal, down and right moves, and
-    once one chain is at its end the rest of the other pairs with that end."""
-    hypot = math.hypot
-    n, m = len(p) - 1, len(q) - 1
-    i = j = 0
-    (x, y), (u, v) = p[0], q[0]
-    if not hypot(x - u, y - v) < limit:
-        return False
-    while i < n and j < m:
-        (x1, y1), (u1, v1) = p[i + 1], q[j + 1]
-        d = hypot(x1 - u1, y1 - v1)
-        down = hypot(x1 - u, y1 - v)
-        right = hypot(x - u1, y - v1)
-        if down < d and down <= right:
-            d, i, x, y = down, i + 1, x1, y1
-        elif right < d:
-            d, j, u, v = right, j + 1, u1, v1
-        else:
-            i, j, x, y, u, v = i + 1, j + 1, x1, y1, u1, v1
-        if not d < limit:
-            return False
-    return all(hypot(x - a, y - b) < limit for a, b in q[j + 1:]) and all(
-        hypot(a - u, b - v) < limit for a, b in p[i + 1:]
-    )
-
-
 def _orient(src: np.ndarray, base: np.ndarray) -> np.ndarray:
     """``src`` in the vertex order it is folded in: reversed when the
     reversed order has the strictly smaller discrete Frechet distance (DF)
     to ``base``.
 
-    Bounds settle most members without either DP.  Every coupling contains
-    both end pairs, so the larger end-pair distance of the reversed member,
-    ``lb``, bounds its DF from below; any one monotone coupling bounds the
-    forward DF from above.  When a greedy coupling stays below ``lb``, the
-    reversed DF cannot be the smaller and the given order stands.  The DPs
-    take their distances from ``cdist`` and the bounds from ``math.hypot``,
-    which may differ in the last bits, so the coupling must stay below
-    ``lb`` by a few ulps, plus what rounding squares to subnormals can lose;
-    past 1e150, where squares overflow, the DPs decide.
+    One greedy coupling on the DPs' own distance matrix settles most
+    members without either DP.  ``cdist`` computes each entry on its own,
+    so the reversed member's matrix is this one with its rows reversed,
+    bit for bit.  Every coupling contains both end pairs, so the reversed
+    DF is at least ``lb``, the larger of the distances from the member's
+    last vertex to the base's first and from its first to the base's last;
+    the greedy coupling bounds the forward DF from above.  When that
+    coupling stays within ``lb``, the reversed DF cannot be the strictly
+    smaller one and the given order stands.
     """
-    p, q = src.tolist(), base.tolist()
-    lb = max(math.hypot(p[-1][0] - q[0][0], p[-1][1] - q[0][1]),
-             math.hypot(p[0][0] - q[-1][0], p[0][1] - q[-1][1]))
-    if lb < 1e150 and _greedy_coupling_below(p, q, (lb - 1e-150) / (1.0 + 8.0 * _EPS)):
+    dist = cdist(src, base)
+    lb = max(dist.item(-1, 0), dist.item(0, -1))
+    if _greedy_coupling_within(dist, lb):
         return src
     if discrete_frechet(src[::-1], base) < discrete_frechet(src, base):
         return src[::-1]

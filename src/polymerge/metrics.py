@@ -53,14 +53,14 @@ def discrete_frechet(p, q) -> float:
 
 
 def _greedy_coupling_within(dist: np.ndarray, limit: float) -> bool:
-    """True when the greedy monotone coupling that
-    ``merging._greedy_coupling_below`` walks, taken here on ``dist`` itself,
-    couples no distance above ``limit``.  Each step takes the cheapest of
-    the diagonal, down and right moves, and once one chain is at its end
-    the rest of the other pairs with that end.  False for a NaN limit."""
-    if limit != limit:
-        return False
+    """True when the greedy monotone coupling on the distance matrix
+    ``dist`` couples no distance above ``limit``.  It starts at the first
+    pair; each step takes the cheapest of the diagonal, down and right
+    moves, and once one chain is at its end the rest of the other pairs
+    with that end.  False for a NaN limit."""
     at = dist.item
+    if limit != limit or at(0, 0) > limit:
+        return False
     n, m = dist.shape[0] - 1, dist.shape[1] - 1
     i = j = 0
     while i < n and j < m:

@@ -159,6 +159,22 @@ class TestMerge:
             assert "'d0'" in result.output and "points[1]" in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["str.json"]
 
+    @pytest.mark.parametrize("name, text, field", [
+        ("latin1.json", b'{"frame": "world", "elements": [{"id": "caf\xe9", "label": "divider",'
+                        b' "points": [[0, 0], [1, 0]]}]}', "not UTF-8"),
+        ("pose.json", b'{"frame": "ego", "pose": {"rotation": [1, 0, 0, 0], "translation": [1'
+                      + b"0" * 400 + b', 0, 0]}, "elements": []}', "pose translation"),
+    ], ids=["not-utf8", "pose-overflow"])
+    def test_unreadable_map_exits_two(self, runner, tmp_path, name, text, field):
+        bad = tmp_path / name
+        bad.write_bytes(text)
+        for args in (["merge", "--bootstrap", "--secondary", str(bad), "--out", str(tmp_path / "x.json")],
+                     ["eval", "--est", str(bad), "--gt", str(bad), "--out", str(tmp_path / "r.csv")]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert name in result.output and field in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
     def test_smoothing_that_would_collapse_a_line_keeps_the_fold(self, runner, tmp_path):
         # smoothing would average both interior vertices onto the shared ends
         main_doc = {"frame": "world", "elements": [

@@ -417,6 +417,21 @@ class TestLoadErrors:
         with pytest.raises(MapFormatError, match="invalid JSON"):
             load_map(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"frame": "world", "elements": [{"id": "caf\xe9", "label": "divider",'
+                         b' "points": [[0, 0], [1, 0]]}]}')
+        with pytest.raises(MapFormatError, match="latin1.json: not UTF-8 text"):
+            load_map(path)
+
+    @pytest.mark.parametrize("key", ["rotation", "translation"])
+    def test_pose_integer_beyond_the_float_range(self, tmp_path, key):
+        pose = {"rotation": [1, 0, 0, 0], "translation": [0, 0, 0]}
+        pose[key][1] = 10**400
+        path = _write(tmp_path, {"frame": "ego", "pose": pose, "elements": []})
+        with pytest.raises(MapFormatError, match=f"bad.json: pose {key} is beyond the float range"):
+            load_map(path)
+
     def test_top_level_not_object(self, tmp_path):
         with pytest.raises(MapFormatError, match="top level"):
             load_map(_write(tmp_path, [1, 2]))

@@ -251,7 +251,9 @@ def _orientation_chains(draw):
     """A divider chain that stresses the member orientation rule: exact and
     reversed copies of the first member, palindromes (equal distance both
     ways), 2-vertex members, noisy copies and free lines on an integer
-    lattice (many distance ties), all shifted by up to 1e5 m."""
+    lattice (many distance ties), all shifted by up to 1e5 m, or scaled
+    to near 1e150, where squares of differences start to overflow, to
+    1e155 and 1e300, where they do, or to 1e-150."""
     first = np.array(draw(_lattice_line()))
     members = [first]
     for _ in range(draw(st.integers(1, 4))):
@@ -271,10 +273,13 @@ def _orientation_chains(draw):
             noise = np.random.default_rng(draw(st.integers(0, 2**16))).normal(0.0, 0.2, first.shape)
             pts = first + noise
         members.append(pts)
-    offset = draw(st.sampled_from([0.0, 1e5, -1e5])) * np.array([1.0, 0.5])
+    scale, offset = draw(st.sampled_from([(1.0, 0.0), (1.0, 1e5), (1.0, -1e5), (1e148, 0.0),
+                                          (1e150, 0.0), (1e155, 0.0), (1e300, 0.0), (1e-150, 0.0)]))
     main = draw(st.integers(-1, len(members) - 1))
-    return [MapElement(f"m{k}", "divider", pts + offset, is_main=(k == main))
-            for k, pts in enumerate(members)]
+    with np.errstate(over="ignore"):
+        return [MapElement(f"m{k}", "divider", pts * scale + offset * np.array([1.0, 0.5]),
+                           is_main=(k == main))
+                for k, pts in enumerate(members)]
 
 
 # smoothing averages both interior vertices onto the shared start and end
@@ -283,17 +288,27 @@ _COLLAPSING_PAIR = [
     MapElement("m1", "divider", np.array([[1.0, 2], [2, 4], [0, 0], [1, 2]])),
 ]
 
+# the greedy coupling must test the first pair: the rest of it stays within
+# the reversed member's end-pair bound 1, the first pair is sqrt(2) apart,
+# and the reversed member is the closer one
+_START_PAIR_ABOVE_BOUND = [
+    MapElement("m0", "divider", np.array([[1.0, 0], [0, 0]]), is_main=True),
+    MapElement("m1", "divider", np.array([[0.0, 1], [0, 0]])),
+]
+
 
 class TestOrientation:
     @settings(max_examples=400, deadline=None)
     @given(_orientation_chains(), st.booleans())
     @example(_COLLAPSING_PAIR, True)
+    @example(_START_PAIR_ABOVE_BOUND, False)
     def test_matches_two_dp_rule_bitwise(self, chain, smoothing):
         config = MergeConfig(smoothing_enabled=smoothing)
         got_report, want_report = MergeReport(), MergeReport()
-        got = merge_chain(chain, config, got_report)
-        with mock.patch.object(merging, "_orient", reference_orient):
-            want = merge_chain(chain, config, want_report)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = merge_chain(chain, config, got_report)
+            with mock.patch.object(merging, "_orient", reference_orient):
+                want = merge_chain(chain, config, want_report)
         assert got.id == want.id
         assert got.points.shape == want.points.shape
         assert got.points.tobytes() == want.points.tobytes()

@@ -157,6 +157,13 @@ class TestDiscreteFrechet:
         assert discrete_frechet(p, q) == reference_frechet_dp(p, q) == 4.0
         assert len(dp_runs) == 1
 
+    def test_greedy_coupling_tests_the_start_pair(self):
+        # every coupling contains the first pair: within the limit elsewhere
+        # is not enough when that pair is above it
+        dist = np.array([[2.0, 0.0], [0.0, 0.0]])
+        assert not polymerge.metrics._greedy_coupling_within(dist, 1.0)
+        assert polymerge.metrics._greedy_coupling_within(dist, 2.0)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             discrete_frechet([], [(0, 0)])

@@ -13,14 +13,12 @@ from polymerge import (
     MapElement,
     MergeConfig,
     MergeReport,
-    blur_coverage,
     merge_quads,
     min_rotated_rect,
     rasterize_coverage,
-    threshold_region,
 )
 from polymerge import quads
-from polymerge.quads import CoverageGrid, EmptyRegionError
+from polymerge.quads import CoverageGrid, EmptyRegionError, blur_coverage, threshold_region
 from polymerge.quads import (
     _blurred_mask,
     _cell_corner_points,
