@@ -43,7 +43,11 @@ LABELS = (LABEL_PED_CROSSING, LABEL_DIVIDER, LABEL_BOUNDARY)
 FRAMES = ("ego", "world")
 
 _EPS = float(np.finfo(float).eps)
-_FLOAT_MAX = float(np.finfo(float).max)
+# the largest magnitude, in metres, of a coordinate or pose number a map file
+# may hold: past 2**53 ~ 9e15 float steps are 2 m, and within it no square of
+# a coordinate difference that merge or eval takes can overflow
+_COORD_LIMIT = 1e16
+_OUT_OF_RANGE = "holds a number beyond the coordinate range [-1e16, 1e16] m"
 _JSON_NUMBERS = frozenset((int, float))
 
 
@@ -230,16 +234,13 @@ def _parse_pose(obj, where: str) -> Pose:
         raise MapFormatError(f"{where}: pose rotation must be [w, x, y, z]")
     if not isinstance(trans, list) or len(trans) != 3:
         raise MapFormatError(f"{where}: pose translation must be [x, y, z]")
-    parts = []
     for key, values in (("rotation", rot), ("translation", trans)):
         if any(type(v) not in _JSON_NUMBERS for v in values):
             raise MapFormatError(f"{where}: pose {key} must hold numbers, got {json.dumps(values)}")
-        try:
-            parts.append(np.array(values, dtype=float))
-        except OverflowError:
-            raise MapFormatError(f"{where}: pose {key} is beyond the float range") from None
+        if any(abs(v) > _COORD_LIMIT for v in values):
+            raise MapFormatError(f"{where}: pose {key} {_OUT_OF_RANGE}")
     try:
-        return Pose(*parts)
+        return Pose(np.array(rot, dtype=float), np.array(trans, dtype=float))
     except (TypeError, ValueError) as exc:
         raise MapFormatError(f"{where}: {exc}") from None
 
@@ -270,8 +271,11 @@ def _parse_element(obj, index: int) -> MapElement:
     try:
         xy = np.fromiter(itertools.chain.from_iterable(pts), float, 2 * len(pts))
     except OverflowError:
-        k = next(k for k, p in enumerate(pts) if max(map(abs, p)) > _FLOAT_MAX)
-        raise MapFormatError(f"{where}: points[{k}] is beyond the float range") from None
+        xy = None
+    # a NaN maximum compares false; MapElement names it as not finite
+    if xy is None or np.abs(xy).max(initial=0.0) > _COORD_LIMIT:
+        k = next(k for k, p in enumerate(pts) if abs(p[0]) > _COORD_LIMIT or abs(p[1]) > _COORD_LIMIT)
+        raise MapFormatError(f"{where}: points[{k}] {_OUT_OF_RANGE}")
     try:
         return MapElement(el_id, label, xy.reshape(-1, 2), is_main)
     except (TypeError, ValueError) as exc:

@@ -49,8 +49,6 @@ _SMOOTHING_WINDOW = 5
 # cells of one block of the fold's (vertices, segments) distance matrix, so
 # that its memory stays bounded when a long member meets a long base
 _BLOCK_CELLS = 1 << 16
-# past this coordinate magnitude squares of differences may overflow
-_HUGE = 1e150
 
 
 @dataclass(frozen=True)
@@ -177,8 +175,6 @@ class _Fold:
     def nearest(self, i: int, ax: float, ay: float):
         """The segment ``np.argmin`` over the current polyline picks for
         source vertex ``i`` at (ax, ay), and its ``_segment_foot``."""
-        if self.scale >= _HUGE:
-            return self._nearest_by_argmin(ax, ay)
         r = i % self.rows
         if r == 0:
             self.dist = _foot_points(self.src[i:i + self.rows], self.base)[3]
@@ -209,17 +205,6 @@ class _Fold:
             (bx, by), (cx, cy) = self.verts[fam:fam + 2]
             foot = _segment_foot(ax, ay, bx, by, cx, cy)
         return best, foot
-
-    def _nearest_by_argmin(self, ax: float, ay: float):
-        """``nearest`` where squares may overflow: the kernel over the whole
-        current polyline and ``np.argmin``, its NaN rule included."""
-        k = int(np.argmin(_foot_points(np.array([ax, ay]), self.polyline())[3]))
-        for fam in range(-1, len(self.bound) + 1):
-            chain = self.chain(fam)
-            if k < len(chain) - 1:
-                (bx, by), (cx, cy) = chain[k], chain[k + 1]
-                return (fam, k), _segment_foot(ax, ay, bx, by, cx, cy)
-            k -= len(chain) - 1
 
     def touch(self, fam: int, v: list) -> None:
         """Family ``fam`` (none if out of range) gained or moved vertex ``v``."""
@@ -311,9 +296,13 @@ def merge_polyline(source, base, scenario_counts=None) -> np.ndarray:
     of D, of H and of each re-projection, is within 5.3e-15 S + 3.2e-162 of
     the true one, and the computed bound D - H errs by less than
     1.1e-14 S + 1e-161: a skipped segment is farther than d by a computed
-    distance too, so it can neither win nor tie.  Past S = 1e150 squares
-    may overflow; there each vertex takes ``np.argmin`` over the kernel on
-    the whole current base.
+    distance too, so it can neither win nor tie.
+
+    The fold is specified where no square of a coordinate difference
+    overflows.  Maps ``load_map`` accepts (coordinates within 1e16 m) stay
+    there: for source vertex a and R the largest coordinate norm so far, a
+    midpoint has norm at most max(R, |a|) and an extension's foot f has
+    |f|^2 <= R^2 + |a|^2.
     """
     src = as_points(source)
     pts = as_points(base)

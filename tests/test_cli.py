@@ -57,6 +57,21 @@ def instance_files(tmp_path, gt_file):
     return [p for p in paths if "instance_" in os.path.basename(p)]
 
 
+def _far_pair(tmp_path, scale):
+    """Main map ``a`` and secondary map ``b``, one divider each, whose
+    coordinates reach ``scale``: past 1e16 m, beyond the map format's range,
+    and where squares of their differences overflow."""
+    lines = {"a": [[0, 2], [0, 0]],
+             "b": [[0, -6], [0, -4], [0, -2], [0, 0], [0, 1], [0, 4], [0, 6], [0, 8]]}
+    paths = []
+    for name, points in lines.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"frame": "world", "elements": [
+            {"id": name, "label": "divider", "points": [[x, y * scale] for x, y in points]}]}))
+        paths.append(str(path))
+    return paths
+
+
 class TestMerge:
     def test_bootstrap_merge_writes_map_and_report(self, runner, tmp_path, instance_files):
         out = tmp_path / "merged.json"
@@ -174,6 +189,15 @@ class TestMerge:
             assert result.exit_code == 2, result.output
             assert name in result.output and field in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    def test_coordinates_beyond_the_range_exit_two(self, runner, tmp_path):
+        a, b = _far_pair(tmp_path, 1e155)
+        result = runner.invoke(main, [
+            "merge", "--main", a, "--secondary", b, "--out", str(tmp_path / "m.json"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "a.json" in result.output and "'a': points[0]" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     def test_smoothing_that_would_collapse_a_line_keeps_the_fold(self, runner, tmp_path):
         # smoothing would average both interior vertices onto the shared ends
@@ -304,6 +328,13 @@ class TestEval:
         assert "zero.json" in result.output and "'z1'" in result.output
         assert "zero arc length" in result.output
         assert not (tmp_path / "r.csv").exists()
+
+    def test_coordinates_beyond_the_range_exit_two(self, runner, tmp_path):
+        est, gt = _far_pair(tmp_path, 1e200)
+        result = runner.invoke(main, ["eval", "--est", est, "--gt", gt, "--out", str(tmp_path / "r.csv")])
+        assert result.exit_code == 2, result.output
+        assert "a.json" in result.output and "'a': points[0]" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_threshold_rejected(self, runner, tmp_path, gt_file, value):

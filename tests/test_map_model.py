@@ -404,6 +404,9 @@ class TestWriterLayout:
         assert load_map(tmp_path / "m.json").frame == vmap.frame
 
 
+_RANGE = r"holds a number beyond the coordinate range \[-1e16, 1e16\] m"
+
+
 def _write(tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -429,7 +432,14 @@ class TestLoadErrors:
         pose = {"rotation": [1, 0, 0, 0], "translation": [0, 0, 0]}
         pose[key][1] = 10**400
         path = _write(tmp_path, {"frame": "ego", "pose": pose, "elements": []})
-        with pytest.raises(MapFormatError, match=f"bad.json: pose {key} is beyond the float range"):
+        with pytest.raises(MapFormatError, match=rf"bad.json: pose {key} {_RANGE}"):
+            load_map(path)
+
+    @pytest.mark.parametrize("far", [float(np.nextafter(1e16, np.inf)), -1e155])
+    def test_pose_translation_beyond_the_coordinate_range(self, tmp_path, far):
+        pose = {"rotation": [1, 0, 0, 0], "translation": [0, far, 0]}
+        path = _write(tmp_path, {"frame": "ego", "pose": pose, "elements": []})
+        with pytest.raises(MapFormatError, match=rf"bad.json: pose translation {_RANGE}"):
             load_map(path)
 
     def test_top_level_not_object(self, tmp_path):
@@ -519,7 +529,21 @@ class TestLoadErrors:
     def test_integer_beyond_the_float_range(self, tmp_path):
         doc = {"frame": "world", "elements": [
             {"id": "e", "label": "divider", "points": [[0, 0], [1, 1], [10**400, 0]]}]}
-        with pytest.raises(MapFormatError, match=r"'e': points\[2\] is beyond the float range"):
+        with pytest.raises(MapFormatError, match=rf"'e': points\[2\] {_RANGE}"):
+            load_map(_write(tmp_path, doc))
+
+    def test_coordinate_range_bound_is_inclusive(self, tmp_path):
+        doc = {"frame": "world", "elements": [
+            {"id": "e", "label": "divider", "points": [[0, -1e16], [1e16, 2.5]]}]}
+        assert load_map(_write(tmp_path, doc)).element("e").points.tolist() == [[0, -1e16], [1e16, 2.5]]
+
+    @pytest.mark.parametrize("far", [float(np.nextafter(1e16, np.inf)), 1e155])
+    def test_coordinate_beyond_the_range_names_the_point(self, tmp_path, far):
+        # the number as written is repr(far): 1.0000000000000002e+16, 1e+155
+        doc = {"frame": "world", "elements": [
+            {"id": "ok", "label": "divider", "points": [[0, 0], [1, 1]]},
+            {"id": "e", "label": "divider", "points": [[0, 0], [1, 1], [2, 2], [3, -far], [4, 4]]}]}
+        with pytest.raises(MapFormatError, match=rf"bad.json: element 'e': points\[3\] {_RANGE}"):
             load_map(_write(tmp_path, doc))
 
     def test_nan_coordinate_is_not_finite(self, tmp_path):
