@@ -1,6 +1,6 @@
 """Fusion of labeled vector road maps from repeated local observations."""
 
-from .geometry import Pose, arc_length, project_point_to_polyline, project_point_to_segment
+from .geometry import Pose, arc_length, project_point_to_polyline
 from .map_model import (
     LABELS,
     MapElement,
@@ -11,7 +11,7 @@ from .map_model import (
     save_map,
     to_world,
 )
-from .merging import MergeConfig, MergeReport, merge_chain, merge_maps, merge_point, merge_polyline, smooth
+from .merging import MergeConfig, MergeReport, merge_chain, merge_maps, merge_polyline, smooth
 from .metrics import discrete_frechet, evaluate_map, match_elements, pcm
 from .proximity import build_graph, merge_chains, polyline_merge_check
 from .quads import merge_quads, min_rotated_rect, rasterize_coverage
@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Pose",
     "arc_length",
-    "project_point_to_segment",
     "project_point_to_polyline",
     "LABELS",
     "MapElement",
@@ -37,7 +36,6 @@ __all__ = [
     "merge_chains",
     "MergeConfig",
     "MergeReport",
-    "merge_point",
     "merge_polyline",
     "merge_chain",
     "merge_maps",

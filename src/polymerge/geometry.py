@@ -17,7 +17,6 @@ __all__ = [
     "Pose",
     "as_points",
     "arc_length",
-    "project_point_to_segment",
     "project_point_to_polyline",
     "min_distance_to_polyline",
     "signed_area",
@@ -63,14 +62,6 @@ class Projection:
     segment_index: int
     t: float
     distance: float
-
-
-def project_point_to_segment(a, b, c) -> Projection:
-    """Project point ``a`` onto the segment from ``b`` to ``c``: the
-    polyline projection onto ``(b, c)``.  The foot never leaves the segment,
-    and a degenerate segment projects to ``b`` with t = 0.
-    """
-    return project_point_to_polyline(a, (b, c))
 
 
 def _foot_points(a, points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

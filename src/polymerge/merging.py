@@ -37,7 +37,6 @@ from .quads import merge_quads
 __all__ = [
     "MergeConfig",
     "MergeReport",
-    "merge_point",
     "merge_polyline",
     "merge_chain",
     "merge_maps",
@@ -113,17 +112,6 @@ class MergeReport:
             ],
             "isolated": self.isolated,
         }
-
-
-def merge_point(a, base) -> np.ndarray:
-    """Merge a single source vertex ``a`` into the base polyline.
-
-    The vertex is projected onto the base.  A foot point strictly inside a
-    segment inserts the midpoint of vertex and foot; a foot point on a base
-    vertex replaces that vertex with the midpoint; a vertex past the first
-    or last vertex extends the base to its foot on the end segment's line.
-    """
-    return merge_polyline(np.reshape(a, (1, 2)), base)
 
 
 class _Fold:
@@ -316,12 +304,16 @@ def merge_polyline(source, base, scenario_counts=None) -> np.ndarray:
     return fold.polyline()
 
 
-def _select_base(members: list[MapElement]) -> MapElement:
+def _fold_order(members: list[MapElement]) -> tuple[MapElement, list[MapElement]]:
+    """The chain's base and its other members in fold order, measuring each
+    member's arc length at most once."""
     mains = [el for el in members if el.is_main]
-    if len(mains) == 1:
-        return mains[0]
-    pool = mains if mains else members
-    return sorted(pool, key=lambda el: (-arc_length(el.points), el.id))[0]
+    lone = mains[0] if len(mains) == 1 else None
+    length = {id(el): arc_length(el.points) for el in members if el is not lone}
+    base = lone or min(mains or members, key=lambda el: (-length[id(el)], el.id))
+    # a stable sort: members of equal length keep their chain order
+    rest = sorted((el for el in members if el is not base), key=lambda el: -length[id(el)])
+    return base, rest
 
 
 def _orient(src: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -369,9 +361,7 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     if label == LABEL_PED_CROSSING:
         raise ValueError("crossing chains are merged via merge_quads")
 
-    base_el = _select_base(members)
-    rest = [el for el in members if el is not base_el]
-    rest.sort(key=lambda el: -arc_length(el.points))
+    base_el, rest = _fold_order(members)
 
     base = base_el.points
     counts: dict[int, int] = {}

@@ -1,9 +1,12 @@
 """Proximity graph over map elements: who is close enough to merge with whom.
 
-Candidate pairs come from a sweep over bounding boxes (per label, sort by
-``min_x`` and binary-search the boxes that start within ``th_prox`` of where
-each one ends), so only pairs whose boxes lie less than ``th_prox`` apart on
-both axes reach the exact vertex-to-segment check.
+Two elements of one label connect when a vertex of one lies closer than
+``th_prox`` to the other (``polyline_merge_check``).  A sweep over bounding
+boxes (per label, sort by ``min_x`` and binary-search the boxes that start
+within reach of where each one ends) is the only box test.  It drops a pair
+only when the boxes lie ``th_prox`` plus a rounding margin apart on an axis,
+which ``candidate_pairs`` proves the check would reject, so the graph is the
+check run on every pair.
 """
 
 from __future__ import annotations
@@ -19,14 +22,6 @@ from .geometry import _segment_foot, min_distance_to_polyline
 from .map_model import MapElement, VectorMap
 
 __all__ = ["ProximityGraph", "polyline_merge_check", "candidate_pairs", "build_graph", "merge_chains"]
-
-
-def _bbox_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Lower bound on the distance between two point sets via their boxes."""
-    lo = np.maximum(a.min(axis=0), b.min(axis=0))
-    hi = np.minimum(a.max(axis=0), b.max(axis=0))
-    gap = np.maximum(lo - hi, 0.0)
-    return float(np.hypot(gap[0], gap[1]))
 
 
 def _witness_near(src: np.ndarray, poly: np.ndarray, th_prox: float) -> bool:
@@ -58,8 +53,6 @@ def polyline_merge_check(a: MapElement, b: MapElement, th_prox: float) -> bool:
         raise ValueError("th_prox must be finite and positive")
     if a.label != b.label:
         return False
-    if _bbox_gap(a.points, b.points) >= th_prox:
-        return False
     if _witness_near(a.points, b.points, th_prox) or _witness_near(b.points, a.points, th_prox):
         return True
     return (
@@ -71,9 +64,20 @@ def polyline_merge_check(a: MapElement, b: MapElement, th_prox: float) -> bool:
 def candidate_pairs(elements, th_prox: float) -> np.ndarray:
     """Index pairs ``(i, j)``, ``i < j``, that ``polyline_merge_check`` may accept.
 
-    Pairs of one label whose boxes are less than ``th_prox`` apart on both
-    axes, sorted by ``(i, j)``.  Every dropped pair has a box gap of at
-    least ``th_prox`` on one axis, which the check rejects as well.
+    Pairs of one label whose boxes are less than ``limit = th_prox + (1e-14 S
+    + 1e-150)`` apart on both axes, sorted by ``(i, j)``; S is the largest
+    coordinate magnitude.  No pair the check accepts is dropped.  The check
+    accepts when a computed vertex-to-segment distance is below ``th_prox``.
+    Each is within 5.3e-15 S + 3.2e-162 of the true distance (as derived for
+    ``merge_polyline``), which is at least the box gap on each axis, since
+    the vertex lies in one box and the segment in the other.  The computed
+    gap, one subtraction, rounds by at most 2.2e-16 S.  So an accepted pair
+    has a computed gap below ``th_prox`` + 5.6e-15 S + 3.2e-162, which the
+    rounded ``limit`` exceeds while ``th_prox`` < 40 S; a larger ``th_prox``
+    exceeds every gap, at most 2 S, by itself.  The reach, the float after
+    the rounded ``hi + limit``, lies past the exact sum, so the window misses
+    no box that starts within ``limit``.  At S = 1e16 m, where floats are 2 m
+    apart, the margin is 100 m: it adds exact checks, never an edge.
     """
     if not (math.isfinite(th_prox) and th_prox > 0):
         raise ValueError("th_prox must be finite and positive")
@@ -82,23 +86,23 @@ def candidate_pairs(elements, th_prox: float) -> np.ndarray:
         return np.empty((0, 2), dtype=np.intp)
     lo = np.array([el.points.min(axis=0) for el in elements])
     hi = np.array([el.points.max(axis=0) for el in elements])
+    scale = max(-float(lo.min()), float(hi.max()))
+    limit = th_prox + (1e-14 * scale + 1e-150)
     labels = np.array([el.label for el in elements])
     found = []
     for label in np.unique(labels):
         idx = np.flatnonzero(labels == label)
         idx = idx[np.argsort(lo[idx, 0], kind="stable")]
         start = lo[idx, 0]
-        # the next float up keeps the window a superset despite the rounded sum
-        reach = np.nextafter(hi[idx, 0] + th_prox, np.inf)
+        reach = np.nextafter(hi[idx, 0] + limit, np.inf)
         stop = np.searchsorted(start, reach, side="right")
         # sorted position k pairs with positions k+1 .. stop[k]-1
         counts = stop - np.arange(1, len(idx) + 1)
         first = np.repeat(np.arange(len(idx)), counts)
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
         a, b = idx[first], idx[second]
-        # the per-axis gaps exactly as _bbox_gap computes them
         gap = np.maximum(np.maximum(lo[a], lo[b]) - np.minimum(hi[a], hi[b]), 0.0)
-        keep = (gap < th_prox).all(axis=1)
+        keep = (gap < limit).all(axis=1)
         found.append(np.column_stack([np.minimum(a, b), np.maximum(a, b)])[keep])
     pairs = np.vstack(found)
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]

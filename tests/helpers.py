@@ -60,13 +60,15 @@ def random_pose(rng, span=10.0):
 
 
 @st.composite
-def tricky_world_maps(draw, step=0.25, thresholds=(0.25, 0.5, 1.0, 2.0)):
-    """(map, th_prox) on a coordinate lattice of pitch ``step``, built to hit
-    the proximity graph's edge cases: axis-parallel lines, quads, elements
-    sharing one box under several labels and main flags, and copies whose
-    box starts exactly ``th_prox`` after the original's ends."""
+def tricky_world_maps(draw, step=0.25, thresholds=(0.25, 0.5, 1.0, 2.0), offset=0.0):
+    """(map, th_prox) on a coordinate lattice of pitch ``step`` around
+    ``offset`` on both axes, built to hit the proximity graph's edge cases:
+    axis-parallel lines, quads, elements sharing one box under several
+    labels and main flags, and copies whose box starts exactly ``th_prox``
+    after the original's ends.  Far from the origin, box gaps and distances
+    round."""
     th = draw(st.sampled_from(thresholds))
-    coord = st.integers(-24, 24).map(lambda k: k * step)
+    coord = st.integers(-24, 24).map(lambda k: offset + k * step)
     length = st.integers(1, 16).map(lambda k: k * step)
     elements = []
     for k in range(draw(st.integers(2, 14))):
@@ -80,9 +82,9 @@ def tricky_world_maps(draw, step=0.25, thresholds=(0.25, 0.5, 1.0, 2.0)):
             if kind == "shift":
                 axis = draw(st.integers(0, 1))
                 sign = draw(st.sampled_from([-1.0, 1.0]))
-                offset = np.zeros(2)
-                offset[axis] = sign * (np.ptp(pts[:, axis]) + th)
-                pts = pts + offset
+                move = np.zeros(2)
+                move[axis] = sign * (np.ptp(pts[:, axis]) + th)
+                pts = pts + move
         elif kind in ("hline", "vline", "copy", "shift"):
             x, y, d = draw(coord), draw(coord), draw(length)
             pts = [(x, y), (x + d, y)] if kind == "hline" else [(x, y), (x, y + d)]

@@ -35,7 +35,7 @@ def test_projection_against_dense_sampling(capsys):
     worst_pos = worst_dist = 0.0
     for _ in range(1000):
         a, b, c = rng.uniform(-3.0, 3.0, (3, 2))
-        pr = pm.project_point_to_segment(a, b, c)
+        pr = pm.project_point_to_polyline(a, (b, c))
         d_ref, foot_ref = dense_projection(a, b, c, n=100_000)
         worst_pos = max(worst_pos, float(np.linalg.norm(pr.point - foot_ref)))
         worst_dist = max(worst_dist, abs(pr.distance - d_ref))
@@ -102,10 +102,10 @@ def test_graph_against_naive_pairwise(capsys):
 
 
 def test_point_merge_scenarios(capsys):
-    inside = pm.merge_point((1, 1), [(0, 0), (2, 0)])
-    hit = pm.merge_point((1, 0.6), [(0, 0), (1, 0), (2, 0)])
-    beyond = pm.merge_point((3, 0.4), [(0, 0), (2, 0)])
-    before = pm.merge_point((-1, 0.4), [(0, 0), (2, 0)])
+    inside = pm.merge_polyline((1, 1), [(0, 0), (2, 0)])
+    hit = pm.merge_polyline((1, 0.6), [(0, 0), (1, 0), (2, 0)])
+    beyond = pm.merge_polyline((3, 0.4), [(0, 0), (2, 0)])
+    before = pm.merge_polyline((-1, 0.4), [(0, 0), (2, 0)])
     hand_ok = (
         np.array_equal(inside, [[0, 0], [1, 0.5], [2, 0]])
         and np.array_equal(hit, [[0, 0], [1, 0.3], [2, 0]])

@@ -1,6 +1,7 @@
 """CLI subcommands exercised through click's test runner."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -198,6 +199,36 @@ class TestMerge:
         assert result.exit_code == 2, result.output
         assert "a.json" in result.output and "'a': points[0]" in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+    @pytest.mark.parametrize("main_doc, sec_doc, where", [
+        # a 45 degree yaw and the translation move the point to y = 2.414e16
+        (None,
+         {"frame": "ego",
+          "pose": {"rotation": [math.cos(math.pi / 8), 0, 0, math.sin(math.pi / 8)],
+                   "translation": [0, 1e16, 0]},
+          "elements": [{"id": "d", "label": "divider", "points": [[0, 0], [1e16, 1e16]]}]},
+         "'1:d': points[1]"),
+        # the fold extends the main line past its end to x = 1.2e16
+        ({"frame": "world", "elements": [
+            {"id": "d", "label": "divider", "points": [[0, 0], [1e16, 5e15]]}]},
+         {"frame": "world", "elements": [
+             {"id": "d", "label": "divider", "points": [[1e16, 5e15], [1e16, 1e16]]}]},
+         "'0:d': points[2]"),
+    ], ids=["ego-point", "fold-extension"])
+    def test_merged_map_beyond_the_range_exits_two(self, runner, tmp_path, main_doc, sec_doc, where):
+        # every number in the inputs is within the range, but the merged map's are not
+        sec = tmp_path / "sec.json"
+        sec.write_text(json.dumps(sec_doc))
+        inputs = ["--bootstrap"]
+        if main_doc is not None:
+            (tmp_path / "main.json").write_text(json.dumps(main_doc))
+            inputs = ["--main", str(tmp_path / "main.json")]
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["merge", *inputs, "--secondary", str(sec), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert where in result.output and "coordinate range" in result.output
+        assert not out.exists()
+        assert not (tmp_path / "m.report.json").exists()
 
     def test_smoothing_that_would_collapse_a_line_keeps_the_fold(self, runner, tmp_path):
         # smoothing would average both interior vertices onto the shared ends

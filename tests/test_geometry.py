@@ -14,7 +14,6 @@ from polymerge.geometry import (
     as_points,
     min_distance_to_polyline,
     project_point_to_polyline,
-    project_point_to_segment,
     transform_to_world,
 )
 
@@ -24,25 +23,25 @@ from helpers import random_polyline, random_pose
 
 class TestProjectPointToSegment:
     def test_midpoint_foot(self):
-        pr = project_point_to_segment((1, 1), (0, 0), (2, 0))
+        pr = project_point_to_polyline((1, 1), ((0, 0), (2, 0)))
         np.testing.assert_allclose(pr.point, [1.0, 0.0])
         assert pr.t == 0.5
         assert pr.distance == 1.0
 
     def test_point_on_endpoint(self):
-        pr = project_point_to_segment((0, 0), (0, 0), (1, 0))
+        pr = project_point_to_polyline((0, 0), ((0, 0), (1, 0)))
         np.testing.assert_allclose(pr.point, [0.0, 0.0])
         assert pr.t == 0.0
         assert pr.distance == 0.0
 
     def test_clamped_past_end(self):
-        pr = project_point_to_segment((5, 3), (0, 0), (2, 0))
+        pr = project_point_to_polyline((5, 3), ((0, 0), (2, 0)))
         np.testing.assert_allclose(pr.point, [2.0, 0.0])
         assert pr.t == 1.0
         assert pr.distance == pytest.approx(np.sqrt(18.0), abs=1e-12)
 
     def test_degenerate_segment_projects_to_endpoint(self):
-        pr = project_point_to_segment((3, 4), (1, 1), (1, 1))
+        pr = project_point_to_polyline((3, 4), ((1, 1), (1, 1)))
         np.testing.assert_allclose(pr.point, [1.0, 1.0])
         assert pr.t == 0.0
         assert pr.distance == pytest.approx(np.hypot(2, 3))
@@ -54,7 +53,7 @@ class TestProjectPointToSegment:
             dx, dy = c - b
             if np.hypot(dx, dy) < 1e-6:
                 continue
-            pr = project_point_to_segment(a, b, c)
+            pr = project_point_to_polyline(a, (b, c))
             raw = ((a[0] - b[0]) * dx + (a[1] - b[1]) * dy) / (dx * dx + dy * dy)
             assert pr.t == max(0.0, min(1.0, raw))
 
@@ -62,7 +61,7 @@ class TestProjectPointToSegment:
         rng = np.random.default_rng(21)
         for _ in range(50):
             a, b, c = rng.uniform(-3, 3, (3, 2))
-            pr = project_point_to_segment(a, b, c)
+            pr = project_point_to_polyline(a, (b, c))
             d_oracle, foot_oracle = dense_projection(a, b, c)
             assert pr.distance == pytest.approx(d_oracle, abs=1e-4)
             np.testing.assert_allclose(pr.point, foot_oracle, atol=1e-4)
@@ -269,9 +268,6 @@ class TestOneArithmetic:
         assert raw == (0.0 if len_sq < 1e-24 else (ex * dx + ey * dy) / len_sq)
         assert pr.t == t == max(0.0, min(1.0, raw))
         assert (pr.point.tolist(), pr.distance) == ([fx, fy], dist)
-        seg = project_point_to_segment(a, b, c)
-        assert np.array_equal(seg.point, pr.point)
-        assert (seg.segment_index, seg.t, seg.distance) == (pr.segment_index, pr.t, pr.distance)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(

@@ -18,7 +18,6 @@ from polymerge import (
     discrete_frechet,
     merge_chain,
     merge_maps,
-    merge_point,
     merge_polyline,
     project_point_to_polyline,
     save_map,
@@ -34,24 +33,24 @@ from oracles import reference_merge_polyline, reference_orient, reference_smooth
 
 class TestMergePoint:
     def test_midpoint_insertion_inside_segment(self):
-        out = merge_point((1, 1), [(0, 0), (2, 0)])
+        out = merge_polyline((1, 1), [(0, 0), (2, 0)])
         np.testing.assert_allclose(out, [[0, 0], [1, 0.5], [2, 0]])
 
     def test_vertex_hit_replaces_with_midpoint(self):
-        out = merge_point((1, 0.6), [(0, 0), (1, 0), (2, 0)])
+        out = merge_polyline((1, 0.6), [(0, 0), (1, 0), (2, 0)])
         np.testing.assert_allclose(out, [[0, 0], [1, 0.3], [2, 0]])
 
     def test_past_end_appends_foot_point(self):
-        out = merge_point((3, 0.4), [(0, 0), (2, 0)])
+        out = merge_polyline((3, 0.4), [(0, 0), (2, 0)])
         np.testing.assert_allclose(out, [[0, 0], [2, 0], [3, 0]])
 
     def test_before_start_prepends_foot_point(self):
-        out = merge_point((-1, 0.4), [(0, 0), (2, 0)])
+        out = merge_polyline((-1, 0.4), [(0, 0), (2, 0)])
         np.testing.assert_allclose(out, [[-1, 0], [0, 0], [2, 0]])
 
     def test_endpoint_hit_is_still_a_replacement(self):
         # clamped onto the first vertex but not beyond it: midpoint replace
-        out = merge_point((0, 0.4), [(0, 0), (2, 0)])
+        out = merge_polyline((0, 0.4), [(0, 0), (2, 0)])
         np.testing.assert_allclose(out, [[0, 0.2], [2, 0]])
 
     def test_inserted_vertex_is_midpoint_of_source_and_foot(self):
@@ -62,7 +61,7 @@ class TestMergePoint:
             k = int(rng.integers(0, len(base) - 1))
             along = base[k] + rng.uniform(0.1, 0.9) * (base[k + 1] - base[k])
             a = along + rng.uniform(-0.5, 0.5, 2)
-            out = merge_point(a, base)
+            out = merge_polyline(a, base)
             if len(out) != len(base) + 1:
                 continue  # vertex hit replaced in place
             fresh = [
@@ -79,13 +78,13 @@ class TestMergePoint:
 
     def test_base_vertex_order_preserved(self):
         base = [(0.0, 0), (1, 0), (2, 1), (3, 1)]
-        out = merge_point((1.5, 0.2), base)
+        out = merge_polyline((1.5, 0.2), base)
         kept = [v for v in out.tolist() if v in [list(map(float, b)) for b in base]]
         assert kept == [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]]
 
     def test_short_base_rejected(self):
         with pytest.raises(ValueError):
-            merge_point((0, 0), [(1, 1)])
+            merge_polyline((0, 0), [(1, 1)])
 
 
 class TestMergePolyline:

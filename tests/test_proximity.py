@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polymerge.proximity
@@ -11,6 +11,14 @@ from polymerge.proximity import candidate_pairs
 
 from helpers import line_element, random_world_map, tricky_world_maps
 from oracles import naive_graph_edges, naive_merge_check
+
+
+# b's start lies exactly 0.1 right of a's box, but the kernel's foot on a's
+# end, -2.1 + 1.9, rounds right of -0.2: its distance rounds below 0.1, so
+# the check and the oracle accept a pair whose box gap is th_prox
+_ULP_TIE = (VectorMap((MapElement("a", "divider", np.array([[-2.1, 0.0], [-0.2, 0.0]])),
+                       MapElement("b", "divider", np.array([[-0.1, 0.0], [-0.1, 1.0]]))),
+                      "world"), 0.1)
 
 
 def _edges(graph):
@@ -243,6 +251,7 @@ class TestBuildGraph:
 class TestCandidateSweep:
     @settings(max_examples=200, deadline=None)
     @given(tricky_world_maps())
+    @example(_ULP_TIE)
     def test_graph_matches_naive_oracle(self, case):
         vmap, th = case
         assert _edges(build_graph(vmap, th)) == naive_graph_edges(vmap, th)
@@ -250,9 +259,12 @@ class TestCandidateSweep:
         assert _edges(later) == naive_graph_edges(_unflagged(vmap), th)
 
     @settings(max_examples=200, deadline=None)
-    @given(tricky_world_maps(step=0.1, thresholds=(0.1, 0.3, 0.7, 1.0)))
+    @given(st.sampled_from([0.0, 1e3 + 0.1, 1e6 + 0.3, 3e7 + 0.7]).flatmap(
+        lambda offset: tricky_world_maps(step=0.1, thresholds=(0.1, 0.3, 0.7, 1.0), offset=offset)))
+    @example(_ULP_TIE)
     def test_sweep_drops_no_pair_the_check_accepts(self, case):
-        # on a 0.1 lattice a box bound plus th_prox rounds; no accepted pair may drop
+        # on a 0.1 lattice a box bound plus th_prox rounds, and so do the
+        # check's distances far from the origin; no accepted pair may drop
         vmap, th = case
         for skip in (True, False):
             graph = build_graph(vmap, th, skip_main_pairs=skip)
