@@ -12,8 +12,6 @@ from .map_model import (
     LABEL_PED_CROSSING,
     MapFormatError,
     VectorMap,
-    _COORD_LIMIT,
-    _OUT_OF_RANGE,
     atomic_writer,
     load_map,
     save_map,
@@ -44,16 +42,6 @@ def _load(path) -> VectorMap:
         return to_world(vmap)
     except ValueError as exc:
         raise _InputError(f"{path}: in the world frame, {exc}") from None
-
-
-def _check_range(merged: VectorMap) -> None:
-    """Refuse to write a map ``load_map`` would reject: a pose's translation
-    or a fold's extension can take valid inputs past the coordinate range."""
-    points = [el.points for el in merged.elements]
-    if points and np.abs(np.concatenate(points)).max() > _COORD_LIMIT:
-        el = next(el for el in merged.elements if np.abs(el.points).max() > _COORD_LIMIT)
-        k = int((np.abs(el.points) > _COORD_LIMIT).any(axis=1).argmax())
-        raise _InputError(f"merged element '{el.id}': points[{k}] {_OUT_OF_RANGE}")
 
 
 def _parse_window(value: str) -> tuple[float, float]:
@@ -122,8 +110,10 @@ def merge(main_path, secondary_paths, bootstrap, th_prox, th_cov, cell_size,
     secondaries = [_load(p) for p in secondary_paths]
     report = MergeReport()
     merged = merge_maps(main_map, secondaries, config, report)
-    _check_range(merged)
-    save_map(merged, out_path)
+    try:
+        save_map(merged, out_path)
+    except MapFormatError as exc:
+        raise _InputError(f"merged map: {exc}") from None
     root, ext = os.path.splitext(out_path)
     report_path = f"{root}.report{ext if ext == '.json' else '.json'}"
     write_json_atomic(report.to_dict(), report_path)

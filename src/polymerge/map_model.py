@@ -383,9 +383,24 @@ def _element_json(el: MapElement) -> str:
     )
 
 
+def _check_range(vmap: VectorMap) -> None:
+    """Refuse a map ``load_map`` would reject for its range: a pose's
+    translation or a fold's extension can take valid inputs past it."""
+    points = [el.points for el in vmap.elements]
+    if points and np.abs(np.concatenate(points)).max() > _COORD_LIMIT:
+        el = next(el for el in vmap.elements if np.abs(el.points).max() > _COORD_LIMIT)
+        k = int((np.abs(el.points) > _COORD_LIMIT).any(axis=1).argmax())
+        raise MapFormatError(f"element '{el.id}': points[{k}] {_OUT_OF_RANGE}")
+    if vmap.pose is not None and np.abs(vmap.pose.translation).max() > _COORD_LIMIT:
+        raise MapFormatError(f"pose translation {_OUT_OF_RANGE}")
+
+
 def save_map(vmap: VectorMap, path) -> None:
     """Write a vector map as JSON.  Floats keep their full round-trip
-    precision, and the file is replaced atomically."""
+    precision, and the file is replaced atomically.  A map with a number
+    beyond the coordinate range raises MapFormatError, and nothing is
+    written."""
+    _check_range(vmap)
     with atomic_writer(path) as fh:
         fh.write('{\n  "frame": ' + _json_str(vmap.frame))
         if vmap.pose is not None:

@@ -43,8 +43,9 @@ def discrete_frechet(p, q) -> float:
     q = np.atleast_2d(np.asarray(q, dtype=float))
     if len(p) == 0 or len(q) == 0:
         raise ValueError("discrete_frechet needs non-empty vertex chains")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("discrete_frechet needs finite coordinates")
     dist = cdist(p, q)
-    # numpy reductions keep a NaN, which fails the test below and goes to the DP
     lower = float(np.max((dist[0, 0], dist[-1, -1],
                           dist.min(axis=1).max(), dist.min(axis=0).max())))
     if _greedy_coupling_within(dist, lower):
@@ -57,9 +58,10 @@ def _greedy_coupling_within(dist: np.ndarray, limit: float) -> bool:
     ``dist`` couples no distance above ``limit``.  It starts at the first
     pair; each step takes the cheapest of the diagonal, down and right
     moves, and once one chain is at its end the rest of the other pairs
-    with that end.  False for a NaN limit."""
+    with that end.  Both callers pass distances between finite points,
+    so no entry or limit is NaN."""
     at = dist.item
-    if limit != limit or at(0, 0) > limit:
+    if at(0, 0) > limit:
         return False
     n, m = dist.shape[0] - 1, dist.shape[1] - 1
     i = j = 0
@@ -113,10 +115,10 @@ def _cum_arc(pts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _interp_along(pts: np.ndarray, arcs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    x = np.interp(s, arcs, pts[:, 0])
-    y = np.interp(s, arcs, pts[:, 1])
-    return np.column_stack([x, y])
+# cells per block of offsets in ``pcm``: small blocks stay in cache, and a
+# line of hundreds of vertices adds no peak memory
+_PCM_BLOCK_CELLS = 1 << 12
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
 def pcm(p, q) -> float:
@@ -129,6 +131,30 @@ def pcm(p, q) -> float:
     length within the window and the area between the curves is accumulated
     as trapezoids; the minimum over offsets is divided by the reference
     curve's total arc length.
+
+    Offsets are scored in blocks, one row per offset, with the float
+    operations of a loop over offsets.  Offset ``off``'s samples are the
+    distinct values among the shorter curve's vertex arcs and
+    ``arcs_l[j] - off`` for the longer curve's vertex arcs strictly inside
+    the window, ``arcs_l[lo:hi]`` as ``arcs_l`` is non-decreasing.  A row
+    holds both, padded with +inf, and is sorted; it keeps each finite value
+    that differs from its left neighbour, which is what ``np.unique`` keeps.
+    Every sample's gap and trapezoid term is then the loop's float.
+
+    Only the sums differ: a block sums each row's terms with
+    ``np.add.reduceat``, in another order than ``np.sum``.  Summing n
+    non-negative floats of exact sum S in any order gives a float within
+    g*S of S, g = (n-1)u / (1-(n-1)u), u = 2**-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 4.2; additions that
+    underflow are exact).  So a row whose reduceat sum exceeds the least
+    one, m, by more than the factor ((1+g)/(1-g))**2 = 1 + 4g/(1-g)**2 has
+    an ``np.sum`` above that of m's row, and cannot hold the least area.
+    As n is at most the N = len(arcs_s) + len(arcs_l) samples a row can
+    have, and Nu < 1/100, that factor is below 1 + 5Nu, which
+    F = fl(1 + 8Nu) >= 1 + 7Nu exceeds; rounding is monotone, so every
+    float up to m*F is also up to fl(m*F).  The rows within that slack of
+    the least sum so far, which is never below the least of all, are summed
+    again with ``np.sum``, and the least of those sums is the loop's area.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
@@ -137,8 +163,10 @@ def pcm(p, q) -> float:
     arcs_p = _cum_arc(p)
     arcs_q = _cum_arc(q)
     len_p, len_q = arcs_p[-1], arcs_q[-1]
-    if len_p <= 0 or len_q <= 0:
-        raise ValueError("pcm needs curves with positive arc length")
+    # a NaN or infinite vertex, or a step that overflows, gives a NaN or
+    # infinite arc length
+    if not (0 < len_p < np.inf and 0 < len_q < np.inf):
+        raise ValueError("pcm needs curves with positive, finite arc length")
 
     if len_p <= len_q:
         short, arcs_s = p, arcs_p
@@ -146,23 +174,45 @@ def pcm(p, q) -> float:
     else:
         short, arcs_s = q, arcs_q
         long, arcs_l = p, arcs_p
-    span = arcs_l[-1] - arcs_s[-1]
-
+    window = arcs_s[-1]
+    span = arcs_l[-1] - window
     offsets = np.clip(arcs_l, 0.0, span)
     offsets = np.unique(np.concatenate([offsets, [0.0, span]]))
 
-    best = np.inf
-    window = arcs_s[-1]
-    for off in offsets:
-        inner = arcs_l[(arcs_l > off) & (arcs_l < off + window)] - off
-        s = np.unique(np.concatenate([arcs_s, inner]))
-        a = _interp_along(short, arcs_s, s)
-        b = _interp_along(long, arcs_l, s + off)
-        gap = np.linalg.norm(a - b, axis=1)
-        steps = np.diff(s)
-        area = float(np.sum(0.5 * (gap[:-1] + gap[1:]) * steps))
-        if area < best:
-            best = area
+    # offset k's inner vertices are arcs_l[lo[k]:lo[k] + count[k]]
+    lo = np.searchsorted(arcs_l, offsets, "right")
+    count = np.maximum(np.searchsorted(arcs_l, offsets + window, "left") - lo, 0)
+    n_s, last = len(arcs_s), len(arcs_l) - 1
+    cols = np.arange(int(count.max()))
+    rows = max(1, _PCM_BLOCK_CELLS // (n_s + len(cols)))
+    slack = 1.0 + 8.0 * (n_s + len(arcs_l)) * _UNIT_ROUNDOFF
+    least = best = np.inf
+    for first in range(0, len(offsets), rows):
+        off = offsets[first:first + rows, None]
+        samples = np.empty((len(off), n_s + len(cols)))
+        samples[:, :n_s] = arcs_s
+        inner = samples[:, n_s:]
+        np.subtract(arcs_l[np.minimum(lo[first:first + rows, None] + cols, last)], off,
+                    out=inner)
+        inner[cols >= count[first:first + rows, None]] = np.inf
+        samples.sort(axis=1)
+        keep = samples < np.inf
+        keep[:, 1:] &= samples[:, 1:] != samples[:, :-1]
+        s = samples[keep]
+        n = keep.sum(axis=1)
+        t = s + np.repeat(off[:, 0], n)
+        dx = np.interp(s, arcs_s, short[:, 0]) - np.interp(t, arcs_l, long[:, 0])
+        dy = np.interp(s, arcs_s, short[:, 1]) - np.interp(t, arcs_l, long[:, 1])
+        # the sum of the two squares is what norm(axis=1) adds
+        gap = np.sqrt(dx * dx + dy * dy)
+        terms = 0.5 * (gap[:-1] + gap[1:]) * (s[1:] - s[:-1])
+        ends = np.cumsum(n)
+        terms[ends[:-1] - 1] = 0.0  # the terms that straddle two rows
+        starts = ends - n
+        sums = np.add.reduceat(terms, starts)
+        least = min(least, sums.min())
+        for k in np.flatnonzero(sums <= least * slack).tolist():
+            best = min(best, float(np.sum(terms[starts[k]:ends[k] - 1])))
     return best / float(len_q)
 
 
@@ -172,7 +222,10 @@ def match_elements(
     """Pair estimated elements with ground-truth elements.
 
     Candidates must pass the merge check; among several candidates the one
-    with the smallest Frechet distance wins, ties by smaller GT id.
+    with the smallest Frechet distance wins, ties by smaller GT id.  The
+    matching is many-to-one: each estimate picks on its own, so several
+    may take the same GT element, and a GT element counts as unmatched
+    only when no estimate picked it.
     Returns (pairs, unmatched_est_ids, unmatched_gt_ids).
     """
     if est.frame != "world" or gt.frame != "world":

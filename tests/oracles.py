@@ -643,3 +643,48 @@ def reference_generate_instances(gt, poses, cfg):
                     observed.append(MapElement(piece_id, el.label, pts))
         instances.append(VectorMap(tuple(observed), "ego", pose))
     return instances
+
+
+def reference_pcm(p, q) -> float:
+    """Partial-curve area as one loop over the slide offsets, each scored
+    on its own: the per-offset form that ``metrics.pcm`` must reproduce
+    bit for bit."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+
+    def cum_arc(pts):
+        steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        return np.concatenate([[0.0], np.cumsum(steps)])
+
+    def interp_along(pts, arcs, s):
+        x = np.interp(s, arcs, pts[:, 0])
+        y = np.interp(s, arcs, pts[:, 1])
+        return np.column_stack([x, y])
+
+    arcs_p = cum_arc(p)
+    arcs_q = cum_arc(q)
+    len_p, len_q = arcs_p[-1], arcs_q[-1]
+    if len_p <= len_q:
+        short, arcs_s = p, arcs_p
+        long, arcs_l = q, arcs_q
+    else:
+        short, arcs_s = q, arcs_q
+        long, arcs_l = p, arcs_p
+    span = arcs_l[-1] - arcs_s[-1]
+
+    offsets = np.clip(arcs_l, 0.0, span)
+    offsets = np.unique(np.concatenate([offsets, [0.0, span]]))
+
+    best = np.inf
+    window = arcs_s[-1]
+    for off in offsets:
+        inner = arcs_l[(arcs_l > off) & (arcs_l < off + window)] - off
+        s = np.unique(np.concatenate([arcs_s, inner]))
+        a = interp_along(short, arcs_s, s)
+        b = interp_along(long, arcs_l, s + off)
+        gap = np.linalg.norm(a - b, axis=1)
+        steps = np.diff(s)
+        area = float(np.sum(0.5 * (gap[:-1] + gap[1:]) * steps))
+        if area < best:
+            best = area
+    return best / float(len_q)

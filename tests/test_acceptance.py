@@ -1,7 +1,9 @@
 """Acceptance gate for the whole pipeline.
 
 Eight checks, each printing one PASS/FAIL line with its measured margin so a
-plain test log shows how much headroom every guarantee has.
+plain test log shows how much headroom every guarantee has, and a check
+that the acceptance scene's eval report does not depend on how ``pcm``
+batches its offsets.
 """
 
 import time
@@ -20,6 +22,7 @@ from oracles import (
     frechet_exhaustive,
     naive_graph_edges,
     quad_iou,
+    reference_pcm,
     sweep_min_rect_area,
 )
 
@@ -269,6 +272,28 @@ def test_synthetic_round_trip_quality(capsys):
     assert within_42
     assert n_complete == 20
     assert elapsed < 60.0
+
+
+def test_eval_rows_match_per_offset_pcm(monkeypatch):
+    # the seed-42 scene's report, merged and per view, with pcm as it is and
+    # with the per-offset loop it replaced: the same rows, to the bit
+    gt = _synthetic_gt()
+    poses = [
+        pm.Pose.from_yaw(0.06 * (-1) ** k, x, 0.0)
+        for k, x in enumerate(np.linspace(2.0, 18.0, 15))
+    ]
+    cfg = pm.NoiseConfig(sigma=0.2, dropout=0.1, window=(30, 60), n_instances=15, seed=42)
+    instances = [pm.to_world(inst) for inst in pm.generate_instances(gt, poses, cfg)]
+    merged = pm.merge_maps(
+        pm.VectorMap((), "world"), instances, pm.MergeConfig(smoothing_enabled=True)
+    )
+    estimates = [merged, *instances]
+    reports = [pm.evaluate_map(est, gt, 1.0) for est in estimates]
+    monkeypatch.setattr(pm.metrics, "pcm", reference_pcm)
+    assert [repr(pm.evaluate_map(est, gt, 1.0).rows) for est in estimates] == [
+        repr(report.rows) for report in reports
+    ]
+    assert sum(row.count for row in reports[0].rows if row.metric == "pcm") == len(gt)
 
 
 def test_pipeline_byte_determinism(capsys, tmp_path):

@@ -13,10 +13,12 @@ from polymerge import (
     LABELS,
     MapElement,
     MapFormatError,
+    MergeConfig,
     Pose,
     VectorMap,
     concatenate,
     load_map,
+    merge_maps,
     save_map,
     to_world,
 )
@@ -331,6 +333,33 @@ class TestSerialization:
             save_map(random_world_map(np.random.default_rng(3), 5), path)
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
         assert path.read_bytes() == before
+
+    def test_merged_map_beyond_the_range_is_not_written(self, tmp_path):
+        # both inputs are within the range; the fold extends the main line
+        # past its end to x = 1.2e16, which load_map would reject
+        main = VectorMap((MapElement("d", "divider", [(0, 0), (1e16, 5e15)]),), "world")
+        sec = VectorMap((MapElement("d", "divider", [(1e16, 5e15), (1e16, 1e16)]),), "world")
+        merged = merge_maps(main, [sec], MergeConfig())
+        path = tmp_path / "m.json"
+        save_map(VectorMap((), "world"), path)
+        before = path.read_bytes()
+        with pytest.raises(MapFormatError, match=rf"^element '0:d': points\[2\] {_RANGE}$"):
+            save_map(merged, path)
+        with pytest.raises(MapFormatError, match=rf"^element '0:d': points\[2\] {_RANGE}$"):
+            save_map(merged, tmp_path / "new.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+        assert path.read_bytes() == before
+
+    def test_pose_translation_beyond_the_range_is_not_written(self, tmp_path):
+        far = float(np.nextafter(1e16, np.inf))
+        vmap = VectorMap((), "ego", Pose(np.array([1.0, 0, 0, 0]), np.array([0, far, 0])))
+        with pytest.raises(MapFormatError, match=rf"^pose translation {_RANGE}$"):
+            save_map(vmap, tmp_path / "m.json")
+        assert list(tmp_path.iterdir()) == []
+        edge = VectorMap((line_element("e", "divider", (0, -1e16), (1e16, 0)),), "ego",
+                         Pose(np.array([1.0, 0, 0, 0]), np.array([0, -1e16, 0])))
+        save_map(edge, tmp_path / "edge.json")
+        assert load_map(tmp_path / "edge.json").element("e").points.tolist() == [[0, -1e16], [1e16, 0]]
 
     @pytest.mark.parametrize("umask", [0o022, 0o027])
     def test_written_file_mode_follows_umask(self, tmp_path, umask):

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polymerge import (
@@ -21,7 +21,7 @@ import polymerge.metrics
 from polymerge.metrics import CSV_HEADER
 
 from helpers import line_element, quad_element, random_polyline, random_world_map, tricky_world_maps
-from oracles import frechet_exhaustive, pcm_offset_sweep, reference_frechet_dp
+from oracles import frechet_exhaustive, pcm_offset_sweep, reference_frechet_dp, reference_pcm
 
 # integer-lattice coordinates give distance ties; free floats give the rest
 _coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-20.0, 20.0))
@@ -53,6 +53,32 @@ def _frechet_cases(draw):
     if draw(st.integers(0, 9)) == 0:
         chain = draw(st.sampled_from([p, q]))
         chain[draw(st.integers(0, len(chain) - 1)), draw(st.integers(0, 1))] = draw(_not_finite)
+    return p, q
+
+
+@st.composite
+def _pcm_cases(draw):
+    """(p, q) curves for pcm: free coordinates or a unit-step lattice walk,
+    whose arcs are integers that inner samples land on exactly; 2-vertex
+    curves; repeated vertices; a mirror image, whose arc length is the
+    same to the bit (span 0); far from the origin now and then."""
+    coord = st.floats(-20.0, 20.0) if draw(st.booleans()) else st.integers(-3, 3).map(float)
+    curve = st.lists(st.tuples(coord, coord), min_size=2, max_size=25)
+    p = np.array(draw(curve))
+    kind = draw(st.sampled_from(["free", "walk", "mirror"]))
+    if kind == "free":
+        q = np.array(draw(curve))
+    elif kind == "walk":
+        steps = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)]
+        q = np.cumsum(draw(st.lists(st.sampled_from(steps), min_size=2, max_size=60)), axis=0)
+        p = q[draw(st.integers(0, len(q) // 2)):] + draw(st.sampled_from([0.0, 0.5]))
+    else:
+        q = None
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(p), max_size=len(p)))
+    shift = draw(_offset)
+    p = np.repeat(p, repeats, axis=0) + shift
+    q = p * (1.0, -1.0) if q is None else q + shift
+    assume(arc_length(p) > 0 and arc_length(q) > 0)
     return p, q
 
 
@@ -126,13 +152,19 @@ class TestDiscreteFrechet:
     @given(_frechet_cases(), st.booleans())
     def test_matches_reference_dp_exactly(self, case, doubled):
         # bounds that meet and bounds that do not: 1-vertex chains, repeated
-        # vertices (doubled, or lattice repeats), lattice ties, far offsets,
-        # NaN and inf; the result has the bits of the reference DP
+        # vertices (doubled, or lattice repeats), lattice ties, far offsets;
+        # the result has the bits of the reference DP, and a NaN or an
+        # infinite coordinate is an error
         p, q = case
         if doubled:
             p = np.repeat(p, 2, axis=0)
+        finite = np.isfinite(p).all() and np.isfinite(q).all()
         for a, b in ((p, q), (q, p)):
-            assert _bits(discrete_frechet(a, b)) == _bits(reference_frechet_dp(a, b))
+            if finite:
+                assert _bits(discrete_frechet(a, b)) == _bits(reference_frechet_dp(a, b))
+            else:
+                with pytest.raises(ValueError, match="finite coordinates"):
+                    discrete_frechet(a, b)
 
     def test_bounds_settle_noisy_copies_and_lone_vertices(self, monkeypatch):
         dp_runs = _count_dp(monkeypatch)
@@ -169,6 +201,17 @@ class TestDiscreteFrechet:
             discrete_frechet([], [(0, 0)])
         with pytest.raises(ValueError):
             discrete_frechet([(0, 0)], [])
+
+    @pytest.mark.parametrize("q", [
+        [(0, 0), (float("nan"), 5)],  # the reference DP reads 0.0 here
+        [(float("nan"), 0), (1, 0)],
+        [(0, 0), (1, float("inf"))],
+        [(float("-inf"), 0)],
+    ])
+    def test_non_finite_input_rejected(self, q):
+        for a, b in (([(0, 0), (1, 0)], q), (q, [(0, 0), (1, 0)])):
+            with pytest.raises(ValueError, match="finite coordinates"):
+                discrete_frechet(a, b)
 
 
 class TestPcm:
@@ -231,6 +274,74 @@ class TestPcm:
             pcm([(0, 0)], [(0, 0), (1, 0)])
         with pytest.raises(ValueError):
             pcm([(0, 0), (0, 0)], [(0, 0), (1, 0)])
+
+    @pytest.mark.parametrize("bad", [
+        [(0, 0), (float("nan"), 5)],
+        [(float("nan"), 0), (1, 0), (2, 0)],
+        [(0, 0), (1, float("inf"))],
+        [(float("-inf"), 0), (float("-inf"), 1)],
+        # finite, but the step's square overflows
+        [(0, 0), (1e300, 0)],
+        [(-1e300, 0), (0, 0), (1e300, 0)],
+    ])
+    def test_non_finite_input_rejected(self, bad):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in ((bad, [(0, 0), (1, 0)]), ([(0, 0), (1, 0)], bad)):
+                with pytest.raises(ValueError, match="finite arc length"):
+                    pcm(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pcm_cases(), st.sampled_from([polymerge.metrics._PCM_BLOCK_CELLS, 16, 1]))
+    def test_matches_per_offset_loop_exactly(self, case, block_cells):
+        # small blocks put nearly every offset in a block of its own
+        p, q = case
+        default = polymerge.metrics._PCM_BLOCK_CELLS
+        polymerge.metrics._PCM_BLOCK_CELLS = block_cells
+        try:
+            for a, b in ((p, q), (q, p)):
+                assert _bits(pcm(a, b)) == _bits(reference_pcm(a, b))
+        finally:
+            polymerge.metrics._PCM_BLOCK_CELLS = default
+
+    def test_long_curves_span_several_blocks(self):
+        # lattice walks of hundreds of vertices, whose inner arcs land
+        # exactly on the shorter curve's arcs; a block holds at most
+        # _PCM_BLOCK_CELLS // len(short) offsets, far fewer than there are
+        rng = np.random.default_rng(43)
+        steps = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)])
+        for n_long in (700, 1500):
+            long = np.cumsum(steps[rng.integers(0, 5, n_long)], axis=0)
+            short = long[40:80] + (0.0, 0.5)
+            arcs = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(long, axis=0), axis=1))])
+            n_offsets = len(np.unique(np.clip(arcs, 0.0, arcs[-1] - arc_length(short))))
+            assert n_offsets > 2 * (polymerge.metrics._PCM_BLOCK_CELLS // len(short))
+            assert _bits(pcm(short, long)) == _bits(reference_pcm(short, long))
+
+    def test_least_block_sum_is_not_always_the_least_area(self):
+        # parallel lines 1 m apart: every slide encloses about 10 m², and the
+        # offset whose reduceat sum is least has an np.sum above another
+        # offset's in the last bits, so only re-summing the rows within the
+        # slack gives the loop's bits
+        p = np.column_stack([[0.0, 0.6377836535966119, 1.2347562815298363,
+                              4.952015825261059, 7.785397322133548, 10.0], np.ones(6)])
+        q = np.column_stack([[-3.0, 4.42135534854312, 5.063841693628445, 5.125679135140652,
+                              7.928215149056392, 9.248070244789313, 9.44852053928616,
+                              9.886179541320343, 11.230870442775739, 11.452035101807668,
+                              13.0], np.zeros(11)])
+        assert pcm(p, q) == reference_pcm(p, q) == 1.9764235376052373
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                    min_size=1, max_size=20))
+    def test_gap_is_the_row_norm(self, diffs):
+        # pcm's gap, sqrt(dx*dx + dy*dy), is what norm(axis=1) computes: it
+        # squares each entry and adds the two, so overflow, underflow and
+        # subnormals round alike
+        d = np.array(diffs)
+        dx, dy = d[:, 0], d[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = np.sqrt(dx * dx + dy * dy)
+            assert gap.tobytes() == np.linalg.norm(d, axis=1).tobytes()
 
 
 def _world_map(elements):
