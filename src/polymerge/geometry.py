@@ -34,7 +34,7 @@ def as_points(points) -> np.ndarray:
         pts = pts[np.newaxis, :]
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (N, 2) point array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
     return pts
 
@@ -73,18 +73,43 @@ def _foot_points(a, points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     pts = as_points(points)
     if len(pts) < 2:
         raise ValueError("polyline needs at least 2 vertices")
-    x0, y0 = pts[:-1, 0], pts[:-1, 1]
-    dx, dy = pts[1:, 0] - x0, pts[1:, 1] - y0
-    len_sq = dx * dx + dy * dy
     # a[..., :1] keeps a length-1 axis that broadcasts over the segments
-    ax, ay = a[..., :1], a[..., 1:]
+    return _segment_feet(a[..., :1], a[..., 1:], pts[:-1], pts[1:])
+
+
+def _segment_feet(ax, ay, start, end) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped foot of (ax, ay) on each segment ``start[k]`` -> ``end[k]``
+    (arrays of shape (S, 2)): (t, x, y, distance), each shaped as ``ax -
+    start[:, 0]`` broadcasts.  ``_foot_points`` is this on a polyline's
+    consecutive vertices, so every entry has the bits of that kernel's
+    entry for its point and segment."""
+    x0, y0 = start[:, 0], start[:, 1]
+    dx, dy = end[:, 0] - x0, end[:, 1] - y0
+    len_sq = dx * dx + dy * dy
     # degenerate segments project onto their start vertex
     degenerate = len_sq < _DEGENERATE_SQ
-    t = np.clip(((ax - x0) * dx + (ay - y0) * dy) / np.where(degenerate, 1.0, len_sq), 0.0, 1.0)
-    t[..., degenerate] = 0.0
-    fx, fy = x0 + t * dx, y0 + t * dy
-    ox, oy = ax - fx, ay - fy
-    return t, fx, fy, np.sqrt(ox * ox + oy * oy)
+    # t = clip(((ax - x0) dx + (ay - y0) dy) / len_sq, 0, 1), f = start + t d
+    # and the distance sqrt(ox ox + oy oy), o = a - f, computed in place: each
+    # step rounds as its out-of-place form, with fewer temporaries
+    t = ax - x0
+    t *= dx
+    tmp = ay - y0
+    tmp *= dy
+    t += tmp
+    t /= np.where(degenerate, 1.0, len_sq)
+    np.clip(t, 0.0, 1.0, out=t)
+    if degenerate.any():
+        t[..., degenerate] = 0.0
+    fx = t * dx
+    fx += x0
+    fy = t * dy
+    fy += y0
+    ox = ax - fx
+    ox *= ox
+    oy = ay - fy
+    oy *= oy
+    ox += oy
+    return t, fx, fy, np.sqrt(ox, out=ox)
 
 
 def _segment_foot(ax, ay, bx, by, cx, cy) -> tuple[float, float, float, float, float]:

@@ -16,6 +16,7 @@ segments go to the lowest index, as ``np.argmin`` over the whole base.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -129,86 +130,97 @@ class _Fold:
     def __init__(self, src: np.ndarray, base: np.ndarray):
         self.src, self.base = src, base
         self.verts = base.tolist()
+        # the bits each moved original vertex had before its first move
+        self.moved: dict[int, tuple] = {}
         self.inner: dict[int, list] = {}
-        self.moved: set[int] = set()
         self.front: list = []
         self.back: list = []
-        n = len(base) - 1
-        # H[f]; -inf while family f is untouched
+        n = self.n = len(self.verts) - 1
+        # H[f], as Python floats and as the array the family test reads;
+        # -inf while family f is untouched
+        self.h = [-math.inf] * n
         self.bound = np.full(n, -np.inf)
         self.rows = max(1, _BLOCK_CELLS // n)
-        self.dist = self.exact = np.empty((0, n))
         self.scale = max(float(np.abs(src).max(initial=0.0)), float(np.abs(base).max()))
 
     def chain(self, fam: int) -> list:
         if fam < 0:
             return self.front + self.verts[:1]
-        if fam == len(self.bound):
+        if fam == self.n:
             return self.verts[-1:] + self.back
         return [self.verts[fam], *self.inner.get(fam, ()), self.verts[fam + 1]]
 
     def polyline(self) -> np.ndarray:
-        out = self.base.copy()
-        for k in self.moved:
-            out[k] = self.verts[k]
-        if self.inner:
-            fams = sorted(self.inner)
-            at = np.repeat(np.array(fams) + 1, [len(self.inner[f]) for f in fams])
-            out = np.insert(out, at, [v for f in fams for v in self.inner[f]], axis=0)
-        if self.front or self.back:
-            out = np.concatenate([np.reshape(self.front, (-1, 2)), out,
-                                  np.reshape(self.back, (-1, 2))])
-        return out
+        rows, verts, k = list(self.front), self.verts, 0
+        for fam in sorted(self.inner):
+            rows += verts[k:fam + 1]
+            rows += self.inner[fam]
+            k = fam + 1
+        rows += verts[k:]
+        rows += self.back
+        return np.fromiter(itertools.chain.from_iterable(rows), float, 2 * len(rows)).reshape(-1, 2)
 
     def nearest(self, i: int, ax: float, ay: float):
         """The segment ``np.argmin`` over the current polyline picks for
         source vertex ``i`` at (ax, ay), and its ``_segment_foot``."""
         r = i % self.rows
         if r == 0:
-            self.dist = _foot_points(self.src[i:i + self.rows], self.base)[3]
+            self.t, self.fx, self.fy, self.dist = _foot_points(self.src[i:i + self.rows], self.base)
             self.exact = self.dist.copy()
             self.exact[:, self.bound > -np.inf] = np.inf
-        row = self.exact[r]
-        fam = int(row.argmin())
-        best_d, best, foot = float(row[fam]), (fam, 0), None
+            self.arg = self.exact.argmin(axis=1).tolist()
+        fam = self.arg[r]
+        if self.h[fam] > -math.inf:
+            # touched after the block's argmin: that column is +inf now
+            fam = int(self.exact[r].argmin())
+        best_d, best, foot = self.exact.item(r, fam), (fam, 0), None
+        if self.front or self.back:
+            ends = ([-1] if self.front else []) + ([self.n] if self.back else [])
+            best_d, best, foot = self._scan(ends, ax, ay, best_d, best, foot)
+        # the margin merge_polyline's docstring derives
+        limit = best_d + (1e-12 * self.scale + 1e-150)
+        near = (self.dist[r] - self.bound <= limit).nonzero()[0].tolist()
+        if near:
+            best_d, best, foot = self._scan(near, ax, ay, best_d, best, foot)
+        if foot is None:
+            # the untouched family's own kernel entries; only a clamped foot
+            # needs the unclamped parameter
+            t = self.t.item(r, fam)
+            if 0.0 < t < 1.0:
+                foot = (t, t, self.fx.item(r, fam), self.fy.item(r, fam), best_d)
+            else:
+                (bx, by), (cx, cy) = self.verts[fam:fam + 2]
+                foot = _segment_foot(ax, ay, bx, by, cx, cy)
+        return best, foot
 
-        def consider(fam):
-            nonlocal best_d, best, foot
+    def _scan(self, fams, ax, ay, best_d, best, foot):
+        """The nearest of (best_d, best, foot) and every segment of ``fams``."""
+        for fam in fams:
             chain = self.chain(fam)
             for pos in range(len(chain) - 1):
                 (bx, by), (cx, cy) = chain[pos], chain[pos + 1]
                 res = _segment_foot(ax, ay, bx, by, cx, cy)
                 if res[4] < best_d or (res[4] == best_d and (fam, pos) < best):
                     best_d, best, foot = res[4], (fam, pos), res
-
-        if self.front:
-            consider(-1)
-        if self.back:
-            consider(len(self.bound))
-        # the margin merge_polyline's docstring derives
-        limit = best_d + (1e-12 * self.scale + 1e-150)
-        for near in (self.dist[r] - self.bound <= limit).nonzero()[0].tolist():
-            consider(near)
-        if foot is None:
-            (bx, by), (cx, cy) = self.verts[fam:fam + 2]
-            foot = _segment_foot(ax, ay, bx, by, cx, cy)
-        return best, foot
+        return best_d, best, foot
 
     def touch(self, fam: int, v: list) -> None:
         """Family ``fam`` (none if out of range) gained or moved vertex ``v``."""
-        if 0 <= fam < len(self.bound):
-            (bx, by), (cx, cy) = self.base[fam:fam + 2].tolist()
-            h, old = _segment_foot(v[0], v[1], bx, by, cx, cy)[4], self.bound[fam]
-            if old == -np.inf:
+        if 0 <= fam < self.n:
+            moved, verts = self.moved, self.verts
+            (bx, by), (cx, cy) = moved.get(fam) or verts[fam], moved.get(fam + 1) or verts[fam + 1]
+            h, old = _segment_foot(v[0], v[1], bx, by, cx, cy)[4], self.h[fam]
+            if old == -math.inf:
                 self.exact[:, fam] = np.inf
             if h > old:
+                self.h[fam] = h
                 self.bound[fam] = h
 
     def fold(self, ax: float, ay: float, where, foot) -> int:
         """Fold (ax, ay) into segment ``where``; returns the scenario."""
         fam, pos = where
         raw, t, fx, fy, _ = foot
-        n = len(self.bound)
+        n = self.n
         if 0.0 < t < 1.0:
             # foot strictly inside a segment: insert the midpoint
             m = [0.5 * (ax + fx), 0.5 * (ay + fy)]
@@ -235,11 +247,12 @@ class _Fold:
         # foot coincides with a vertex: replace it by the midpoint
         j = pos if t == 0.0 else pos + 1
         v = chain[j]
-        v[0], v[1] = 0.5 * (ax + v[0]), 0.5 * (ay + v[1])
         # original vertex k, if v is one, belongs to families k - 1 and k
         k = fam if j == 0 else fam + 1 if j == len(chain) - 1 else -1
         if 0 <= k <= n:
-            self.moved.add(k)
+            self.moved.setdefault(k, (v[0], v[1]))
+        v[0], v[1] = 0.5 * (ax + v[0]), 0.5 * (ay + v[1])
+        if 0 <= k <= n:
             self.touch(k - 1, v)
             self.touch(k, v)
         else:
@@ -270,10 +283,14 @@ def merge_polyline(source, base, scenario_counts=None) -> np.ndarray:
     A segment lies in the hull of its two vertices and the distance to a
     segment is convex, so every segment of family f lies within H[f] of
     segment f, and D[i, f] - H[f] bounds vertex i's distance to all of them
-    from below.  For each vertex, the nearest untouched family (one argmin)
-    and every extension segment give an exact distance d; only the touched
+    from below.  For each vertex, the nearest untouched family (one argmin
+    per block, taken again for a row whose pick a later fold touched) and
+    every extension segment give an exact distance d; only the touched
     families whose bound is within d + margin are re-projected, segment by
-    segment, with ``_segment_foot``.
+    segment, with ``_segment_foot``.  An untouched winner takes its foot
+    from the kernel's own t, x and y.  Only a clamped foot (t 0 or 1) is
+    recomputed with ``_segment_foot``, whose unclamped parameter tells a
+    vertex hit from an extension past an end.
 
     The margin is 1e-12 S + 1e-150, where S bounds every coordinate of the
     source, the base and the extensions.  The kernel's foot lies within

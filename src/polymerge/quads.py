@@ -12,15 +12,17 @@ its area, with the same bits as the plain pipeline
 
 - the raster fills each quad's row intervals from one crossing abscissa
   per row and edge, and measures edge distances only for cell centers
-  that can lie within 1e-9 of an edge;
-- the blur is estimated by two 1-D passes, and only cells whose estimate
-  lies within 1e-9 of ``th_cov`` are convolved exactly;
+  that can lie within 1e-9 of an edge, each against that edge alone;
+- the blur is estimated by two 1-D passes of the kernel's marginal, both
+  built once per sigma, and only cells whose estimate lies within 1e-9 of
+  ``th_cov`` are convolved exactly;
 - the rectangle is fitted to the leftmost and rightmost cell of each row,
   the only cells whose corners can be hull vertices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.ndimage import convolve1d
 from scipy.signal import convolve2d
 
-from .geometry import _foot_points, signed_area
+from .geometry import _segment_feet, signed_area
 from .map_model import LABEL_PED_CROSSING, MapElement
 
 __all__ = [
@@ -114,10 +116,10 @@ def _on_edge_candidates(start, end, cols, rows, reach):
     the band of half-width ``reach * length / |dy|`` around the edge line.
     """
     ax, ay, bx, by = start[:, 0], start[:, 1], end[:, 0], end[:, 1]
-    first = np.searchsorted(rows, np.minimum(ay, by) - reach)
-    n_rows = np.searchsorted(rows, np.maximum(ay, by) + reach, "right") - first
-    edge = np.repeat(np.arange(len(start)), n_rows)
-    row = np.arange(len(edge)) - np.repeat(np.cumsum(n_rows) - n_rows - first, n_rows)
+    first = rows.searchsorted(np.minimum(ay, by) - reach)
+    n_rows = rows.searchsorted(np.maximum(ay, by) + reach, "right") - first
+    edge = np.arange(len(start)).repeat(n_rows)
+    row = np.arange(len(edge)) - (n_rows.cumsum() - n_rows - first).repeat(n_rows)
     y = rows[row]
     dx, dy = (bx - ax)[edge], (by - ay)[edge]
     x_lo = np.minimum(ax, bx)[edge] - reach
@@ -130,10 +132,10 @@ def _on_edge_candidates(start, end, cols, rows, reach):
         half = reach * np.hypot(dx, dy) / np.abs(safe_dy)
         x_lo = np.where(sloped, np.fmax(x_lo, x_line - half), x_lo)
         x_hi = np.where(sloped, np.fmin(x_hi, x_line + half), x_hi)
-    col0 = np.searchsorted(cols, x_lo)
-    n_cols = np.maximum(np.searchsorted(cols, x_hi, "right") - col0, 0)
-    pair = np.repeat(np.arange(len(edge)), n_cols)
-    col = np.arange(len(pair)) - np.repeat(np.cumsum(n_cols) - n_cols - col0, n_cols)
+    col0 = cols.searchsorted(x_lo)
+    n_cols = np.maximum(cols.searchsorted(x_hi, "right") - col0, 0)
+    pair = np.arange(len(edge)).repeat(n_cols)
+    col = np.arange(len(pair)) - (n_cols.cumsum() - n_cols - col0).repeat(n_cols)
     return edge[pair], row[pair], col
 
 
@@ -160,47 +162,47 @@ def rasterize_coverage(quads, cell_size: float) -> CoverageGrid:
     stacked = np.stack(quads)
     if not np.isfinite(stacked).all():
         raise ValueError("quad coordinates must be finite")
-    lo = stacked.min(axis=(0, 1)) - cell_size
-    hi = stacked.max(axis=(0, 1)) + cell_size
+    corners = stacked.reshape(-1, 2)
+    lo = corners.min(axis=0) - cell_size
+    hi = corners.max(axis=0) + cell_size
     width = max(1, int(math.ceil((hi[0] - lo[0]) / cell_size)))
     height = max(1, int(math.ceil((hi[1] - lo[1]) / cell_size)))
     cols, rows = _center_axes(lo, cell_size, (height, width))
 
     # parity: (row, quad, edge) crossing abscissae, then per row and quad the
     # number of columns left of each, i.e. with center x < x_hit
-    start, end = stacked, np.roll(stacked, -1, axis=1)
+    start, end = stacked, stacked[:, [1, 2, 3, 0]]
     x1, y1, x2, y2 = start[..., 0], start[..., 1], end[..., 0], end[..., 1]
     y = rows[:, np.newaxis, np.newaxis]
     crosses = (y1 > y) != (y2 > y)
     with np.errstate(divide="ignore", invalid="ignore"):
         x_hit = (x2 - x1) * (y - y1) / (y2 - y1) + x1
-    hits = np.sort(np.where(crosses, np.searchsorted(cols, x_hit), 0), axis=-1)
+    hits = np.sort(np.where(crosses, cols.searchsorted(x_hit), 0), axis=-1)
     row_base = (np.arange(height) * (width + 1))[:, np.newaxis, np.newaxis]
     size = height * (width + 1)
     steps = (np.bincount((hits[..., 0::2] + row_base).ravel(), minlength=size)
              - np.bincount((hits[..., 1::2] + row_base).ravel(), minlength=size))
     counts = np.cumsum(steps.reshape(height, width + 1)[:, :width], axis=1)
 
-    # on-edge test for the centers parity left out.  The computed distance
-    # of _foot_points errs by under 1e-14 * scale, and so does the candidate
-    # filter; twice (1e-9 + 1e-12 * scale) keeps every center it can accept.
-    scale = max(float(np.abs(stacked).max()), float(np.abs(cols[[0, -1]]).max()),
-                float(np.abs(rows[[0, -1]]).max()))
+    # on-edge test for the centers parity left out, each measured against the
+    # edge whose band found it, with _foot_points' arithmetic.  That distance
+    # errs by under 1e-14 * scale, and so does the candidate filter; twice
+    # (1e-9 + 1e-12 * scale) keeps every center it can accept.
+    scale = max(float(np.abs(corners).max()), abs(cols.item(0)), abs(cols.item(-1)),
+                abs(rows.item(0)), abs(rows.item(-1)))
     reach = 2.0 * (_ON_EDGE + 1e-12 * scale)
-    edge, row, col = _on_edge_candidates(start.reshape(-1, 2), end.reshape(-1, 2),
-                                         cols, rows, reach)
+    start, end = start.reshape(-1, 2), end.reshape(-1, 2)
+    edge, row, col = _on_edge_candidates(start, end, cols, rows, reach)
     quad = edge // 4
-    quad, row, col = np.unique(np.stack([quad, row, col]), axis=1)
     quad_hits = hits[row, quad]
-    parity = (((quad_hits[:, 0] <= col) & (col < quad_hits[:, 1]))
-              | ((quad_hits[:, 2] <= col) & (col < quad_hits[:, 3])))
-    quad, row, col = quad[~parity], row[~parity], col[~parity]
-    for q in np.unique(quad):
-        sel = quad == q
-        points = np.column_stack([cols[col[sel]], rows[row[sel]]])
-        ring = np.vstack([stacked[q], stacked[q, :1]])
-        on_edge = (_foot_points(points, ring)[3] <= _ON_EDGE).any(axis=1)
-        np.add.at(counts, (row[sel][on_edge], col[sel][on_edge]), 1)
+    outside = ~(((quad_hits[:, 0] <= col) & (col < quad_hits[:, 1]))
+                | ((quad_hits[:, 2] <= col) & (col < quad_hits[:, 3])))
+    if outside.any():
+        edge, quad, row, col = edge[outside], quad[outside], row[outside], col[outside]
+        on = _segment_feet(cols[col], rows[row], start[edge], end[edge])[3] <= _ON_EDGE
+        # a center on two edges of one quad counts once for it
+        cell = np.unique((quad[on] * height + row[on]) * width + col[on]) % (height * width)
+        np.add.at(counts, (cell // width, cell % width), 1)
     return CoverageGrid(lo, cell_size, counts / len(quads))
 
 
@@ -238,11 +240,23 @@ def threshold_region(grid: CoverageGrid, th_cov: float) -> np.ndarray:
     return grid.cell_centers()[mask.ravel()]
 
 
-def _separable_blur(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Full-mode blur estimate: two 1-D passes with the kernel's marginal."""
-    radius = kernel.shape[0] // 2
+@functools.lru_cache(maxsize=8)
+def _kernel_and_marginal(sigma_cells: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gaussian_kernel(sigma_cells)`` and its column sums, read-only,
+    built once per sigma."""
+    kernel = gaussian_kernel(sigma_cells)
     marginal = kernel.sum(axis=0)
-    rows_blurred = convolve1d(np.pad(values, radius), marginal, axis=1, mode="constant")
+    kernel.flags.writeable = marginal.flags.writeable = False
+    return kernel, marginal
+
+
+def _separable_blur(values: np.ndarray, marginal: np.ndarray) -> np.ndarray:
+    """Full-mode blur estimate: two 1-D passes with the kernel's marginal."""
+    radius = len(marginal) // 2  # at least 1
+    # np.pad's zeros, without its per-call set-up
+    padded = np.zeros((values.shape[0] + 2 * radius, values.shape[1] + 2 * radius))
+    padded[radius:-radius, radius:-radius] = values
+    rows_blurred = convolve1d(padded, marginal, axis=1, mode="constant")
     return convolve1d(rows_blurred, marginal, axis=0, mode="constant")
 
 
@@ -254,15 +268,17 @@ def _blurred_mask(grid: CoverageGrid, sigma_cells: float, th_cov: float):
     ``th_cov`` is convolved exactly over its own window, which convolve2d
     sums in the order it sums the full-mode cell.
     """
-    kernel = gaussian_kernel(sigma_cells)
-    radius = kernel.shape[0] // 2
-    estimate = _separable_blur(grid.values, kernel)
+    kernel, marginal = _kernel_and_marginal(sigma_cells)
+    radius = len(marginal) // 2
+    estimate = _separable_blur(grid.values, marginal)
     mask = estimate >= th_cov
-    padded = np.pad(grid.values, 2 * radius)
-    side = 2 * radius + 1
-    for i, j in np.argwhere(np.abs(estimate - th_cov) <= _RECHECK_BAND):
-        window = padded[i:i + side, j:j + side]
-        mask[i, j] = convolve2d(window, kernel, mode="valid")[0, 0] >= th_cov
+    recheck = np.argwhere(np.abs(estimate - th_cov) <= _RECHECK_BAND)
+    if len(recheck):
+        padded = np.pad(grid.values, 2 * radius)
+        side = 2 * radius + 1
+        for i, j in recheck.tolist():
+            window = padded[i:i + side, j:j + side]
+            mask[i, j] = convolve2d(window, kernel, mode="valid")[0, 0] >= th_cov
     return mask, grid.origin - radius * grid.cell_size
 
 
@@ -314,8 +330,13 @@ def _half_hull(pts) -> list:
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, counter-clockwise, no duplicate endpoint."""
-    # np.unique returns the rows sorted by x, then y: the order the chain walks
-    pts = np.unique(_row_extremes(points), axis=0)
+    # sorted by x, then y: the order the chain walks.  Equal rows keep the
+    # first, as np.unique(axis=0) does for rows with equal bits
+    pts = _row_extremes(points)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = (pts[1:, 0] != pts[:-1, 0]) | (pts[1:, 1] != pts[:-1, 1])
+    pts = pts[fresh]
     if len(pts) < 3:
         return pts
     # Python floats round each operation as numpy float64 scalars do, faster
@@ -340,24 +361,25 @@ def min_rotated_rect(points) -> np.ndarray:
             raise ValueError("min_rotated_rect needs at least 3 distinct points")
         raise ValueError("min_rotated_rect needs non-collinear points")
 
-    edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
+    edges = np.concatenate([hull[1:], hull[:1]]) - hull
     norm = np.hypot(edges[:, 0], edges[:, 1])
     usable = norm >= 1e-12
     if not usable.any():
         raise ValueError("min_rotated_rect needs a hull edge of length >= 1e-12")
-    c = (edges[usable, 0] / norm[usable])[:, np.newaxis]
-    s = (edges[usable, 1] / norm[usable])[:, np.newaxis]
+    # one row (cos, sin) per usable edge
+    cs = edges[usable] / norm[usable, np.newaxis]
+    c, s = cs[:, :1], cs[:, 1:]
     # hull coordinates in the frame where each edge is horizontal, one row per edge
     xs = hull[:, 0] * c + hull[:, 1] * s
     ys = -hull[:, 0] * s + hull[:, 1] * c
     x0, x1 = xs.min(axis=1), xs.max(axis=1)
     y0, y1 = ys.min(axis=1), ys.max(axis=1)
     k = int(np.argmin((x1 - x0) * (y1 - y0)))
-    c, s = c[k, 0], s[k, 0]
-    local = np.array([[x0[k], y0[k]], [x1[k], y0[k]], [x1[k], y1[k]], [x0[k], y1[k]]])
-    return np.column_stack(
-        [local[:, 0] * c - local[:, 1] * s, local[:, 0] * s + local[:, 1] * c]
-    )
+    # the 4 corners rotated back, on Python floats
+    c, s = cs[k].tolist()
+    x0, x1, y0, y1 = x0.item(k), x1.item(k), y0.item(k), y1.item(k)
+    return np.array([[x * c - y * s, x * s + y * c]
+                     for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))])
 
 
 def quad_area(points) -> float:

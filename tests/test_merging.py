@@ -215,9 +215,28 @@ def _fold_cases(draw):
     return source * scale + offset, base * scale + offset
 
 
+# The nearest segment is the untouched first or last one, and the kernel's
+# clamped t is exactly 0.0 or 1.0: only the unclamped parameter tells a
+# vertex hit (raw 0 or 1, scenario 2) from an extension (raw < 0, scenario
+# 3; raw > 1, scenario 4).
+_STRAIGHT_BASE = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+_CLAMPED_FEET = [
+    np.array([[0.0, 0.5]]),  # raw == 0 on the first segment
+    np.array([[2.0, 0.5]]),  # raw == 1 on the last segment
+    np.array([[-1.0, 0.5]]),  # raw < 0 on the first segment
+    np.array([[3.0, 0.5]]),  # raw > 1 on the last segment
+    np.array([[3.0, 0.5], [-1.0, -0.5], [2.0, 0.5], [0.0, 0.5]]),
+]
+
+
 class TestFold:
     @settings(max_examples=600, deadline=None)
     @given(_fold_cases(), st.sampled_from([merging._BLOCK_CELLS, 1, 7]))
+    @example(case=(_CLAMPED_FEET[0], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
+    @example(case=(_CLAMPED_FEET[1], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
+    @example(case=(_CLAMPED_FEET[2], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
+    @example(case=(_CLAMPED_FEET[3], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
+    @example(case=(_CLAMPED_FEET[4], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
     def test_matches_per_vertex_fold_bitwise(self, case, block_cells):
         source, base = case
         got_counts, want_counts = {}, {}

@@ -276,7 +276,7 @@ class TestBlur:
         for members in range(1, 9):
             values = rng.integers(0, members + 1, (24, 31)) / members
             exact = convolve2d(values, kernel, mode="full")
-            assert np.abs(_separable_blur(values, kernel) - exact).max() <= 1e-12
+            assert np.abs(_separable_blur(values, kernel.sum(axis=0)) - exact).max() <= 1e-12
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -423,6 +423,10 @@ class TestMinRotatedRect:
 
 
 class TestConvexHull:
+    """The row-extremes trim and the dedupe give the bytes of the monotone
+    chain over ``np.unique(points, axis=0)``: ``tobytes`` sees a flipped
+    sign of zero, which ``np.array_equal`` does not."""
+
     def test_trimmed_hull_equals_untrimmed_random(self):
         rng = np.random.default_rng(59)
         for _ in range(200):
@@ -431,7 +435,7 @@ class TestConvexHull:
             rows = rng.uniform(-5, 5, int(rng.integers(1, n + 1)))
             pts = np.column_stack([rng.uniform(-5, 5, n), rng.choice(rows, n)])
             pts = np.vstack([pts, pts[: int(rng.integers(0, n + 1))]])
-            assert np.array_equal(_convex_hull(pts), monotone_chain_hull(pts))
+            assert _convex_hull(pts).tobytes() == monotone_chain_hull(pts).tobytes()
 
     def test_trimmed_hull_equals_untrimmed_grid_corners(self):
         rng = np.random.default_rng(61)
@@ -442,7 +446,26 @@ class TestConvexHull:
             rows, cols = np.nonzero(mask)
             centers = origin + (np.column_stack([cols, rows]) + 0.5) * cell
             pts = _cell_corner_points(centers, cell)
-            assert np.array_equal(_convex_hull(pts), monotone_chain_hull(pts))
+            assert _convex_hull(pts).tobytes() == monotone_chain_hull(pts).tobytes()
+
+    @pytest.mark.parametrize("pts", [
+        # a square whose corners each appear 1-3 times, in shuffled order
+        [[1, 1], [0, 0], [1, 0], [0, 1], [0, 0], [1, 1], [0, 0], [1, 0]],
+        # duplicated row ends and a duplicated single-point row
+        [[0, 0], [4, 0], [4, 0], [2, 3], [2, 3], [0, 0], [1, 1], [3, 1], [3, 1]],
+        # every row twice: the dedupe keeps one of each
+        [[0, 0], [2, 0], [3, 2], [1, 3], [-1, 1]] * 2,
+        # negative zeros, and rows that repeat them
+        [[-0.0, -0.0], [1, -0.0], [1, 1], [-0.0, 1], [-0.0, -0.0], [1, -0.0], [0.5, -0.0]],
+        [[-0.0, 2], [-0.0, 2], [-1, -0.0], [1, -0.0], [-1, -0.0], [0.25, 1], [-0.0, -1]],
+        # duplicates that leave fewer than 3 distinct points
+        [[1, 2], [1, 2], [1, 2]],
+        [[-0.0, 0.5], [3, 0.5], [-0.0, 0.5], [3, 0.5]],
+    ])
+    def test_duplicated_rows_keep_their_bits(self, pts):
+        pts = np.array(pts, dtype=float)
+        for order in (pts, pts[::-1], np.roll(pts, 3, axis=0)):
+            assert _convex_hull(order).tobytes() == monotone_chain_hull(order).tobytes()
 
 
 class TestMergeQuads:
@@ -610,25 +633,25 @@ class TestMergeQuads:
     def test_work_stays_near_the_region_edge(self, config, monkeypatch):
         members = [quad_element("a", 0.0, 0.0, w=4, h=3, angle=0.4),
                    quad_element("b", 0.15, -0.1, w=4, h=3, angle=0.45)]
-        seen = {"foot points": 0, "windows": 0}
-        foot_points, conv = quads._foot_points, quads.convolve2d
+        seen = {"center-edge pairs": 0, "windows": 0}
+        segment_feet, conv = quads._segment_feet, quads.convolve2d
 
-        def counting_foot(points, poly):
-            seen["foot points"] += len(points)
-            return foot_points(points, poly)
+        def counting_feet(x, y, start, end):
+            seen["center-edge pairs"] += np.broadcast(x, start[:, 0]).size
+            return segment_feet(x, y, start, end)
 
         def counting_conv(a, b, mode="full"):
             seen["windows"] += 1
             return conv(a, b, mode=mode)
 
-        monkeypatch.setattr(quads, "_foot_points", counting_foot)
+        monkeypatch.setattr(quads, "_segment_feet", counting_feet)
         monkeypatch.setattr(quads, "convolve2d", counting_conv)
         cells = rasterize_coverage([m.points for m in members], config.cell_size).values.size
         out = merge_quads(members, config)
         assert cells > 2000
-        # the whole-raster pipeline tests ~2 x cells points and convolves
-        # every cell with the full kernel
-        assert seen["foot points"] <= 20
+        # the whole-raster pipeline measures ~2 x cells centers against each
+        # of a quad's 4 edges and convolves every cell with the full kernel
+        assert seen["center-edge pairs"] <= 20
         assert seen["windows"] <= 20
         assert out.points.tobytes() == reference_merge_quads(members, config).tobytes()
 
