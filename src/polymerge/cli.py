@@ -195,13 +195,7 @@ def synth(gt_path, n_instances, sigma, dropout, window, seed, out_dir):
     """Generate noisy windowed instances of a ground-truth map."""
     window_wh = _parse_window(window)
     gt = _load(gt_path)
-    cfg = NoiseConfig(
-        sigma=sigma,
-        dropout=dropout,
-        window=window_wh,
-        n_instances=n_instances,
-        seed=seed,
-    )
+    cfg = NoiseConfig(sigma=sigma, dropout=dropout, window=window_wh, seed=seed)
     poses = straight_path_poses(gt, n_instances)
     instances = generate_instances(gt, poses, cfg)
     paths = write_instances(instances, out_dir)

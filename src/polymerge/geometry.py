@@ -1,4 +1,4 @@
-"""Planar geometry: point-to-polyline projection, ring area and rigid frame transforms.
+"""Planar geometry: point-to-polyline projection and rigid frame transforms.
 
 Polylines are float arrays of shape (N, 2).  Rigid transforms use unit
 quaternions in (w, x, y, z) order; map points live in the z = 0 plane and
@@ -19,7 +19,6 @@ __all__ = [
     "arc_length",
     "project_point_to_polyline",
     "min_distance_to_polyline",
-    "signed_area",
     "transform_to_world",
 ]
 
@@ -37,6 +36,11 @@ def as_points(points) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
     return pts
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive")
 
 
 def arc_length(points) -> float:
@@ -134,6 +138,27 @@ def _segment_foot(ax, ay, bx, by, cx, cy) -> tuple[float, float, float, float, f
     return raw, t, fx, fy, math.sqrt(ox * ox + oy * oy)
 
 
+def _kernel_slack(scale: float) -> float:
+    """``1e-12 * scale + 1e-150``: the rounding slack of a decision on kernel
+    distances, where ``scale`` (S) bounds every coordinate magnitude in it.
+
+    With u = 2^-53, the kernel's foot (``_foot_points``, ``_segment_feet``
+    and ``_segment_foot`` share their bits) lies within 10 u S of a point of
+    the segment (of its start, where the kernel treats it as degenerate),
+    that point within 30 u S of the segment's nearest point, and the computed
+    distance within 3 u S, plus 3.2e-162 from squares that go subnormal, of
+    the distance to the foot.  So each distance is within E = 5.3e-15 S +
+    3.2e-162 of the true one (``tests/test_geometry.py`` checks this in exact
+    arithmetic).  A box gap, one rounded subtraction, is within 2.2e-16 S of
+    the true gap, a lower bound of any distance between the boxes.  One
+    rounding of a result up to 3 S, the most a distance or a coordinate
+    difference can be, errs by 3.4e-16 S.  So comparing two kernel distances,
+    or one against the difference of two, errs by at most 3 E plus 4 such
+    roundings, 1.8e-14 S + 1e-161, which the slack covers 50 times over.
+    """
+    return 1e-12 * scale + 1e-150
+
+
 def project_point_to_polyline(a, points) -> Projection:
     """Closest-point projection of ``a`` onto a polyline.
 
@@ -148,14 +173,6 @@ def project_point_to_polyline(a, points) -> Projection:
 def min_distance_to_polyline(points, poly) -> float:
     """Smallest distance from any vertex in ``points`` to the polyline ``poly``."""
     return float(_foot_points(as_points(points), poly)[3].min())
-
-
-def signed_area(points) -> float:
-    """Shoelace area of the closed ring through ``points``; positive when
-    the ring winds counter-clockwise."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import _foot_points, _segment_foot, arc_length, as_points
+from .geometry import (_foot_points, _kernel_slack, _require_finite_positive, _segment_foot,
+                       arc_length, as_points)
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
 from .geometry import project_point_to_polyline as project_point_to_polyline
@@ -62,14 +63,11 @@ class MergeConfig:
     smoothing_enabled: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.th_prox) and self.th_prox > 0):
-            raise ValueError("th_prox must be finite and positive")
+        _require_finite_positive("th_prox", self.th_prox)
         if not 0.0 < self.th_cov < 1.0:
             raise ValueError("th_cov must lie strictly between 0 and 1")
-        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
-            raise ValueError("cell_size must be finite and positive")
-        if not (math.isfinite(self.blur_sigma_cells) and self.blur_sigma_cells > 0):
-            raise ValueError("blur_sigma_cells must be finite and positive")
+        _require_finite_positive("cell_size", self.cell_size)
+        _require_finite_positive("blur_sigma_cells", self.blur_sigma_cells)
 
 
 @dataclass
@@ -142,6 +140,7 @@ class _Fold:
         self.bound = np.full(n, -np.inf)
         self.rows = max(1, _BLOCK_CELLS // n)
         self.scale = max(float(np.abs(src).max(initial=0.0)), float(np.abs(base).max()))
+        self.slack = _kernel_slack(self.scale)
 
     def chain(self, fam: int) -> list:
         if fam < 0:
@@ -177,8 +176,7 @@ class _Fold:
         if self.front or self.back:
             ends = ([-1] if self.front else []) + ([self.n] if self.back else [])
             best_d, best, foot = self._scan(ends, ax, ay, best_d, best, foot)
-        # the margin merge_polyline's docstring derives
-        limit = best_d + (1e-12 * self.scale + 1e-150)
+        limit = best_d + self.slack
         near = (self.dist[r] - self.bound <= limit).nonzero()[0].tolist()
         if near:
             best_d, best, foot = self._scan(near, ax, ay, best_d, best, foot)
@@ -261,6 +259,7 @@ class _Fold:
 
     def _grown(self, x: float, y: float) -> list:
         self.scale = max(self.scale, abs(x), abs(y))
+        self.slack = _kernel_slack(self.scale)
         return [x, y]
 
 
@@ -286,22 +285,19 @@ def merge_polyline(source, base, scenario_counts=None) -> np.ndarray:
     from below.  For each vertex, the nearest untouched family (one argmin
     per block, taken again for a row whose pick a later fold touched) and
     every extension segment give an exact distance d; only the touched
-    families whose bound is within d + margin are re-projected, segment by
-    segment, with ``_segment_foot``.  An untouched winner takes its foot
-    from the kernel's own t, x and y.  Only a clamped foot (t 0 or 1) is
-    recomputed with ``_segment_foot``, whose unclamped parameter tells a
-    vertex hit from an extension past an end.
+    families whose bound is within d + ``_kernel_slack(S)`` are
+    re-projected, segment by segment, with ``_segment_foot``.  An untouched
+    winner takes its foot from the kernel's own t, x and y.  Only a clamped
+    foot (t 0 or 1) is recomputed with ``_segment_foot``, whose unclamped
+    parameter tells a vertex hit from an extension past an end.
 
-    The margin is 1e-12 S + 1e-150, where S bounds every coordinate of the
-    source, the base and the extensions.  The kernel's foot lies within
-    10 ulps of S of a point of the segment (on the start point of a
-    degenerate one), that point within 30 ulps of S of the segment's
-    nearest point, and the computed distance within 3 ulps, plus 3.2e-162
-    from squares that go subnormal, of the distance to the foot.  So every computed distance,
-    of D, of H and of each re-projection, is within 5.3e-15 S + 3.2e-162 of
-    the true one, and the computed bound D - H errs by less than
-    1.1e-14 S + 1e-161: a skipped segment is farther than d by a computed
-    distance too, so it can neither win nor tie.
+    S bounds every coordinate of the source, the base and the extensions,
+    so the slack is set where an extension grows it, not per vertex.  D, H
+    and each re-projection are kernel distances: the computed D - H errs by
+    two distance errors and a rounding, and a skipped segment's own
+    distance by one more, which the slack covers.  So a segment skipped as
+    farther than d + slack is farther than d by a computed distance too:
+    it can neither win nor tie.
 
     The fold is specified where no square of a coordinate difference
     overflows.  Maps ``load_map`` accepts (coordinates within 1e16 m) stay

@@ -4,21 +4,20 @@ Two elements of one label connect when a vertex of one lies closer than
 ``th_prox`` to the other (``polyline_merge_check``).  A sweep over bounding
 boxes (per label, sort by ``min_x`` and binary-search the boxes that start
 within reach of where each one ends) is the only box test.  It drops a pair
-only when the boxes lie ``th_prox`` plus a rounding margin apart on an axis,
-which ``candidate_pairs`` proves the check would reject, so the graph is the
-check run on every pair.
+only when the boxes lie ``th_prox`` plus the projection kernel's rounding
+slack (``geometry._kernel_slack``) apart on an axis, which
+``candidate_pairs`` proves the check would reject, so the graph is the check
+run on every pair.  Merge chains are the graph's connected components, found
+with one union-find.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .geometry import _segment_foot, min_distance_to_polyline
+from .geometry import _kernel_slack, _require_finite_positive, _segment_foot, min_distance_to_polyline
 from .map_model import MapElement, VectorMap
 
 __all__ = ["ProximityGraph", "polyline_merge_check", "candidate_pairs", "build_graph", "merge_chains"]
@@ -49,8 +48,7 @@ def polyline_merge_check(a: MapElement, b: MapElement, th_prox: float) -> bool:
     that vertex and segment, so a witness closer than ``th_prox`` makes
     the kernel's minimum closer too, and a miss leaves the kernel to decide.
     """
-    if not (math.isfinite(th_prox) and th_prox > 0):
-        raise ValueError("th_prox must be finite and positive")
+    _require_finite_positive("th_prox", th_prox)
     if a.label != b.label:
         return False
     if _witness_near(a.points, b.points, th_prox) or _witness_near(b.points, a.points, th_prox):
@@ -64,30 +62,26 @@ def polyline_merge_check(a: MapElement, b: MapElement, th_prox: float) -> bool:
 def candidate_pairs(elements, th_prox: float) -> np.ndarray:
     """Index pairs ``(i, j)``, ``i < j``, that ``polyline_merge_check`` may accept.
 
-    Pairs of one label whose boxes are less than ``limit = th_prox + (1e-14 S
-    + 1e-150)`` apart on both axes, sorted by ``(i, j)``; S is the largest
-    coordinate magnitude.  No pair the check accepts is dropped.  The check
-    accepts when a computed vertex-to-segment distance is below ``th_prox``.
-    Each is within 5.3e-15 S + 3.2e-162 of the true distance (as derived for
-    ``merge_polyline``), which is at least the box gap on each axis, since
-    the vertex lies in one box and the segment in the other.  The computed
-    gap, one subtraction, rounds by at most 2.2e-16 S.  So an accepted pair
-    has a computed gap below ``th_prox`` + 5.6e-15 S + 3.2e-162, which the
-    rounded ``limit`` exceeds while ``th_prox`` < 40 S; a larger ``th_prox``
-    exceeds every gap, at most 2 S, by itself.  The reach, the float after
-    the rounded ``hi + limit``, lies past the exact sum, so the window misses
-    no box that starts within ``limit``.  At S = 1e16 m, where floats are 2 m
-    apart, the margin is 100 m: it adds exact checks, never an edge.
+    Pairs of one label whose boxes are less than ``limit = th_prox +
+    _kernel_slack(S)`` apart on both axes, sorted by ``(i, j)``; S is the
+    largest coordinate magnitude.  No pair the check accepts is dropped.
+    The check accepts when a kernel distance from a vertex of one element
+    to a segment of the other is below ``th_prox``, and the true distance
+    is at least the box gap on each axis.  The slack covers the distance's
+    and the computed gap's rounding while ``th_prox`` is at most 3 S; a
+    larger ``th_prox`` exceeds every gap, at most 2 S, by itself.  The
+    reach, the float after the rounded ``hi + limit``, lies past the exact
+    sum, so the window misses no box that starts within ``limit``.  The
+    slack adds exact checks, never an edge.
     """
-    if not (math.isfinite(th_prox) and th_prox > 0):
-        raise ValueError("th_prox must be finite and positive")
+    _require_finite_positive("th_prox", th_prox)
     n = len(elements)
     if n < 2:
         return np.empty((0, 2), dtype=np.intp)
     lo = np.array([el.points.min(axis=0) for el in elements])
     hi = np.array([el.points.max(axis=0) for el in elements])
     scale = max(-float(lo.min()), float(hi.max()))
-    limit = th_prox + (1e-14 * scale + 1e-150)
+    limit = th_prox + _kernel_slack(scale)
     labels = np.array([el.label for el in elements])
     found = []
     for label in np.unique(labels):
@@ -149,16 +143,25 @@ def merge_chains(graph: ProximityGraph) -> list[list[str]]:
     ``graph.nodes``, and ids inside a component the same way, so the result
     is deterministic for a deterministically built graph.
     """
-    if not graph.edges:
-        return []
-    n = len(graph.nodes)
     index = {node: k for k, node in enumerate(graph.nodes)}
-    rows = [index[u] for u, _ in graph.edges]
-    cols = [index[v] for _, v in graph.edges]
-    adjacency = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    _, component = connected_components(adjacency, directed=False)
+    # union-find over node positions with path halving, inline: a helper
+    # call per edge doubles the cost.  Each root is its component's first node
+    parent = list(range(len(graph.nodes)))
+    for u, v in graph.edges:
+        a, b = index[u], index[v]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        else:
+            parent[a] = b
     members: dict[int, list[str]] = {}
-    for k, c in enumerate(component.tolist()):
-        members.setdefault(c, []).append(graph.nodes[k])
+    for k, node in enumerate(graph.nodes):
+        r = k
+        while parent[r] != r:
+            r = parent[r]
+        members.setdefault(r, []).append(node)
     # dict order is first-seen order, i.e. by each component's first node
     return [chain for chain in members.values() if len(chain) >= 2]

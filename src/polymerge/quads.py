@@ -12,12 +12,14 @@ its area, with the same bits as the plain pipeline
 
 - the raster fills each quad's row intervals from one crossing abscissa
   per row and edge, and measures edge distances only for cell centers
-  that can lie within 1e-9 of an edge, each against that edge alone;
+  that can lie within 1e-9 of an edge (a reach widened by the kernel's
+  ``geometry._kernel_slack``), each against that edge alone;
 - the blur is estimated by two 1-D passes of the kernel's marginal, both
   built once per sigma, and only cells whose estimate lies within 1e-9 of
   ``th_cov`` are convolved exactly;
-- the rectangle is fitted to the leftmost and rightmost cell of each row,
-  the only cells whose corners can be hull vertices.
+- the rectangle is fitted to the outline corners: per row, the leftmost
+  cell's two left corners and the rightmost cell's two right corners, the
+  only cell corners that can be hull vertices.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.ndimage import convolve1d
 from scipy.signal import convolve2d
 
-from .geometry import _segment_feet, signed_area
+from .geometry import _kernel_slack, _require_finite_positive, _segment_feet
 from .map_model import LABEL_PED_CROSSING, MapElement
 
 __all__ = [
@@ -54,11 +56,6 @@ _RECHECK_BAND = 1e-9
 
 class EmptyRegionError(ValueError):
     """No grid cell reached the coverage threshold."""
-
-
-def _require_finite_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive")
 
 
 def _center_axes(origin: np.ndarray, cell_size: float, shape) -> tuple[np.ndarray, np.ndarray]:
@@ -185,12 +182,12 @@ def rasterize_coverage(quads, cell_size: float) -> CoverageGrid:
     counts = np.cumsum(steps.reshape(height, width + 1)[:, :width], axis=1)
 
     # on-edge test for the centers parity left out, each measured against the
-    # edge whose band found it, with _foot_points' arithmetic.  That distance
-    # errs by under 1e-14 * scale, and so does the candidate filter; twice
-    # (1e-9 + 1e-12 * scale) keeps every center it can accept.
+    # edge whose band found it by the kernel; scale bounds every corner and
+    # center.  An accepted center lies within 1e-9 + slack of its edge, and
+    # the filter rounds by less again, so twice that keeps every such center.
     scale = max(float(np.abs(corners).max()), abs(cols.item(0)), abs(cols.item(-1)),
                 abs(rows.item(0)), abs(rows.item(-1)))
-    reach = 2.0 * (_ON_EDGE + 1e-12 * scale)
+    reach = 2.0 * (_ON_EDGE + _kernel_slack(scale))
     start, end = start.reshape(-1, 2), end.reshape(-1, 2)
     edge, row, col = _on_edge_candidates(start, end, cols, rows, reach)
     quad = edge // 4
@@ -282,22 +279,24 @@ def _blurred_mask(grid: CoverageGrid, sigma_cells: float, th_cov: float):
     return mask, grid.origin - radius * grid.cell_size
 
 
-def _row_end_centers(mask: np.ndarray, origin: np.ndarray, cell_size: float) -> np.ndarray:
-    """Centers of the leftmost and rightmost selected cell of each row.
+def _outline_corners(mask: np.ndarray, origin: np.ndarray, cell_size: float) -> np.ndarray:
+    """The left corners of each row's leftmost selected cell and the right
+    corners of its rightmost one, each a center plus or minus half a cell.
 
-    Within a row, cell corner x grows with the column, so the corners of
-    these cells are the row extremes the hull keeps (``_row_extremes``).
+    The rectangle fit works on cell extents rather than bare centers,
+    otherwise the result shrinks by half a cell on every side.  Within a
+    row, corner x grows with the column, so these are the only corners
+    that can be row extremes, the points the hull keeps (``_row_extremes``).
     """
     rows = np.flatnonzero(mask.any(axis=1))
-    if not len(rows):
-        raise EmptyRegionError("no cell reaches the coverage threshold")
     picked = mask[rows]
     left = picked.argmax(axis=1)
     right = mask.shape[1] - 1 - picked[:, ::-1].argmax(axis=1)
     col_x, row_y = _center_axes(origin, cell_size, mask.shape)
-    ys = row_y[rows]
-    return np.column_stack([np.concatenate([col_x[left], col_x[right]]),
-                            np.concatenate([ys, ys])])
+    h = 0.5 * cell_size
+    x_left, x_right, y = col_x[left] - h, col_x[right] + h, row_y[rows]
+    return np.column_stack([np.concatenate([x_left, x_left, x_right, x_right]),
+                            np.concatenate([y - h, y + h, y - h, y + h])])
 
 
 def _row_extremes(points: np.ndarray) -> np.ndarray:
@@ -383,17 +382,10 @@ def min_rotated_rect(points) -> np.ndarray:
 
 
 def quad_area(points) -> float:
-    """Unsigned area of a quadrilateral given by its 4 corners."""
-    return abs(signed_area(points))
-
-
-def _cell_corner_points(centers: np.ndarray, cell_size: float) -> np.ndarray:
-    """Corners of every selected cell.  The rectangle fit works on the cell
-    extents rather than bare centers, otherwise the result shrinks by half
-    a cell on every side."""
-    h = 0.5 * cell_size
-    offsets = np.array([[-h, -h], [h, -h], [h, h], [-h, h]])
-    return (centers[:, np.newaxis, :] + offsets[np.newaxis, :, :]).reshape(-1, 2)
+    """Unsigned shoelace area of a quadrilateral given by its 4 corners."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    return abs(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
 
 
 def merge_quads(chain, config, report=None) -> MapElement:
@@ -416,14 +408,11 @@ def merge_quads(chain, config, report=None) -> MapElement:
 
     grid = rasterize_coverage([el.points for el in members], config.cell_size)
     mask, origin = _blurred_mask(grid, config.blur_sigma_cells, config.th_cov)
-    fallback = False
-    try:
-        centers = _row_end_centers(mask, origin, config.cell_size)
-        corners = min_rotated_rect(_cell_corner_points(centers, config.cell_size))
-    except EmptyRegionError:
-        fallback = True
-        largest = max(members, key=lambda el: (quad_area(el.points), el.id))
-        corners = largest.points
+    fallback = not mask.any()
+    if fallback:
+        corners = max(members, key=lambda el: (quad_area(el.points), el.id)).points
+    else:
+        corners = min_rotated_rect(_outline_corners(mask, origin, config.cell_size))
     if report is not None:
         report.add_chain(
             label=LABEL_PED_CROSSING,

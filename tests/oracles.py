@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 from scipy.signal import convolve2d
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from polymerge import MapElement, VectorMap, arc_length, min_rotated_rect, to_world
@@ -135,6 +137,24 @@ def naive_graph_edges(vmap, th_prox: float) -> set[frozenset]:
             if naive_merge_check(a, b, th_prox):
                 edges.add(frozenset((a.id, b.id)))
     return edges
+
+
+def reference_merge_chains(graph) -> list[list[str]]:
+    """Connected components with at least 2 nodes by scipy's
+    ``connected_components`` on the sparse adjacency matrix; components in
+    order of their first node in ``graph.nodes``, ids in node order."""
+    if not graph.edges:
+        return []
+    n = len(graph.nodes)
+    index = {node: k for k, node in enumerate(graph.nodes)}
+    rows = [index[u] for u, _ in graph.edges]
+    cols = [index[v] for _, v in graph.edges]
+    adjacency = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    _, component = connected_components(adjacency, directed=False)
+    members: dict[int, list[str]] = {}
+    for k, c in enumerate(component.tolist()):
+        members.setdefault(c, []).append(graph.nodes[k])
+    return [chain for chain in members.values() if len(chain) >= 2]
 
 
 def sweep_min_rect_area(points, step_deg: float = 0.1) -> float:

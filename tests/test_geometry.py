@@ -1,6 +1,8 @@
 """Projection primitives and rigid transforms."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from polymerge.geometry import (
     Pose,
+    _kernel_slack,
+    _segment_feet,
     _segment_foot,
     arc_length,
     as_points,
@@ -277,3 +281,57 @@ class TestOneArithmetic:
         w, x, y, z = q.tolist()
         expect = q / math.sqrt(w * w + x * x + y * y + z * z)
         assert np.array_equal(Pose(q, np.zeros(3)).rotation, expect)
+
+
+def _exact_norm(x: Fraction, y: Fraction) -> Fraction:
+    """sqrt(x^2 + y^2) to 60 significant digits."""
+    q = x * x + y * y
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Fraction((Decimal(q.numerator) / Decimal(q.denominator)).sqrt())
+
+
+@st.composite
+def _point_and_segment(draw):
+    """(ax, ay, bx, by, cx, cy) at one scale: from 1 mm up to the 1e16 m that
+    map files may hold, or around 1e-160, where squares go subnormal.  The
+    coordinates are uniform or on a lattice, and c may sit on b or within
+    1e-12 of it, so that the kernel treats the segment as a point."""
+    scale = 10.0 ** draw(st.one_of(st.floats(-3.0, 16.0), st.floats(-162.0, -158.0)))
+    kind = draw(st.sampled_from(["uniform", "lattice", "degenerate", "near degenerate"]))
+    if kind == "lattice":
+        co = [draw(st.integers(-8, 8)) * scale / 8 for _ in range(6)]
+    else:
+        co = [draw(st.floats(-1.0, 1.0)) * scale for _ in range(6)]
+    if kind == "degenerate":
+        co[4:] = co[2:4]
+    elif kind == "near degenerate":
+        co[4:] = [v + draw(st.floats(-1e-12, 1e-12)) for v in co[2:4]]
+    return co
+
+
+class TestKernelBound:
+    """Every kernel distance is within 5.3e-15 S + 3.2e-162 of the exact one,
+    S the largest coordinate magnitude: the bound ``_kernel_slack`` rests on."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_point_and_segment())
+    def test_distance_within_bound_of_exact(self, co):
+        ax, ay, bx, by, cx, cy = co
+        scale = max(map(abs, co))
+        bound = Fraction(53, 10**16) * Fraction(scale) + Fraction(32, 10**163)
+        _, _, fx, fy, dist = _segment_foot(*co)
+        feet = _segment_feet(ax, ay, np.array([[bx, by]]), np.array([[cx, cy]]))
+        ex, ey = Fraction(ax) - Fraction(bx), Fraction(ay) - Fraction(by)
+        dx, dy = Fraction(cx) - Fraction(bx), Fraction(cy) - Fraction(by)
+        # the segment's nearest point: its start, where the kernel's len_sq
+        # makes it a point
+        t = Fraction(0)
+        if (cx - bx) * (cx - bx) + (cy - by) * (cy - by) >= 1e-12 ** 2:
+            t = min(max((ex * dx + ey * dy) / (dx * dx + dy * dy), Fraction(0)), Fraction(1))
+        to_segment = _exact_norm(ex - t * dx, ey - t * dy)
+        to_foot = _exact_norm(Fraction(ax) - Fraction(fx), Fraction(ay) - Fraction(fy))
+        for computed in (dist, feet[3].item()):
+            assert abs(Fraction(computed) - to_foot) <= bound
+            assert abs(Fraction(computed) - to_segment) <= bound
+        assert Fraction(_kernel_slack(scale)) >= 2 * bound

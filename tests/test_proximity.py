@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import polymerge.proximity
 from polymerge import MapElement, VectorMap, build_graph, merge_chains, polyline_merge_check
-from polymerge.proximity import candidate_pairs
+from polymerge.proximity import ProximityGraph, candidate_pairs
 
 from helpers import line_element, random_world_map, tricky_world_maps
-from oracles import naive_graph_edges, naive_merge_check
+from oracles import naive_graph_edges, naive_merge_check, reference_merge_chains
 
 
 # b's start lies exactly 0.1 right of a's box, but the kernel's foot on a's
@@ -307,3 +307,20 @@ class TestMergeChains:
     def test_singletons_dropped(self, small_world_map):
         graph = build_graph(small_world_map, 1.0)
         assert merge_chains(graph) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_sparse_components(self, data):
+        n = data.draw(st.integers(0, 30))
+        nodes = data.draw(st.permutations([f"n{k}" for k in range(n)]))
+        # self-loops, duplicate and reversed edges, nodes no edge touches and
+        # graphs with no edge
+        edges = []
+        if nodes:
+            edges = data.draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                                       max_size=3 * n))
+        if edges:
+            again = data.draw(st.lists(st.sampled_from(edges), max_size=5))
+            edges += again + [(v, u) for u, v in again[::2]]
+        graph = ProximityGraph(tuple(nodes), tuple(data.draw(st.permutations(edges))))
+        assert merge_chains(graph) == reference_merge_chains(graph)

@@ -21,8 +21,9 @@ from polymerge import quads
 from polymerge.quads import CoverageGrid, EmptyRegionError, blur_coverage, threshold_region
 from polymerge.quads import (
     _blurred_mask,
-    _cell_corner_points,
     _convex_hull,
+    _outline_corners,
+    _row_extremes,
     _separable_blur,
     gaussian_kernel,
     quad_area,
@@ -43,6 +44,13 @@ from oracles import (
 def _signed_area(pts):
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _all_cell_corners(centers, cell):
+    """All 4 corners of every cell, each a center plus or minus half a cell."""
+    h = 0.5 * cell
+    offsets = np.array([[-h, -h], [h, -h], [h, h], [-h, h]])
+    return (centers[:, np.newaxis, :] + offsets[np.newaxis, :, :]).reshape(-1, 2)
 
 
 class TestCoverageGrid:
@@ -411,7 +419,7 @@ class TestMinRotatedRect:
             mask = rng.random((data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)))) < 0.6
             rows, cols = np.nonzero(mask)
             assume(len(rows))
-            pts = _cell_corner_points((np.column_stack([cols, rows]) + 0.5) * cell, cell)
+            pts = _all_cell_corners((np.column_stack([cols, rows]) + 0.5) * cell, cell)
         pts = pts + offset
         assume(len(monotone_chain_hull(pts)) >= 3)
         expected = reference_min_rotated_rect(pts)
@@ -445,8 +453,26 @@ class TestConvexHull:
             mask = rng.random((int(rng.integers(1, 30)), int(rng.integers(1, 30)))) < rng.uniform(0.05, 1)
             rows, cols = np.nonzero(mask)
             centers = origin + (np.column_stack([cols, rows]) + 0.5) * cell
-            pts = _cell_corner_points(centers, cell)
+            pts = _all_cell_corners(centers, cell)
             assert _convex_hull(pts).tobytes() == monotone_chain_hull(pts).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_outline_corners_keep_every_row_extreme(self, data):
+        # the rectangle is fitted to the outline corners alone: per row, the
+        # leftmost cell's left corners and the rightmost cell's right ones
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cell = data.draw(st.sampled_from([0.1, 0.25, 0.3, 1e-9]))
+        origin = rng.uniform(-50, 50, 2) + data.draw(st.sampled_from([0.0, 1e3, 1e6, 1e12]))
+        shape = (data.draw(st.integers(1, 25)), data.draw(st.integers(1, 25)))
+        mask = rng.random(shape) < data.draw(st.floats(0.02, 1.0))
+        assume(mask.any())
+        rows, cols = np.nonzero(mask)
+        centers = origin + (np.column_stack([cols, rows]) + 0.5) * cell
+        every = _all_cell_corners(centers, cell)
+        outline = _outline_corners(mask, origin, cell)
+        assert len(outline) == 4 * mask.any(axis=1).sum()
+        assert _row_extremes(outline).tobytes() == _row_extremes(every).tobytes()
 
     @pytest.mark.parametrize("pts", [
         # a square whose corners each appear 1-3 times, in shuffled order
