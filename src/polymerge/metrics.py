@@ -110,15 +110,56 @@ def _frechet_dp(dist: np.ndarray) -> float:
     return prev[-1]
 
 
-def _cum_arc(pts: np.ndarray) -> np.ndarray:
-    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(steps)])
-
-
-# cells per block of offsets in ``pcm``: small blocks stay in cache, and a
-# line of hundreds of vertices adds no peak memory
-_PCM_BLOCK_CELLS = 1 << 12
+# cells per block of rows, and vertices per batch of pairs, in
+# ``_pcm_pairs``: blocks stay in cache, and neither a line of hundreds of
+# vertices nor a map of thousands of pairs adds peak memory
+_PCM_BLOCK_CELLS = 1 << 13
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+
+
+def _blocks(rows, widths):
+    """Split the rows of consecutive items into blocks of at most
+    ``_PCM_BLOCK_CELLS`` cells, or of one row.  Item k has ``rows[k]`` rows
+    of ``widths[k]`` cells, and a block's rows are as wide as its widest.
+    Yields each block as a list of ``(k, start, stop)``, rows
+    ``start:stop`` of item k, in item order; an item may span blocks."""
+    block, n, width = [], 0, 0
+    for k, (count, w) in enumerate(zip(rows, widths)):
+        done = 0
+        while done < count:
+            wide = w if w > width else width
+            take = _PCM_BLOCK_CELLS // wide - n
+            if take <= 0 < n:
+                yield block
+                block, n, width = [], 0, 0
+                continue
+            take = min(count - done, max(take, 1))
+            block.append((k, done, done + take))
+            n, width, done = n + take, wide, done + take
+    if block:
+        yield block
+
+
+def _cum_arcs(curves: list[np.ndarray]) -> list[np.ndarray]:
+    """Cumulative arc length of each (n, 2) curve, with the bits of
+    ``concatenate([[0.0], cumsum(norm(diff(c, axis=0), axis=1))])``.
+
+    One ``np.diff`` covers the stacked curves, and ``sqrt(dx*dx + dy*dy)``
+    is what ``norm(axis=1)`` computes.  Row c of a zero-padded matrix holds
+    0 and curve c's steps; ``cumsum(axis=1)`` adds each row left to right,
+    so every row has the bits of its own ``cumsum``.
+    """
+    sizes = [len(c) for c in curves]
+    # the differences from one curve's last vertex to the next one's first
+    # are dropped, and may overflow where no curve's own step does
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.diff(np.concatenate(curves), axis=0)
+        dx, dy = d[:, 0], d[:, 1]
+        steps = np.delete(np.sqrt(dx * dx + dy * dy), np.cumsum(sizes[:-1]) - 1)
+    n = np.array(sizes)
+    mat = np.zeros((len(n), n.max()))
+    mat[:, 1:][np.arange(1, n.max()) < n[:, None]] = steps
+    return [row[:size] for row, size in zip(np.cumsum(mat, axis=1), sizes)]
 
 
 def pcm(p, q) -> float:
@@ -130,16 +171,28 @@ def pcm(p, q) -> float:
     positions.  At each offset, points are matched by equal normalized arc
     length within the window and the area between the curves is accumulated
     as trapezoids; the minimum over offsets is divided by the reference
-    curve's total arc length.
+    curve's total arc length.  ``_pcm_pairs`` computes it.
+    """
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    return _pcm_pairs([(p, q)])[0]
 
-    Offsets are scored in blocks, one row per offset, with the float
-    operations of a loop over offsets.  Offset ``off``'s samples are the
-    distinct values among the shorter curve's vertex arcs and
-    ``arcs_l[j] - off`` for the longer curve's vertex arcs strictly inside
-    the window, ``arcs_l[lo:hi]`` as ``arcs_l`` is non-decreasing.  A row
-    holds both, padded with +inf, and is sorted; it keeps each finite value
-    that differs from its left neighbour, which is what ``np.unique`` keeps.
-    Every sample's gap and trapezoid term is then the loop's float.
+
+def _pcm_pairs(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    """``pcm`` of each ``(p, q)`` pair of float (n, 2) vertex arrays, with
+    the float operations of a loop over each pair's offsets on its own.
+
+    Pairs go in batches of at most ``_PCM_BLOCK_CELLS`` vertices, or of
+    one pair.  A row is one (pair, offset), in pair-major order, and a
+    block of a batch's rows (``_blocks``) may hold rows of several pairs.
+    Offset ``off``'s samples are the distinct values among the shorter
+    curve's vertex arcs and ``arcs_l[j] - off`` for the longer curve's
+    vertex arcs strictly inside the window, ``arcs_l[lo:hi]`` as ``arcs_l``
+    is non-decreasing.  A row holds both, padded with +inf, and is sorted;
+    it keeps each finite value that differs from its left neighbour, which
+    is what ``np.unique`` keeps.  ``np.interp`` runs on each pair's samples
+    against that pair's curves, so every sample's gap and trapezoid term is
+    the loop's float.
 
     Only the sums differ: a block sums each row's terms with
     ``np.add.reduceat``, in another order than ``np.sum``.  Summing n
@@ -147,73 +200,128 @@ def pcm(p, q) -> float:
     g*S of S, g = (n-1)u / (1-(n-1)u), u = 2**-53 (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, sec. 4.2; additions that
     underflow are exact).  So a row whose reduceat sum exceeds the least
-    one, m, by more than the factor ((1+g)/(1-g))**2 = 1 + 4g/(1-g)**2 has
-    an ``np.sum`` above that of m's row, and cannot hold the least area.
-    As n is at most the N = len(arcs_s) + len(arcs_l) samples a row can
-    have, and Nu < 1/100, that factor is below 1 + 5Nu, which
-    F = fl(1 + 8Nu) >= 1 + 7Nu exceeds; rounding is monotone, so every
-    float up to m*F is also up to fl(m*F).  The rows within that slack of
-    the least sum so far, which is never below the least of all, are summed
-    again with ``np.sum``, and the least of those sums is the loop's area.
+    one of its pair, m, by more than the factor ((1+g)/(1-g))**2 = 1 +
+    4g/(1-g)**2 has an ``np.sum`` above that of m's row, and cannot hold the
+    least area.  As n is at most the N = len(arcs_s) + len(arcs_l) samples
+    a row of the pair can have, and Nu < 1/100, that factor is below 1 +
+    5Nu, which F = fl(1 + 8Nu) >= 1 + 7Nu exceeds; rounding is monotone, so
+    every float up to m*F is also up to fl(m*F).  The rows within that
+    slack of their pair's least sum so far, which is never below the least
+    of all, are summed again with ``np.sum``, and the least of those sums
+    is the loop's area.
     """
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if len(p) < 2 or len(q) < 2:
+    if any(len(c) < 2 for pair in pairs for c in pair):
         raise ValueError("pcm needs curves with at least 2 vertices")
-    arcs_p = _cum_arc(p)
-    arcs_q = _cum_arc(q)
-    len_p, len_q = arcs_p[-1], arcs_q[-1]
+    areas = []
+    for batch in _blocks([1] * len(pairs), [len(p) + len(q) for p, q in pairs]):
+        areas += _pcm_batch(pairs[batch[0][0]:batch[-1][0] + 1])
+    return areas
+
+
+def _pcm_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    """``_pcm_pairs`` of a batch of pairs, as its docstring says."""
+    arcs = _cum_arcs([c for pair in pairs for c in pair])
+    total = np.array([a[-1] for a in arcs])
     # a NaN or infinite vertex, or a step that overflows, gives a NaN or
     # infinite arc length
-    if not (0 < len_p < np.inf and 0 < len_q < np.inf):
+    if not ((0 < total) & (total < np.inf)).all():
         raise ValueError("pcm needs curves with positive, finite arc length")
+    len_p, len_q = total[0::2], total[1::2]
+    # the shorter curve is p unless q is strictly shorter
+    swap = (len_p > len_q).tolist()
+    shorts = [pair[s] for pair, s in zip(pairs, swap)]
+    longs = [pair[1 - s] for pair, s in zip(pairs, swap)]
+    arcs_s = [arcs[2 * k + s] for k, s in enumerate(swap)]
+    arcs_l = [arcs[2 * k + 1 - s] for k, s in enumerate(swap)]
+    n_s = np.array([len(a) for a in arcs_s])
+    n_l = np.array([len(a) for a in arcs_l])
+    window = np.minimum(len_p, len_q)
+    span = np.maximum(len_p, len_q) - window
 
-    if len_p <= len_q:
-        short, arcs_s = p, arcs_p
-        long, arcs_l = q, arcs_q
-    else:
-        short, arcs_s = q, arcs_q
-        long, arcs_l = p, arcs_p
-    window = arcs_s[-1]
-    span = arcs_l[-1] - window
-    offsets = np.clip(arcs_l, 0.0, span)
-    offsets = np.unique(np.concatenate([offsets, [0.0, span]]))
+    # Rows: a pair's clipped long arcs run from 0 up to span, so np.unique
+    # of them and the two flush positions keeps each one that differs from
+    # its left neighbour
+    flat_l = np.concatenate(arcs_l)
+    first_l = np.cumsum(n_l) - n_l
+    clipped = np.clip(flat_l, 0.0, np.repeat(span, n_l))
+    fresh = np.empty(len(flat_l), dtype=bool)
+    fresh[1:] = clipped[1:] != clipped[:-1]
+    fresh[first_l] = True
+    offsets = clipped[fresh]
+    n_rows = np.add.reduceat(fresh, first_l)
+    first_row = np.cumsum(n_rows) - n_rows
+    pair_of = np.repeat(np.arange(len(pairs)), n_rows)
+    # Row r's inner vertices are flat_l[lo[r]:hi[r]].  A row's offset is
+    # below span unless it is its pair's last: every long arc from its
+    # fresh position up to the next row's equals it, and every later one
+    # exceeds it, so lo is the next row's position.  The last row's lo is
+    # past each long arc up to span.
+    lo = np.empty(len(offsets), dtype=np.intp)
+    lo[:-1] = np.flatnonzero(fresh)[1:]
+    lo[first_row + n_rows - 1] = first_l + np.add.reduceat(flat_l <= np.repeat(span, n_l), first_l)
+    tops = offsets + window[pair_of]
+    bounds = zip(arcs_l, first_row.tolist(), (first_row + n_rows).tolist())
+    hi = np.concatenate([a.searchsorted(tops[f:r]) for a, f, r in bounds]) + first_l[pair_of]
+    count = np.maximum(hi - lo, 0)
+    n_inner = np.maximum.reduceat(count, first_row)
+    last = (first_l + n_l - 1)[pair_of]
+    flat_s = np.concatenate([*arcs_s, [np.inf]])
+    first_s = (np.cumsum(n_s) - n_s)[pair_of]
+    n_s_of = n_s[pair_of]
+    cols = np.arange(int((n_s + n_inner).max()))
 
-    # offset k's inner vertices are arcs_l[lo[k]:lo[k] + count[k]]
-    lo = np.searchsorted(arcs_l, offsets, "right")
-    count = np.maximum(np.searchsorted(arcs_l, offsets + window, "left") - lo, 0)
-    n_s, last = len(arcs_s), len(arcs_l) - 1
-    cols = np.arange(int(count.max()))
-    rows = max(1, _PCM_BLOCK_CELLS // (n_s + len(cols)))
-    slack = 1.0 + 8.0 * (n_s + len(arcs_l)) * _UNIT_ROUNDOFF
-    least = best = np.inf
-    for first in range(0, len(offsets), rows):
-        off = offsets[first:first + rows, None]
-        samples = np.empty((len(off), n_s + len(cols)))
-        samples[:, :n_s] = arcs_s
-        inner = samples[:, n_s:]
-        np.subtract(arcs_l[np.minimum(lo[first:first + rows, None] + cols, last)], off,
+    slack = 1.0 + 8.0 * (n_s + n_l) * _UNIT_ROUNDOFF
+    least = np.full(len(pairs), np.inf)
+    best = [np.inf] * len(pairs)
+    row_at = first_row.tolist()
+    for block in _blocks(n_rows.tolist(), (n_s + n_inner).tolist()):
+        ks = [k for k, _, _ in block]
+        heads = [row_at[k] + a for k, a, _ in block]
+        r0, r1 = heads[0], row_at[ks[-1]] + block[-1][2]
+        wide_s, wide_l = int(n_s[ks].max()), int(n_inner[ks].max())
+        off = offsets[r0:r1]
+        samples = np.empty((r1 - r0, wide_s + wide_l))
+        c = cols[:wide_s]
+        if len(ks) == 1:
+            samples[:, :wide_s] = arcs_s[ks[0]]
+        else:
+            short_at = first_s[r0:r1, None] + c
+            short_at[c >= n_s_of[r0:r1, None]] = len(flat_s) - 1
+            samples[:, :wide_s] = flat_s[short_at]
+        c = cols[:wide_l]
+        inner = samples[:, wide_s:]
+        np.subtract(flat_l[np.minimum(lo[r0:r1, None] + c, last[r0:r1, None])], off[:, None],
                     out=inner)
-        inner[cols >= count[first:first + rows, None]] = np.inf
+        inner[c >= count[r0:r1, None]] = np.inf
         samples.sort(axis=1)
         keep = samples < np.inf
         keep[:, 1:] &= samples[:, 1:] != samples[:, :-1]
         s = samples[keep]
         n = keep.sum(axis=1)
-        t = s + np.repeat(off[:, 0], n)
-        dx = np.interp(s, arcs_s, short[:, 0]) - np.interp(t, arcs_l, long[:, 0])
-        dy = np.interp(s, arcs_s, short[:, 1]) - np.interp(t, arcs_l, long[:, 1])
+        t = s + np.repeat(off, n)
+        ends = np.cumsum(n)
+        starts = ends - n
+        cuts = starts[np.array(heads) - r0].tolist() + [len(s)]
+        dx, dy = np.empty(len(s)), np.empty(len(s))
+        for k, a, b in zip(ks, cuts, cuts[1:]):
+            np.subtract(np.interp(s[a:b], arcs_s[k], shorts[k][:, 0]),
+                        np.interp(t[a:b], arcs_l[k], longs[k][:, 0]), out=dx[a:b])
+            np.subtract(np.interp(s[a:b], arcs_s[k], shorts[k][:, 1]),
+                        np.interp(t[a:b], arcs_l[k], longs[k][:, 1]), out=dy[a:b])
         # the sum of the two squares is what norm(axis=1) adds
         gap = np.sqrt(dx * dx + dy * dy)
         terms = 0.5 * (gap[:-1] + gap[1:]) * (s[1:] - s[:-1])
-        ends = np.cumsum(n)
         terms[ends[:-1] - 1] = 0.0  # the terms that straddle two rows
-        starts = ends - n
         sums = np.add.reduceat(terms, starts)
-        least = min(least, sums.min())
-        for k in np.flatnonzero(sums <= least * slack).tolist():
-            best = min(best, float(np.sum(terms[starts[k]:ends[k] - 1])))
-    return best / float(len_q)
+        # fmin passes over a NaN sum, as the loop's comparisons do
+        least[ks] = np.fmin(least[ks], np.fmin.reduceat(sums, np.array(heads) - r0))
+        of = pair_of[r0:r1]
+        for r in np.flatnonzero(sums <= (least * slack)[of]).tolist():
+            # ndarray.sum is the np.add.reduce that np.sum calls
+            area = float(terms[starts[r]:ends[r] - 1].sum())
+            if area < best[of[r]]:
+                best[of[r]] = area
+    return (np.array(best) / len_q).tolist()
 
 
 def match_elements(
@@ -228,6 +336,14 @@ def match_elements(
     only when no estimate picked it.
     Returns (pairs, unmatched_est_ids, unmatched_gt_ids).
     """
+    matches, unmatched_est, unmatched_gt = _match(est, gt, th_prox)
+    return [(e.id, g.id) for e, g, _ in matches], unmatched_est, unmatched_gt
+
+
+def _match(est: VectorMap, gt: VectorMap, th_prox: float):
+    """``match_elements`` with elements for ids: each match is ``(e, g,
+    df)``, where df is the Frechet distance of e and g when ranking several
+    candidates computed it, else None."""
     if est.frame != "world" or gt.frame != "world":
         raise ValueError("matching requires world-frame maps")
     n_est = len(est.elements)
@@ -238,7 +354,7 @@ def match_elements(
             g = gt.elements[j - n_est]
             if polyline_merge_check(est.elements[i], g, th_prox):
                 candidates_of[i].append(g)
-    pairs: list[tuple[str, str]] = []
+    matches = []
     unmatched_est: list[str] = []
     matched_gt: set[str] = set()
     for e, candidates in zip(est.elements, candidates_of):
@@ -246,15 +362,15 @@ def match_elements(
             unmatched_est.append(e.id)
             continue
         if len(candidates) == 1:
-            best = candidates[0]
+            df, best = None, candidates[0]
         else:
-            best = min(
-                candidates, key=lambda g: (discrete_frechet(e.points, g.points), g.id)
+            df, _, best = min(
+                (discrete_frechet(e.points, g.points), g.id, g) for g in candidates
             )
-        pairs.append((e.id, best.id))
+        matches.append((e, best, df))
         matched_gt.add(best.id)
     unmatched_gt = [g.id for g in gt.elements if g.id not in matched_gt]
-    return pairs, unmatched_est, unmatched_gt
+    return matches, unmatched_est, unmatched_gt
 
 
 @dataclass(frozen=True)
@@ -315,17 +431,16 @@ def evaluate_map(
     (count 0, empty statistics), plus rows counting unmatched elements on
     either side.  The std is the population standard deviation.
     """
-    pairs, unmatched_est, unmatched_gt = match_elements(est, gt, th_prox)
+    matches, unmatched_est, unmatched_gt = _match(est, gt, th_prox)
     by_label: dict[str, dict[str, list[float]]] = {
         label: {"pcm": [], "df": []} for label in LABELS
     }
+    areas = _pcm_pairs([(e.points, g.points) for e, g, _ in matches])
+    for (e, g, df), area in zip(matches, areas):
+        by_label[e.label]["pcm"].append(area)
+        by_label[e.label]["df"].append(discrete_frechet(e.points, g.points) if df is None else df)
     est_by_id = {el.id: el for el in est.elements}
     gt_by_id = {el.id: el for el in gt.elements}
-    for est_id, gt_id in pairs:
-        e = est_by_id[est_id]
-        g = gt_by_id[gt_id]
-        by_label[e.label]["pcm"].append(pcm(e.points, g.points))
-        by_label[e.label]["df"].append(discrete_frechet(e.points, g.points))
 
     rows = []
     for label in LABELS:

@@ -59,6 +59,18 @@ def polyline_merge_check(a: MapElement, b: MapElement, th_prox: float) -> bool:
     )
 
 
+def _boxes(elements) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's box as (N, 2) arrays of coordinate minima and maxima,
+    from one pass over the stacked points.  A bound equals the element's
+    ``points.min(axis=0)`` or ``max(axis=0)`` save, at most, the sign of a
+    zero, which no gap, sort, search or slack in ``candidate_pairs`` tells
+    apart."""
+    sizes = [len(el.points) for el in elements]
+    heads = np.cumsum(sizes) - sizes
+    points = np.concatenate([el.points for el in elements])
+    return np.minimum.reduceat(points, heads), np.maximum.reduceat(points, heads)
+
+
 def candidate_pairs(elements, th_prox: float) -> np.ndarray:
     """Index pairs ``(i, j)``, ``i < j``, that ``polyline_merge_check`` may accept.
 
@@ -78,8 +90,7 @@ def candidate_pairs(elements, th_prox: float) -> np.ndarray:
     n = len(elements)
     if n < 2:
         return np.empty((0, 2), dtype=np.intp)
-    lo = np.array([el.points.min(axis=0) for el in elements])
-    hi = np.array([el.points.max(axis=0) for el in elements])
+    lo, hi = _boxes(elements)
     scale = max(-float(lo.min()), float(hi.max()))
     limit = th_prox + _kernel_slack(scale)
     labels = np.array([el.label for el in elements])

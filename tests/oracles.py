@@ -18,7 +18,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from polymerge import MapElement, VectorMap, arc_length, min_rotated_rect, to_world
+from polymerge import (LABELS, MapElement, VectorMap, arc_length, discrete_frechet,
+                       match_elements, min_rotated_rect, to_world)
 from polymerge.geometry import project_point_to_polyline, transform_to_world
 from polymerge.quads import gaussian_kernel
 from polymerge.synth import _quad_element
@@ -708,3 +709,25 @@ def reference_pcm(p, q) -> float:
         if area < best:
             best = area
     return best / float(len_q)
+
+
+def reference_eval_stats(est, gt, th_prox: float) -> dict:
+    """``evaluate_map``'s pcm and df statistics, ``(mean, min, max, std,
+    count)`` keyed by ``(label, metric)``, from a loop over the matched
+    pairs that scores each pair on its own with ``reference_pcm`` and
+    ``discrete_frechet``.  It reuses ``match_elements`` and
+    ``discrete_frechet``: what it checks is how the report batches pcm and
+    reuses the distances that ranked candidates."""
+    values = {(label, metric): [] for label in LABELS for metric in ("pcm", "df")}
+    est_by_id = {el.id: el for el in est.elements}
+    gt_by_id = {el.id: el for el in gt.elements}
+    for est_id, gt_id in match_elements(est, gt, th_prox)[0]:
+        e, g = est_by_id[est_id], gt_by_id[gt_id]
+        values[e.label, "pcm"].append(reference_pcm(e.points, g.points))
+        values[e.label, "df"].append(discrete_frechet(e.points, g.points))
+    stats = {}
+    for key, v in values.items():
+        arr = np.asarray(v)
+        stats[key] = (None, None, None, None, 0) if not v else (
+            float(arr.mean()), float(arr.min()), float(arr.max()), float(arr.std()), len(v))
+    return stats

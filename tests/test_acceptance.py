@@ -3,7 +3,7 @@
 Eight checks, each printing one PASS/FAIL line with its measured margin so a
 plain test log shows how much headroom every guarantee has, and a check
 that the acceptance scene's eval report does not depend on how ``pcm``
-batches its offsets.
+batches its offsets and pairs.
 """
 
 import time
@@ -22,7 +22,7 @@ from oracles import (
     frechet_exhaustive,
     naive_graph_edges,
     quad_iou,
-    reference_pcm,
+    reference_eval_stats,
     sweep_min_rect_area,
 )
 
@@ -274,9 +274,10 @@ def test_synthetic_round_trip_quality(capsys):
     assert elapsed < 60.0
 
 
-def test_eval_rows_match_per_offset_pcm(monkeypatch):
-    # the seed-42 scene's report, merged and per view, with pcm as it is and
-    # with the per-offset loop it replaced: the same rows, to the bit
+def test_eval_rows_match_per_offset_pcm():
+    # the seed-42 scene's report, merged and per view, against a loop over
+    # the matched pairs with the per-offset pcm and discrete_frechet: the
+    # same statistics, to the bit
     gt = _synthetic_gt()
     poses = [
         pm.Pose.from_yaw(0.06 * (-1) ** k, x, 0.0)
@@ -287,13 +288,12 @@ def test_eval_rows_match_per_offset_pcm(monkeypatch):
     merged = pm.merge_maps(
         pm.VectorMap((), "world"), instances, pm.MergeConfig(smoothing_enabled=True)
     )
-    estimates = [merged, *instances]
-    reports = [pm.evaluate_map(est, gt, 1.0) for est in estimates]
-    monkeypatch.setattr(pm.metrics, "pcm", reference_pcm)
-    assert [repr(pm.evaluate_map(est, gt, 1.0).rows) for est in estimates] == [
-        repr(report.rows) for report in reports
-    ]
-    assert sum(row.count for row in reports[0].rows if row.metric == "pcm") == len(gt)
+    for est in [merged, *instances]:
+        stats = {(r.label, r.metric): (r.mean, r.min, r.max, r.std, r.count)
+                 for r in pm.evaluate_map(est, gt, 1.0).rows if r.metric in ("pcm", "df")}
+        assert repr(stats) == repr(reference_eval_stats(est, gt, 1.0))
+    merged_stats = reference_eval_stats(merged, gt, 1.0)
+    assert sum(merged_stats[label, "pcm"][4] for label in pm.LABELS) == len(gt)
 
 
 def test_pipeline_byte_determinism(capsys, tmp_path):

@@ -21,7 +21,8 @@ import polymerge.metrics
 from polymerge.metrics import CSV_HEADER
 
 from helpers import line_element, quad_element, random_polyline, random_world_map, tricky_world_maps
-from oracles import frechet_exhaustive, pcm_offset_sweep, reference_frechet_dp, reference_pcm
+from oracles import (frechet_exhaustive, pcm_offset_sweep, reference_eval_stats, reference_frechet_dp,
+                     reference_pcm)
 
 # integer-lattice coordinates give distance ties; free floats give the rest
 _coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-20.0, 20.0))
@@ -80,6 +81,13 @@ def _pcm_cases(draw):
     q = p * (1.0, -1.0) if q is None else q + shift
     assume(arc_length(p) > 0 and arc_length(q) > 0)
     return p, q
+
+
+# a lattice walk of 800 vertices and a 40-vertex piece of it, half a step
+# off the lattice: at the default block size its rows fill several blocks
+_WALK = np.cumsum(np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)])[
+    np.random.default_rng(47).integers(0, 5, 800)], axis=0)
+_LONG_PAIR = (_WALK[100:140] + (0.0, 0.5), _WALK)
 
 
 def _bits(x: float) -> bytes:
@@ -317,6 +325,30 @@ class TestPcm:
             assert n_offsets > 2 * (polymerge.metrics._PCM_BLOCK_CELLS // len(short))
             assert _bits(pcm(short, long)) == _bits(reference_pcm(short, long))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_pcm_cases(), min_size=1, max_size=12),
+           st.sampled_from([polymerge.metrics._PCM_BLOCK_CELLS, 16, 1]),
+           st.one_of(st.none(), st.integers(0, 24)))
+    def test_batch_matches_per_pair_loop_exactly(self, cases, block_cells, long_at):
+        # rows of several pairs share a block, and the long pair's rows,
+        # among short pairs, straddle blocks
+        pairs = [pair for p, q in cases for pair in ((p, q), (q, p))]
+        if long_at is not None:
+            pairs.insert(min(long_at, len(pairs)), _LONG_PAIR)
+        default = polymerge.metrics._PCM_BLOCK_CELLS
+        polymerge.metrics._PCM_BLOCK_CELLS = block_cells
+        try:
+            areas = polymerge.metrics._pcm_pairs(pairs)
+        finally:
+            polymerge.metrics._PCM_BLOCK_CELLS = default
+        assert [_bits(a) for a in areas] == [_bits(reference_pcm(p, q)) for p, q in pairs]
+
+    def test_long_pair_fills_several_blocks(self):
+        short, long = _LONG_PAIR
+        arcs = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(long, axis=0), axis=1))])
+        n_offsets = len(np.unique(np.clip(arcs, 0.0, arcs[-1] - arc_length(short))))
+        assert n_offsets * len(short) > 2 * polymerge.metrics._PCM_BLOCK_CELLS
+
     def test_least_block_sum_is_not_always_the_least_area(self):
         # parallel lines 1 m apart: every slide encloses about 10 m², and the
         # offset whose reduceat sum is least has an np.sum above another
@@ -536,6 +568,22 @@ class TestEvaluateMap:
         empty = [ln for ln in lines if ",unmatched_est," in ln]
         assert all(ln.endswith(",,,,0") for ln in empty)
         assert all(ln.split(",")[1] == "merged" for ln in lines[1:])
+
+    def test_rows_match_per_pair_loop(self):
+        # pcm through one batch of every matched pair and df reused from
+        # ranking candidates, against each pair scored on its own
+        rng = np.random.default_rng(71)
+        for _ in range(12):
+            gt = random_world_map(rng, int(rng.integers(1, 25)), scale=10.0)
+            est = _world_map([
+                el.with_points(el.points + rng.normal(0.0, 0.3, 2 if el.label == "ped_crossing"
+                                                      else el.points.shape))
+                for el in gt.elements
+            ])
+            th = float(rng.uniform(0.5, 3.0))
+            stats = {(r.label, r.metric): (r.mean, r.min, r.max, r.std, r.count)
+                     for r in evaluate_map(est, gt, th).rows if r.metric in ("pcm", "df")}
+            assert repr(stats) == repr(reference_eval_stats(est, gt, th))
 
     def test_labels_without_elements_get_rows(self):
         est = _world_map([line_element("e", "divider", (0, 0), (5, 0))])

@@ -248,7 +248,44 @@ class TestBuildGraph:
             assert len(build_graph(vmap, 1.0 + 1e-9).edges) == 1
 
 
+@st.composite
+def _signed_zero_maps(draw):
+    """``tricky_world_maps`` with the sign of each zero coordinate drawn:
+    -0.0 equals 0.0, and a min or max may return either."""
+    vmap, th = draw(tricky_world_maps(step=0.5))
+    elements = []
+    for el in vmap.elements:
+        pts = el.points.copy()
+        flip = draw(st.lists(st.booleans(), min_size=pts.size, max_size=pts.size))
+        pts[(pts == 0.0) & np.reshape(flip, pts.shape)] = -0.0
+        elements.append(el.with_points(pts))
+    return VectorMap(tuple(elements), "world"), th
+
+
+def _per_element_boxes(elements):
+    return (np.array([el.points.min(axis=0) for el in elements]),
+            np.array([el.points.max(axis=0) for el in elements]))
+
+
 class TestCandidateSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(_signed_zero_maps())
+    def test_boxes_are_per_element_min_max(self, case):
+        lo, hi = polymerge.proximity._boxes(case[0].elements)
+        ref_lo, ref_hi = _per_element_boxes(case[0].elements)
+        # == takes -0.0 for 0.0: the sign of a zero is all that may differ
+        assert lo.shape == ref_lo.shape and (lo == ref_lo).all() and (hi == ref_hi).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_signed_zero_maps())
+    def test_pairs_as_with_per_element_boxes(self, case):
+        vmap, th = case
+        pairs = candidate_pairs(vmap.elements, th)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polymerge.proximity, "_boxes", _per_element_boxes)
+            before = candidate_pairs(vmap.elements, th)
+        assert pairs.dtype == before.dtype and np.array_equal(pairs, before)
+
     @settings(max_examples=200, deadline=None)
     @given(tricky_world_maps())
     @example(_ULP_TIE)
