@@ -116,6 +116,18 @@ def _segment_feet(ax, ay, start, end) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return t, fx, fy, np.sqrt(ox, out=ox)
 
 
+def _distance_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distances between every vertex of ``p`` (n, 2) and of ``q`` (m, 2),
+    shape (n, m).  Each entry is ``sqrt(dx*dx + dy*dy)`` of its own pair,
+    the bits of scipy's ``cdist``, which sums ``0 + dx² + dy²``."""
+    dx = p[:, :1] - q[:, 0]
+    dy = p[:, 1:] - q[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
 def _segment_foot(ax, ay, bx, by, cx, cy) -> tuple[float, float, float, float, float]:
     """``_foot_points`` of one point on one segment, on Python floats:
     (unclamped t, t, foot x, foot y, distance).

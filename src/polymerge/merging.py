@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .geometry import (_foot_points, _kernel_slack, _require_finite_positive, _segment_foot,
-                       arc_length, as_points)
+from .geometry import (_distance_matrix, _foot_points, _kernel_slack, _require_finite_positive,
+                       _segment_foot, arc_length, as_points)
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
 from .geometry import project_point_to_polyline as project_point_to_polyline
@@ -335,16 +334,16 @@ def _orient(src: np.ndarray, base: np.ndarray) -> np.ndarray:
     to ``base``.
 
     One greedy coupling on the DPs' own distance matrix settles most
-    members without either DP.  ``cdist`` computes each entry on its own,
-    so the reversed member's matrix is this one with its rows reversed,
-    bit for bit.  Every coupling contains both end pairs, so the reversed
-    DF is at least ``lb``, the larger of the distances from the member's
-    last vertex to the base's first and from its first to the base's last;
-    the greedy coupling bounds the forward DF from above.  When that
-    coupling stays within ``lb``, the reversed DF cannot be the strictly
-    smaller one and the given order stands.
+    members without either DP.  ``_distance_matrix`` computes each entry
+    on its own, so the reversed member's matrix is this one with its rows
+    reversed, bit for bit.  Every coupling contains both end pairs, so the
+    reversed DF is at least ``lb``, the larger of the distances from the
+    member's last vertex to the base's first and from its first to the
+    base's last; the greedy coupling bounds the forward DF from above.  When
+    that coupling stays within ``lb``, the reversed DF cannot be the
+    strictly smaller one and the given order stands.
     """
-    dist = cdist(src, base)
+    dist = _distance_matrix(src, base)
     lb = max(dist.item(-1, 0), dist.item(0, -1))
     if _greedy_coupling_within(dist, lb):
         return src

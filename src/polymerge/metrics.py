@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from .geometry import _distance_matrix
 from .map_model import LABELS, VectorMap
 from .proximity import candidate_pairs, polyline_merge_check
 
@@ -39,15 +39,28 @@ def discrete_frechet(p, q) -> float:
     bounds it from above.  All three are picks from the same floats, so
     when the bounds are equal that float is the DP's answer.
     """
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if len(p) == 0 or len(q) == 0:
-        raise ValueError("discrete_frechet needs non-empty vertex chains")
+    message = "discrete_frechet needs non-empty vertex chains of (x, y) points"
+    p, q = _vertex_array(p, message), _vertex_array(q, message)
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise ValueError("discrete_frechet needs finite coordinates")
-    dist = cdist(p, q)
-    lower = float(np.max((dist[0, 0], dist[-1, -1],
-                          dist.min(axis=1).max(), dist.min(axis=0).max())))
+    return _frechet(p, q)
+
+
+def _vertex_array(points, message: str) -> np.ndarray:
+    """``points`` as a float (n, 2) array with n >= 1, where a lone (x, y)
+    is one vertex; any other shape raises ``ValueError(message)``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ValueError(message)
+    return pts
+
+
+def _frechet(p: np.ndarray, q: np.ndarray) -> float:
+    """``discrete_frechet`` of float (n, 2) arrays of finite points, such
+    as ``MapElement`` points, without checking them."""
+    dist = _distance_matrix(p, q)
+    lower = max(dist.item(0, 0), dist.item(-1, -1),
+                dist.min(axis=1).max().item(), dist.min(axis=0).max().item())
     if _greedy_coupling_within(dist, lower):
         return lower
     return _frechet_dp(dist)
@@ -173,9 +186,8 @@ def pcm(p, q) -> float:
     as trapezoids; the minimum over offsets is divided by the reference
     curve's total arc length.  ``_pcm_pairs`` computes it.
     """
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    return _pcm_pairs([(p, q)])[0]
+    message = "pcm needs curves of (x, y) points"
+    return _pcm_pairs([(_vertex_array(p, message), _vertex_array(q, message))])[0]
 
 
 def _pcm_pairs(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
@@ -365,7 +377,7 @@ def _match(est: VectorMap, gt: VectorMap, th_prox: float):
             df, best = None, candidates[0]
         else:
             df, _, best = min(
-                (discrete_frechet(e.points, g.points), g.id, g) for g in candidates
+                (_frechet(e.points, g.points), g.id, g) for g in candidates
             )
         matches.append((e, best, df))
         matched_gt.add(best.id)
@@ -438,7 +450,7 @@ def evaluate_map(
     areas = _pcm_pairs([(e.points, g.points) for e, g, _ in matches])
     for (e, g, df), area in zip(matches, areas):
         by_label[e.label]["pcm"].append(area)
-        by_label[e.label]["df"].append(discrete_frechet(e.points, g.points) if df is None else df)
+        by_label[e.label]["df"].append(_frechet(e.points, g.points) if df is None else df)
     est_by_id = {el.id: el for el in est.elements}
     gt_by_id = {el.id: el for el in gt.elements}
 

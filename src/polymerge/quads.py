@@ -14,9 +14,10 @@ its area, with the same bits as the plain pipeline
   per row and edge, and measures edge distances only for cell centers
   that can lie within 1e-9 of an edge (a reach widened by the kernel's
   ``geometry._kernel_slack``), each against that edge alone;
-- the blur is estimated by two 1-D passes of the kernel's marginal, both
-  built once per sigma, and only cells whose estimate lies within 1e-9 of
-  ``th_cov`` are convolved exactly;
+- the blur is estimated by two 1-D passes of the kernel's marginal, built
+  once per sigma and applied one tap at a time over shifted slices, and
+  only cells whose estimate lies within 1e-9 of ``th_cov`` are convolved
+  exactly, by ``blur_coverage``'s own kernel ``_convolve_cells``;
 - the rectangle is fitted to the outline corners: per row, the leftmost
   cell's two left corners and the rightmost cell's two right corners, the
   only cell corners that can be hull vertices.
@@ -29,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
-from scipy.signal import convolve2d
 
 from .geometry import _kernel_slack, _require_finite_positive, _segment_feet
 from .map_model import LABEL_PED_CROSSING, MapElement
@@ -48,10 +47,12 @@ __all__ = [
 
 # A cell center this close to a quad edge counts as covered.
 _ON_EDGE = 1e-9
-# The two-pass blur estimate stays within 1.2e-15 of convolve2d at the
-# default sigma and within 1e-12 over sigma 0.5-4 (tests/test_quads.py);
-# cells whose estimate lies this close to th_cov are convolved exactly.
+# The two-pass blur estimate ``_separable_blur`` stays within 1e-12 of the
+# exact blur over sigma 0.5-4 (tests/test_quads.py); cells whose estimate
+# lies this close to th_cov are convolved exactly.
 _RECHECK_BAND = 1e-9
+# products per block of cells in ``_convolve_cells``, which bounds its memory
+_CONVOLVE_BLOCK = 1 << 16
 
 
 class EmptyRegionError(ValueError):
@@ -213,6 +214,39 @@ def gaussian_kernel(sigma_cells: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+def _convolve_cells(values: np.ndarray, kernel: np.ndarray, rows, cols) -> np.ndarray:
+    """The full-mode 2-D convolution of ``values`` with ``kernel`` at the
+    output cells ``(rows[k], cols[k])``.
+
+    Cell (i, j) sums ``kernel[a, b] * values[i - a, j - b]``, an input out
+    of range counting as 0, in a fixed order: kernel rows in order; within
+    a row, the columns in runs of 4, each run's products added left to
+    right and then to the running sum, and the last ``width % 4`` products
+    added one at a time.  That is the order of ``scipy.signal.convolve2d``
+    (1.17), whose bits this has (tests/test_quads.py).  Cells go in blocks
+    of at most ``_CONVOLVE_BLOCK`` products.
+    """
+    kh, kw = kernel.shape
+    height, width = values.shape
+    padded = np.zeros((height + 2 * (kh - 1), width + 2 * (kw - 1)))
+    padded[kh - 1:kh - 1 + height, kw - 1:kw - 1 + width] = values
+    # windows[i, j, a, b] = values[i - a, j - b]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel.shape)[:, :, ::-1, ::-1]
+    runs = kw - kw % 4
+    step = max(1, _CONVOLVE_BLOCK // kernel.size)
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        products = windows[rows[start:start + step], cols[start:start + step]] * kernel
+        addends = np.concatenate([((products[..., 0:runs:4] + products[..., 1:runs:4])
+                                   + products[..., 2:runs:4]) + products[..., 3:runs:4],
+                                  products[..., runs:]], axis=2)
+        # add.accumulate adds left to right; the running sum starts at 0,
+        # and 0 + x only differs from x when x is -0
+        total = np.add.accumulate(addends.reshape(len(products), -1), axis=1)[:, -1]
+        out[start:start + step] = total + 0.0
+    return out
+
+
 def blur_coverage(grid: CoverageGrid, sigma_cells: float) -> CoverageGrid:
     """Gaussian blur in full-convolution mode.
 
@@ -222,7 +256,9 @@ def blur_coverage(grid: CoverageGrid, sigma_cells: float) -> CoverageGrid:
     """
     kernel = gaussian_kernel(sigma_cells)
     radius = kernel.shape[0] // 2
-    blurred = convolve2d(grid.values, kernel, mode="full")
+    shape = (grid.height + 2 * radius, grid.width + 2 * radius)
+    rows, cols = np.indices(shape).reshape(2, -1)
+    blurred = _convolve_cells(grid.values, kernel, rows, cols).reshape(shape)
     origin = grid.origin - radius * grid.cell_size
     return CoverageGrid(origin, grid.cell_size, blurred)
 
@@ -248,13 +284,36 @@ def _kernel_and_marginal(sigma_cells: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _separable_blur(values: np.ndarray, marginal: np.ndarray) -> np.ndarray:
-    """Full-mode blur estimate: two 1-D passes with the kernel's marginal."""
+    """Full-mode blur estimate: two 1-D passes with the kernel's marginal,
+    one product and one shifted add per tap.
+
+    Each row is followed by 2 * radius zeros and the rows are laid end to
+    end, so shifting the flat array by t columns, or by t whole rows, moves
+    every row without wrapping into the next.  The marginal is symmetric,
+    so taps t and 2 * radius - t share their product.
+    """
     radius = len(marginal) // 2  # at least 1
-    # np.pad's zeros, without its per-call set-up
-    padded = np.zeros((values.shape[0] + 2 * radius, values.shape[1] + 2 * radius))
-    padded[radius:-radius, radius:-radius] = values
-    rows_blurred = convolve1d(padded, marginal, axis=1, mode="constant")
-    return convolve1d(rows_blurred, marginal, axis=0, mode="constant")
+    side = 2 * radius
+    height, width = values.shape
+    wide = width + side
+    padded = np.zeros((height, wide))
+    padded[:, :width] = values
+    padded = padded.ravel()
+    n = len(padded)
+    weights = marginal[:radius + 1].tolist()
+    rows_blurred = np.zeros(n)
+    for t, weight in enumerate(weights):
+        tap = weight * padded
+        rows_blurred[t:] += tap[:n - t]
+        if t < radius:
+            rows_blurred[side - t:] += tap[:n - side + t]
+    blurred = np.zeros((height + side) * wide)
+    for t, weight in enumerate(weights):
+        tap = weight * rows_blurred
+        blurred[t * wide:t * wide + n] += tap
+        if t < radius:
+            blurred[(side - t) * wide:(side - t) * wide + n] += tap
+    return blurred.reshape(height + side, wide)
 
 
 def _blurred_mask(grid: CoverageGrid, sigma_cells: float, th_cov: float):
@@ -262,20 +321,16 @@ def _blurred_mask(grid: CoverageGrid, sigma_cells: float, th_cov: float):
     origin, with the same bits.
 
     A cell whose separable estimate lies within ``_RECHECK_BAND`` of
-    ``th_cov`` is convolved exactly over its own window, which convolve2d
-    sums in the order it sums the full-mode cell.
+    ``th_cov`` is convolved exactly by ``_convolve_cells``, as
+    ``blur_coverage`` convolves every cell.
     """
     kernel, marginal = _kernel_and_marginal(sigma_cells)
     radius = len(marginal) // 2
     estimate = _separable_blur(grid.values, marginal)
     mask = estimate >= th_cov
-    recheck = np.argwhere(np.abs(estimate - th_cov) <= _RECHECK_BAND)
-    if len(recheck):
-        padded = np.pad(grid.values, 2 * radius)
-        side = 2 * radius + 1
-        for i, j in recheck.tolist():
-            window = padded[i:i + side, j:j + side]
-            mask[i, j] = convolve2d(window, kernel, mode="valid")[0, 0] >= th_cov
+    rows, cols = np.nonzero(np.abs(estimate - th_cov) <= _RECHECK_BAND)
+    if len(rows):
+        mask[rows, cols] = _convolve_cells(grid.values, kernel, rows, cols) >= th_cov
     return mask, grid.origin - radius * grid.cell_size
 
 

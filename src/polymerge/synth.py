@@ -171,31 +171,60 @@ def _quad_element(el_id: str, pts: np.ndarray) -> MapElement | None:
 def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap]:
     """Produce one ego-frame instance of the ground truth per pose.
 
-    Each view transforms all map points in one call, then crops only the
-    elements whose ego bounding box meets the window: a box strictly
-    beyond one window edge fails the clippers' own comparisons, so the
-    skipped element would yield no piece.  The RNG is drawn per piece,
-    so skipping changes no draw.
+    A view moves into its ego frame only the elements whose world bounding
+    box, mapped into that frame, comes within ``1e-6 * (1 + S)`` of the
+    window, S bounding every coordinate magnitude: far above rounding.
+    ``transform_to_world`` with the inverse pose is an affine map of the
+    plane whose linear part B is the upper-left 2 x 2 block of the inverse's
+    rotation matrix, so it maps a box of centre c and half extents h into
+    the box of centre B c + d and half extents |B| h.  A skipped element's
+    ego box thus lies beyond a window edge, which the ego-box test below
+    would find too.  ``transform_to_world`` works on each row on its own,
+    so the kept rows have the bits of a call on all of them.
+
+    Of the moved elements, only those whose ego bounding box meets the
+    window are cropped: a box strictly beyond one window edge fails the
+    clippers' own comparisons, so the element would yield no piece.  The
+    RNG is drawn per piece, so skipping changes no draw.
     """
     elements = to_world(gt).elements
     if not elements:
         return [VectorMap((), "ego", pose) for pose in poses]
     half_w, half_h = cfg.window[0] / 2.0, cfg.window[1] / 2.0
     stacked = np.vstack([el.points for el in elements])
-    ends = np.cumsum([len(el.points) for el in elements])
-    starts = np.concatenate([[0], ends[:-1]])
+    sizes = np.array([len(el.points) for el in elements])
+    starts = np.cumsum(sizes) - sizes
+    world_lo = np.minimum.reduceat(stacked, starts)
+    world_hi = np.maximum.reduceat(stacked, starts)
+    mid, half = 0.5 * (world_lo + world_hi), 0.5 * (world_hi - world_lo)
+    scale = max(float(np.abs(stacked).max()), half_w, half_h)
     instances = []
     for k, pose in enumerate(poses):
         rng = np.random.default_rng(cfg.seed ^ k)
-        ego = transform_to_world(stacked, pose.inverse())
-        lo = np.minimum.reduceat(ego, starts)
-        hi = np.maximum.reduceat(ego, starts)
+        inverse = pose.inverse()
+        w, x, y, z = inverse.rotation.tolist()
+        dx, dy, _ = inverse.translation.tolist()
+        b = np.array([[1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z)],
+                      [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z)]])
+        margin = 1e-6 * (1.0 + max(scale, abs(dx), abs(dy)))
+        ego_mid = mid[:, :1] * b[:, 0] + mid[:, 1:] * b[:, 1] + (dx, dy)
+        ego_half = half[:, :1] * np.abs(b[:, 0]) + half[:, 1:] * np.abs(b[:, 1])
+        keep = (np.abs(ego_mid) - ego_half <= (half_w + margin, half_h + margin)).all(axis=1)
+        near = np.flatnonzero(keep)
+        if not len(near):
+            instances.append(VectorMap((), "ego", pose))
+            continue
+        counts = sizes[near]
+        first = np.cumsum(counts) - counts
+        ego = transform_to_world(stacked[np.repeat(keep, sizes)], inverse)
+        lo = np.minimum.reduceat(ego, first)
+        hi = np.maximum.reduceat(ego, first)
         meets = ((lo[:, 0] <= half_w) & (hi[:, 0] >= -half_w)
                  & (lo[:, 1] <= half_h) & (hi[:, 1] >= -half_h))
         observed: list[MapElement] = []
-        for i in np.flatnonzero(meets).tolist():
-            el = elements[i]
-            ego_pts = ego[starts[i]:ends[i]]
+        for n in np.flatnonzero(meets).tolist():
+            el = elements[near[n]]
+            ego_pts = ego[first[n]:first[n] + counts[n]]
             if el.label == LABEL_PED_CROSSING:
                 cropped = _crop_quad(ego_pts, half_w, half_h)
                 pieces = [] if cropped is None else [(el.id, cropped)]

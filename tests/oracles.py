@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import convolve2d
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
@@ -518,11 +517,42 @@ def reference_rasterize_coverage(quads, cell_size: float) -> tuple[np.ndarray, n
     return lo, (counts / len(quads)).reshape(height, width)
 
 
+def reference_convolve_full(values, kernel) -> np.ndarray:
+    """Full-mode 2-D convolution summed in the package's documented order,
+    one kernel tap at a time over the whole output grid.  Every cell (i, j)
+    starts at 0 and, for each kernel row a in order, adds each run of 4
+    products ``kernel[a, b] * values[i - a, j - b]`` over columns b to b + 3,
+    the run summed left to right, then the last ``width % 4`` products one
+    at a time.  Inputs out of range count as 0."""
+    values = np.asarray(values, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
+    kh, kw = kernel.shape
+    height, width = values.shape
+    out_h, out_w = height + kh - 1, width + kw - 1
+    padded = np.zeros((height + 2 * (kh - 1), width + 2 * (kw - 1)))
+    padded[kh - 1:kh - 1 + height, kw - 1:kw - 1 + width] = values
+
+    def product(a, b):
+        return kernel[a, b] * padded[kh - 1 - a:kh - 1 - a + out_h, kw - 1 - b:kw - 1 - b + out_w]
+
+    total = np.zeros((out_h, out_w))
+    for a in range(kh):
+        b = 0
+        while b + 4 <= kw:
+            run = ((product(a, b) + product(a, b + 1)) + product(a, b + 2)) + product(a, b + 3)
+            total = total + run
+            b += 4
+        while b < kw:
+            total = total + product(a, b)
+            b += 1
+    return total
+
+
 def reference_region_mask(values, sigma_cells: float, th_cov: float) -> np.ndarray:
-    """Cells whose full-mode Gaussian blur (one 2-D ``convolve2d`` over the
-    whole grid) reaches ``th_cov``.  The kernel is the package's
+    """Cells whose full-mode Gaussian blur (``reference_convolve_full`` over
+    the whole grid) reaches ``th_cov``.  The kernel is the package's
     ``gaussian_kernel``, which the checked code leaves as it is."""
-    return convolve2d(values, gaussian_kernel(sigma_cells), mode="full") >= th_cov
+    return reference_convolve_full(values, gaussian_kernel(sigma_cells)) >= th_cov
 
 
 def reference_min_rotated_rect(points):

@@ -578,3 +578,15 @@ class TestBlasKernelIndependence:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def test_import_loads_no_scipy():
+    # the runtime dependencies are numpy and click: a merge process pays for
+    # no other import
+    src = os.path.dirname(os.path.dirname(polymerge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, polymerge, polymerge.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"

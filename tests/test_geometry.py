@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from polymerge.geometry import (
     Pose,
+    _distance_matrix,
     _kernel_slack,
     _segment_feet,
     _segment_foot,
@@ -335,3 +337,30 @@ class TestKernelBound:
             assert abs(Fraction(computed) - to_foot) <= bound
             assert abs(Fraction(computed) - to_segment) <= bound
         assert Fraction(_kernel_slack(scale)) >= 2 * bound
+
+
+# magnitudes up to the map format's 1e16 m, signed zeros, and values whose
+# squares are subnormal or whose differences cancel
+_coordinate = st.one_of(
+    st.floats(-1e16, 1e16, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e-160, -1e-160, 5e-324, 0.1, -0.1]),
+)
+
+
+class TestDistanceMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_cdist_bitwise(self, data):
+        p, q = (np.array(data.draw(st.lists(st.tuples(_coordinate, _coordinate),
+                                            min_size=1, max_size=9)))
+                for _ in range(2))
+        if data.draw(st.booleans()):
+            q = np.concatenate([q, p[::-1]])  # equal points, zero distances
+        got = _distance_matrix(p, q)
+        assert got.shape == (len(p), len(q))
+        assert got.tobytes() == cdist(p, q).tobytes()
+
+    def test_reversed_rows_are_the_reversed_input(self):
+        rng = np.random.default_rng(5)
+        p, q = rng.normal(size=(7, 2)) * 1e3, rng.normal(size=(5, 2)) * 1e3
+        assert _distance_matrix(p[::-1], q).tobytes() == _distance_matrix(p, q)[::-1].tobytes()

@@ -210,6 +210,19 @@ class TestDiscreteFrechet:
         with pytest.raises(ValueError):
             discrete_frechet([(0, 0)], [])
 
+    @pytest.mark.parametrize("bad", [
+        [],
+        [[]],
+        np.zeros((0, 2)),
+        [(0, 0, 0), (1, 0, 5)],
+        [(0,), (1,)],
+        np.zeros((2, 2, 2)),
+    ])
+    def test_malformed_chain_rejected(self, bad):
+        for a, b in ((bad, [(0, 0), (1, 0)]), ([(0, 0), (1, 0)], bad)):
+            with pytest.raises(ValueError, match="discrete_frechet needs non-empty vertex chains"):
+                discrete_frechet(a, b)
+
     @pytest.mark.parametrize("q", [
         [(0, 0), (float("nan"), 5)],  # the reference DP reads 0.0 here
         [(float("nan"), 0), (1, 0)],
@@ -282,6 +295,19 @@ class TestPcm:
             pcm([(0, 0)], [(0, 0), (1, 0)])
         with pytest.raises(ValueError):
             pcm([(0, 0), (0, 0)], [(0, 0), (1, 0)])
+
+    @pytest.mark.parametrize("bad", [
+        [],
+        [[]],
+        np.zeros((0, 2)),
+        [(0, 0, 0), (1, 0, 5)],
+        [(0,), (1,)],
+        np.zeros((2, 2, 2)),
+    ])
+    def test_malformed_curve_rejected(self, bad):
+        for a, b in ((bad, [(0, 0), (1, 0)]), ([(0, 0), (1, 0)], bad)):
+            with pytest.raises(ValueError, match="pcm needs curves of"):
+                pcm(a, b)
 
     @pytest.mark.parametrize("bad", [
         [(0, 0), (float("nan"), 5)],
@@ -463,13 +489,13 @@ class TestMatchElements:
 
     def test_frechet_ranks_only_several_candidates(self, small_world_map, monkeypatch):
         calls = []
-        real = polymerge.metrics.discrete_frechet
+        real = polymerge.metrics._frechet
 
         def counting(p, q):
             calls.append(1)
             return real(p, q)
 
-        monkeypatch.setattr(polymerge.metrics, "discrete_frechet", counting)
+        monkeypatch.setattr(polymerge.metrics, "_frechet", counting)
         # one candidate per estimate: nothing to rank
         pairs, _, _ = match_elements(small_world_map, small_world_map, 1.0)
         assert len(pairs) == 3 and calls == []
@@ -479,7 +505,10 @@ class TestMatchElements:
             line_element("high", "divider", (0, 0.9), (10, 0.9)),
         ])
         est = _world_map([line_element("e", "divider", (0, 0.2), (10, 0.2))])
-        assert match_elements(est, gt, 2.0) == _naive_match(est, gt, 2.0)
+        # the reference's own discrete_frechet calls go through _frechet too
+        expected = _naive_match(est, gt, 2.0)
+        calls.clear()
+        assert match_elements(est, gt, 2.0) == expected
         assert len(calls) == 2
 
     def test_world_frame_required(self, small_world_map):

@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.signal import convolve2d
 
 from polymerge import (
@@ -22,6 +24,7 @@ from polymerge.quads import CoverageGrid, EmptyRegionError, blur_coverage, thres
 from polymerge.quads import (
     _blurred_mask,
     _convex_hull,
+    _convolve_cells,
     _outline_corners,
     _row_extremes,
     _separable_blur,
@@ -33,6 +36,7 @@ from helpers import quad_element, rect_quad
 from oracles import (
     monotone_chain_hull,
     quad_iou,
+    reference_convolve_full,
     reference_merge_quads,
     reference_min_rotated_rect,
     reference_rasterize_coverage,
@@ -223,6 +227,71 @@ class TestRasterize:
         grid = rasterize_coverage(quads, 0.2)
         assert grid.values.min() >= 0.0
         assert grid.values.max() <= 1.0
+
+
+# negative values, signed zeros, a subnormal and the coverage fractions
+_conv_value = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                        st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]))
+
+
+@st.composite
+def _convolution_case(draw):
+    """A grid of 1-12 x 1-12 values and a kernel of 1-6 rows and 1-15
+    columns: every run count and tail length of the summation order."""
+    values = draw(arrays(np.float64, (draw(st.integers(1, 12)), draw(st.integers(1, 12))),
+                         elements=_conv_value))
+    kernel = draw(arrays(np.float64, (draw(st.integers(1, 6)), draw(st.integers(1, 15))),
+                         elements=_conv_value))
+    return values, kernel
+
+
+def _all_cells(values, kernel):
+    shape = (values.shape[0] + kernel.shape[0] - 1, values.shape[1] + kernel.shape[1] - 1)
+    rows, cols = np.indices(shape).reshape(2, -1)
+    return shape, rows, cols
+
+
+class TestConvolveCells:
+    @settings(max_examples=300, deadline=None)
+    @given(_convolution_case(), st.sampled_from([1, 37, quads._CONVOLVE_BLOCK]))
+    def test_full_grid_matches_plain_loop(self, case, block):
+        values, kernel = case
+        shape, rows, cols = _all_cells(values, kernel)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quads, "_CONVOLVE_BLOCK", block)
+            got = _convolve_cells(values, kernel, rows, cols).reshape(shape)
+        assert got.tobytes() == reference_convolve_full(values, kernel).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_convolution_case(), st.data())
+    def test_single_cells_match_plain_loop(self, case, data):
+        values, kernel = case
+        shape, _, _ = _all_cells(values, kernel)
+        cells = data.draw(st.lists(st.tuples(st.integers(0, shape[0] - 1),
+                                             st.integers(0, shape[1] - 1)), min_size=1, max_size=5))
+        rows, cols = np.array(cells).T
+        expected = reference_convolve_full(values, kernel)[rows, cols]
+        assert _convolve_cells(values, kernel, rows, cols).tobytes() == expected.tobytes()
+        i, j = cells[0]
+        one = _convolve_cells(values, kernel, np.array([i]), np.array([j]))
+        assert one.tobytes() == expected[:1].tobytes()
+
+    @pytest.mark.skipif(scipy.__version__.split(".")[:2] != ["1", "17"],
+                        reason="convolve2d's summation order was checked on scipy 1.17")
+    @settings(max_examples=300, deadline=None)
+    @given(_convolution_case())
+    def test_matches_scipy_convolve2d(self, case):
+        values, kernel = case
+        shape, rows, cols = _all_cells(values, kernel)
+        got = _convolve_cells(values, kernel, rows, cols).reshape(shape)
+        assert got.tobytes() == convolve2d(values, kernel, mode="full").tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 4.0])
+    def test_blur_coverage_is_every_cell(self, sigma):
+        values = np.random.default_rng(7).integers(0, 4, (9, 14)) / 3
+        out = blur_coverage(CoverageGrid(np.zeros(2), 0.1, values), sigma)
+        expected = reference_convolve_full(values, gaussian_kernel(sigma))
+        assert out.values.tobytes() == expected.tobytes()
 
 
 class TestBlur:
@@ -638,21 +707,25 @@ class TestMergeQuads:
     @pytest.mark.parametrize("th_cov", [0.5, np.nextafter(0.5, 1.0)])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     def test_exact_recheck_decides_cells_on_the_threshold(self, monkeypatch, offset, th_cov):
-        # the interior blurs to 0.5 + 1.1e-16 under convolve2d but to 0.5
-        # under the separable estimate, so only the recheck keeps it above
-        # the upper threshold
+        # the interior blurs to 0.5 + 1.1e-16 under the exact convolution
+        # but to 0.5 under the separable estimate, so only the recheck keeps
+        # it above the upper threshold
         config = MergeConfig(th_cov=th_cov)
-        windows = []
+        cells = []
+        convolve = quads._convolve_cells
 
-        def counting(a, b, mode="full"):
-            windows.append(mode)
-            return convolve2d(a, b, mode=mode)
+        def counting(values, kernel, rows, cols):
+            cells.append(len(rows))
+            return convolve(values, kernel, rows, cols)
 
-        monkeypatch.setattr(quads, "convolve2d", counting)
+        monkeypatch.setattr(quads, "_convolve_cells", counting)
         members = _side_by_side_squares(3.0, offset)
         report = MergeReport()
         out = merge_quads(members, config, report)
-        assert windows and set(windows) == {"valid"}
+        # only cells in the recheck band, never the whole blurred grid
+        grid = rasterize_coverage([m.points for m in members], config.cell_size)
+        radius = math.ceil(3.0 * config.blur_sigma_cells)
+        assert cells and 0 < sum(cells) < (grid.height + 2 * radius) * (grid.width + 2 * radius)
         assert report.chains[0].fallback is False
         assert out.points.tobytes() == reference_merge_quads(members, config).tobytes()
 
@@ -660,18 +733,18 @@ class TestMergeQuads:
         members = [quad_element("a", 0.0, 0.0, w=4, h=3, angle=0.4),
                    quad_element("b", 0.15, -0.1, w=4, h=3, angle=0.45)]
         seen = {"center-edge pairs": 0, "windows": 0}
-        segment_feet, conv = quads._segment_feet, quads.convolve2d
+        segment_feet, conv = quads._segment_feet, quads._convolve_cells
 
         def counting_feet(x, y, start, end):
             seen["center-edge pairs"] += np.broadcast(x, start[:, 0]).size
             return segment_feet(x, y, start, end)
 
-        def counting_conv(a, b, mode="full"):
-            seen["windows"] += 1
-            return conv(a, b, mode=mode)
+        def counting_conv(values, kernel, rows, cols):
+            seen["windows"] += len(rows)
+            return conv(values, kernel, rows, cols)
 
         monkeypatch.setattr(quads, "_segment_feet", counting_feet)
-        monkeypatch.setattr(quads, "convolve2d", counting_conv)
+        monkeypatch.setattr(quads, "_convolve_cells", counting_conv)
         cells = rasterize_coverage([m.points for m in members], config.cell_size).values.size
         out = merge_quads(members, config)
         assert cells > 2000

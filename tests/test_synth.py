@@ -364,6 +364,89 @@ class TestBatchedViewsMatchReference:
         _assert_same_instances(got, reference_generate_instances(gt, poses, cfg))
 
 
+@st.composite
+def _world_box_cases(draw):
+    """(gt, poses, cfg): elements just outside, on and just inside the world
+    bounding box of a rotated or tilted window, at every box edge and
+    corner, with gaps from 0 up past the margin within which a view
+    transforms an element; lines may run along an edge.  One element inside
+    keeps the RNG drawing."""
+    half_w, half_h = draw(st.sampled_from([5.0, 7.5])), draw(st.sampled_from([5.0, 30.0]))
+    yaw = draw(st.one_of(st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi / 2]),
+                         st.floats(-np.pi, np.pi)))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e5]))
+    pose = Pose.from_yaw(yaw, offset * draw(st.sampled_from([-1.0, 1.0])) + draw(_lattice),
+                         offset * draw(st.sampled_from([-1.0, 1.0])) + draw(_lattice))
+    if draw(st.booleans()):
+        # a tilted sensor: any unit quaternion, the map plane seen at a slant
+        q = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+                          .filter(lambda v: sum(c * c for c in v) > 0.1)))
+        pose = Pose(q / math.sqrt(sum(c * c for c in q.tolist())), pose.translation)
+    window = transform_to_world(np.array([[-half_w, -half_h], [half_w, -half_h],
+                                          [half_w, half_h], [-half_w, half_h]]), pose)
+    lo, hi = window.min(axis=0), window.max(axis=0)
+    unit = 1.0 + float(np.abs(window).max())
+    # signed: a negative gap lies inside the box
+    gaps = st.tuples(st.sampled_from([0.0, 1e-12, 1e-9, 3e-7, 1e-6, 3e-6, 1e-3, 0.5]),
+                     st.sampled_from([-1.0, 1.0])).map(lambda g: g[0] * g[1] * unit)
+    steps = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0])
+    elements = [MapElement("inside", "divider", transform_to_world([[-1.0, 0.0], [1.0, 0.5]], pose))]
+    for k in range(draw(st.integers(1, 6))):
+        # per axis: below lo, anywhere along the box, or above hi
+        side = draw(st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1])))
+        anchor = np.array([lo[a] - draw(gaps) if side[a] < 0 else hi[a] + draw(gaps) if side[a] > 0
+                           else lo[a] + draw(st.floats(0.0, 1.0)) * (hi[a] - lo[a])
+                           for a in range(2)])
+        step = np.array(draw(st.tuples(steps, steps).filter(any)))
+        if draw(st.booleans()):
+            label = "ped_crossing"
+            step[step == 0.0] = 0.5
+            pts = anchor + np.array([[0.0, 0.0], [step[0], 0.0], step, [0.0, step[1]]])
+        else:
+            label = draw(st.sampled_from(["divider", "boundary"]))
+            pts = anchor + np.outer([0.0, 1.0, 2.5][:draw(st.integers(2, 3))], step)
+        try:
+            elements.append(MapElement(f"e{k}", label, pts))
+        except ValueError:  # a quad too thin at this offset
+            pass
+    cfg = NoiseConfig(sigma=draw(st.sampled_from([0.0, 0.2])),
+                      dropout=draw(st.sampled_from([0.0, 0.3])),
+                      window=(2 * half_w, 2 * half_h), seed=draw(st.integers(0, 2**16)))
+    return VectorMap(tuple(elements), "world"), [pose], cfg
+
+
+class TestWorldBoxSkip:
+    @settings(max_examples=300, deadline=None)
+    @given(_world_box_cases())
+    def test_views_equal_reference_bitwise(self, case):
+        gt, poses, cfg = case
+        got, expected = generate_instances(gt, poses, cfg), reference_generate_instances(gt, poses, cfg)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert [e.id for e in a.elements] == [e.id for e in b.elements]
+            assert [e.label for e in a.elements] == [e.label for e in b.elements]
+            assert [e.points.tobytes() for e in a.elements] == [e.points.tobytes() for e in b.elements]
+
+    def test_far_elements_are_not_transformed(self, monkeypatch):
+        # one block in view, one 40 m away: only the near block's points move
+        block = _gt_map().elements
+        gt = VectorMap(tuple(MapElement(f"{el.id}@{i}", el.label, el.points + [40.0 * i, 0.0])
+                             for i in range(2) for el in block), "world")
+        moved = []
+        transform = synth.transform_to_world
+
+        def counting(points, pose):
+            moved.append(len(points))
+            return transform(points, pose)
+
+        monkeypatch.setattr(synth, "transform_to_world", counting)
+        cfg, poses = NoiseConfig(sigma=0.1, window=(24.0, 24.0), seed=3), [Pose.from_yaw(0.3, 10.0)]
+        got = generate_instances(gt, poses, cfg)
+        assert moved == [sum(len(el.points) for el in block)]
+        assert {e.id.split("@")[1] for e in got[0].elements} == {"0"}
+        _assert_same_instances(got, reference_generate_instances(gt, poses, cfg))
+
+
 class TestWriteInstances:
     def test_files_and_manifest(self, tmp_path):
         gt = _gt_map()
