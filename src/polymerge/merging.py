@@ -328,23 +328,49 @@ def _fold_order(members: list[MapElement]) -> tuple[MapElement, list[MapElement]
     return base, rest
 
 
+def _lattice_path(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells (i_k, j_k) of one monotone coupling of an n-vertex and an
+    m-vertex chain, n + m >= 3: ``i_k = k * (n - 1) // (n + m - 2)`` and
+    ``j_k = k - i_k`` for k = 0 .. n + m - 2, unit steps from (0, 0) to
+    (n - 1, m - 1)."""
+    k = np.arange(n + m - 1)
+    i = k * (n - 1) // (n + m - 2)
+    return i, k - i
+
+
 def _orient(src: np.ndarray, base: np.ndarray) -> np.ndarray:
     """``src`` in the vertex order it is folded in: reversed when the
     reversed order has the strictly smaller discrete Frechet distance (DF)
     to ``base``.
 
-    One greedy coupling on the DPs' own distance matrix settles most
-    members without either DP.  ``_distance_matrix`` computes each entry
-    on its own, so the reversed member's matrix is this one with its rows
-    reversed, bit for bit.  Every coupling contains both end pairs, so the
-    reversed DF is at least ``lb``, the larger of the distances from the
-    member's last vertex to the base's first and from its first to the
-    base's last; the greedy coupling bounds the forward DF from above.  When
-    that coupling stays within ``lb``, the reversed DF cannot be the
-    strictly smaller one and the given order stands.
+    Every coupling contains both end pairs, so the reversed DF is at least
+    ``lb``, the larger of the distances from the member's last vertex to
+    the base's first and from its first to the base's last.  Any one
+    coupling bounds the forward DF from above.  So when the largest
+    distance on some coupling is at most ``lb``, the reversed DF cannot be
+    the strictly smaller one and the given order stands.
+
+    The first coupling tried is ``_lattice_path``, whose n + m - 1 entries
+    (and the two of ``lb``) take ``_distance_matrix``'s own expression, so
+    each has the bits of the DPs' entry; this settles most members without
+    the matrix.  Otherwise one greedy coupling on the DPs' own distance
+    matrix is tried, and then both DPs decide.  ``_distance_matrix``
+    computes each entry on its own, so the reversed member's matrix is the
+    forward one with its rows reversed, bit for bit.
     """
+    i, j = _lattice_path(len(src), len(base))
+    i = np.append(i, (len(src) - 1, 0))
+    j = np.append(j, (0, len(base) - 1))
+    dx = src[i, 0] - base[j, 0]
+    dy = src[i, 1] - base[j, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    path = np.sqrt(dx, out=dx)
+    lb = max(path.item(-2), path.item(-1))
+    if not (path[:-2] > lb).any():
+        return src
     dist = _distance_matrix(src, base)
-    lb = max(dist.item(-1, 0), dist.item(0, -1))
     if _greedy_coupling_within(dist, lb):
         return src
     if discrete_frechet(src[::-1], base) < discrete_frechet(src, base):

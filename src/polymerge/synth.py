@@ -57,63 +57,108 @@ class NoiseConfig:
             raise ValueError("n_instances must be >= 1")
 
 
-def _clip_segment(px: float, py: float, qx: float, qy: float, half_w: float, half_h: float):
-    """Liang-Barsky clip of segment p-q against the centered window rect.
+# vertices per block of ``_crop_polylines``, each the start of at most one
+# segment: its temporaries stay small however many views are cropped at once
+_CROP_BLOCK = 1 << 10
 
-    Returns the (x, y) endpoints of the clipped piece, or None when the
-    segment misses the window.
+
+def _crop_polylines(polys, half_w: float, half_h: float) -> list[list[np.ndarray]]:
+    """Crop polylines (each an (n, 2) array, n >= 2) to the centered window,
+    splitting each where it leaves: the runs of every polyline, in order.
+
+    Each segment p-q gets a Liang-Barsky clip (Liang & Barsky, ACM TOG
+    1984) with the per-segment rule's float expressions, on arrays of
+    segments: per axis, ``delta = q - p``, ``lo = -half - p`` and
+    ``hi = half - p``; a ``delta == 0.0`` axis misses when ``lo > 0`` or
+    ``hi < 0`` and leaves the parameters alone, any other takes
+    ``ta, tb = lo / delta, hi / delta``, swaps them when ``ta > tb``, and
+    updates ``t0 = ta if ta > t0 else t0`` and ``t1 = tb if tb < t1 else t1``
+    (Python's ``max``/``min``, signed zeros and infinities included).  t0
+    only grows and t1 only shrinks, so a segment misses when some axis
+    misses or ``t0 > t1`` after both.  The kept piece runs from
+    ``p + t0 * delta`` to ``p + t1 * delta``.
+
+    A kept segment continues the run of the segment before it in the same
+    polyline when that one was kept too and its end matches this start
+    under ``np.allclose``'s rule (``|c - v| <= 1e-9 + 1e-5 * |v|`` per
+    coordinate); any other kept segment starts a run.  A run is kept when
+    its arc length is above 1e-9.  A step with a component d above 2e-9
+    proves that without summing: ``d * d`` is above 4e-18, so its rounding
+    is above 4e-18 * (1 - u) (u the unit roundoff); adding the other
+    square, which is not negative, cannot round below that; the rounded
+    square root is then above 2e-9 * (1 - u)**2; and each rounded sum of
+    non-negative terms is at least its larger term, so ``arc_length`` is
+    above 1.99e-9.  A run with no such step, or spread over two blocks of
+    at most ``_CROP_BLOCK`` vertices, is measured with ``arc_length``.
     """
-    dx, dy = qx - px, qy - py
-    t0, t1 = 0.0, 1.0
-    for delta, lo, hi in ((dx, -half_w - px, half_w - px),
-                          (dy, -half_h - py, half_h - py)):
-        if delta == 0.0:
-            if lo > 0.0 or hi < 0.0:
-                return None
-            continue
-        ta, tb = lo / delta, hi / delta
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return None
-    return (px + t0 * dx, py + t0 * dy), (px + t1 * dx, py + t1 * dy)
-
-
-def _crop_polyline(pts: np.ndarray, half_w: float, half_h: float) -> list[np.ndarray]:
-    """Crop a polyline to the window, splitting it where it leaves.
-
-    Runs on Python floats; a clipped segment continues the current run
-    when its start matches the run's end under ``np.allclose``'s rule
-    (``|c - v| <= 1e-9 + 1e-5 * |v|`` per coordinate).
-    """
-    pieces: list[np.ndarray] = []
-    current: list[tuple[float, float]] = []
+    pieces: list[list[np.ndarray]] = [[] for _ in polys]
+    if not polys:
+        return pieces
+    pts = np.concatenate(polys)
+    ends = np.cumsum([len(poly) for poly in polys])
+    # vertex s starts segment s, to s + 1, unless it ends its polyline; so
+    # segment s - 1 comes before segment s in the same polyline when both exist
+    starts = np.ones(len(pts) - 1, dtype=bool)
+    starts[ends[:-1] - 1] = False
+    run = None  # (polyline, chunks, certified) of the last kept segment's run
+    last, last_end = -2, np.zeros(2)
 
     def flush():
-        if len(current) >= 2:
-            piece = np.array(current)
-            if arc_length(piece) > 1e-9:
-                pieces.append(piece)
-        current.clear()
+        owner, chunks, certified = run
+        piece = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        if certified or arc_length(piece) > 1e-9:
+            pieces[owner].append(piece)
 
-    xy = pts.tolist()
-    for (px, py), (qx, qy) in zip(xy, xy[1:]):
-        clipped = _clip_segment(px, py, qx, qy, half_w, half_h)
-        if clipped is None:
-            flush()
+    for first in range(0, len(starts), _CROP_BLOCK):
+        stop = min(first + _CROP_BLOCK, len(starts))
+        p = pts[first:stop]
+        d = pts[first + 1:stop + 1] - p
+        t0, t1 = np.zeros(len(p)), np.ones(len(p))
+        hit = starts[first:stop].copy()
+        with np.errstate(over="ignore"):
+            for axis, half in ((0, half_w), (1, half_h)):
+                delta, c = d[:, axis], p[:, axis]
+                lo, hi = -half - c, half - c
+                flat = delta == 0.0
+                hit &= ~(flat & ((lo > 0.0) | (hi < 0.0)))
+                step = np.where(flat, 1.0, delta)
+                ta, tb = lo / step, hi / step
+                swap = ta > tb
+                ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
+                t0 = np.where(~flat & (ta > t0), ta, t0)
+                t1 = np.where(~flat & (tb < t1), tb, t1)
+        hit &= ~(t0 > t1)
+        kept = np.flatnonzero(hit)
+        if not len(kept):
             continue
-        a, b = clipped
-        if current:
-            (cx, cy), (ax, ay) = current[-1], a
-            if (abs(cx - ax) <= 1e-9 + 1e-5 * abs(ax)
-                    and abs(cy - ay) <= 1e-9 + 1e-5 * abs(ay)):
-                current.append(b)
-                continue
+        seg, p, d = first + kept, p[kept], d[kept]
+        a = p + t0[kept, None] * d
+        b = p + t1[kept, None] * d
+        prev = np.concatenate(([last], seg[:-1]))
+        prev_end = np.concatenate((last_end[None], b[:-1]))
+        opens = (seg - 1 != prev) | ~(np.abs(prev_end - a) <= 1e-9 + 1e-5 * np.abs(a)).all(axis=1)
+        last, last_end = seg[-1], b[-1]
+        # the block's run points: each run's start, then every segment end
+        rows = np.cumsum(1 + opens) - 1
+        out = np.empty((rows[-1] + 1, 2))
+        out[rows] = b
+        heads = rows[opens] - 1
+        out[heads] = a[opens]
+        if not opens[0]:
+            run[1].append(out[:heads[0] if len(heads) else len(out)])
+        if not len(heads):
+            continue
+        big = (np.abs(out[1:] - out[:-1]) > 2e-9).any(axis=1)
+        big[heads[heads > 0] - 1] = False
+        certified = np.logical_or.reduceat(big, heads).tolist()
+        owners = np.searchsorted(ends, seg[opens], side="right").tolist()
+        bounds = heads.tolist() + [len(out)]
+        for r, owner in enumerate(owners):
+            if run is not None:
+                flush()
+            run = (owner, [out[bounds[r]:bounds[r + 1]]], certified[r])
+    if run is not None:
         flush()
-        current.extend((a, b))
-    flush()
     return pieces
 
 
@@ -171,21 +216,29 @@ def _quad_element(el_id: str, pts: np.ndarray) -> MapElement | None:
 def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap]:
     """Produce one ego-frame instance of the ground truth per pose.
 
-    A view moves into its ego frame only the elements whose world bounding
-    box, mapped into that frame, comes within ``1e-6 * (1 + S)`` of the
-    window, S bounding every coordinate magnitude: far above rounding.
-    ``transform_to_world`` with the inverse pose is an affine map of the
-    plane whose linear part B is the upper-left 2 x 2 block of the inverse's
-    rotation matrix, so it maps a box of centre c and half extents h into
-    the box of centre B c + d and half extents |B| h.  A skipped element's
-    ego box thus lies beyond a window edge, which the ego-box test below
-    would find too.  ``transform_to_world`` works on each row on its own,
-    so the kept rows have the bits of a call on all of them.
+    Views go in batches that queue at least ``_CROP_BLOCK`` line vertices
+    (the last one fewer), so memory stays bounded, in three phases:
 
-    Of the moved elements, only those whose ego bounding box meets the
-    window are cropped: a box strictly beyond one window edge fails the
-    clippers' own comparisons, so the element would yield no piece.  The
-    RNG is drawn per piece, so skipping changes no draw.
+    1. Per view, the elements whose world bounding box, mapped into the
+       view's ego frame, comes within ``1e-6 * (1 + S)`` of the window, S
+       bounding every coordinate magnitude (far above rounding), move into
+       that frame.  ``transform_to_world`` with the inverse pose is an
+       affine map of the plane whose linear part B is the upper-left 2 x 2
+       block of the inverse's rotation matrix, so it maps a box of centre c
+       and half extents h into the box of centre B c + d and half extents
+       |B| h.  A skipped element's ego box thus lies beyond a window edge,
+       which the ego-box test below would find too.  ``transform_to_world``
+       works on each row on its own, so the kept rows have the bits of a
+       call on all of them.  Of the moved elements, only those whose ego
+       bounding box meets the window are cropped: a box strictly beyond one
+       window edge fails the clippers' own comparisons, so the element
+       would yield no piece.  Each such line is queued for the cropper.
+    2. One ``_crop_polylines`` call crops every queued line of the batch.
+    3. Per view in order, on the RNG stream seeded with ``seed ^ k``, each
+       cropped element's pieces (a crossing is cropped here by
+       ``_crop_quad``) are dropped out and jittered piece by piece.  The
+       RNG is drawn per piece, so neither skipping an element nor the
+       batching changes a draw.
     """
     elements = to_world(gt).elements
     if not elements:
@@ -198,9 +251,9 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
     world_hi = np.maximum.reduceat(stacked, starts)
     mid, half = 0.5 * (world_lo + world_hi), 0.5 * (world_hi - world_lo)
     scale = max(float(np.abs(stacked).max()), half_w, half_h)
-    instances = []
-    for k, pose in enumerate(poses):
-        rng = np.random.default_rng(cfg.seed ^ k)
+
+    def cropped_elements(pose) -> list[tuple[MapElement, np.ndarray]]:
+        """Phase 1: (element, ego points) of each element the view crops."""
         inverse = pose.inverse()
         w, x, y, z = inverse.rotation.tolist()
         dx, dy, _ = inverse.translation.tolist()
@@ -212,8 +265,7 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
         keep = (np.abs(ego_mid) - ego_half <= (half_w + margin, half_h + margin)).all(axis=1)
         near = np.flatnonzero(keep)
         if not len(near):
-            instances.append(VectorMap((), "ego", pose))
-            continue
+            return []
         counts = sizes[near]
         first = np.cumsum(counts) - counts
         ego = transform_to_world(stacked[np.repeat(keep, sizes)], inverse)
@@ -221,31 +273,51 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
         hi = np.maximum.reduceat(ego, first)
         meets = ((lo[:, 0] <= half_w) & (hi[:, 0] >= -half_w)
                  & (lo[:, 1] <= half_h) & (hi[:, 1] >= -half_h))
-        observed: list[MapElement] = []
-        for n in np.flatnonzero(meets).tolist():
-            el = elements[near[n]]
-            ego_pts = ego[first[n]:first[n] + counts[n]]
-            if el.label == LABEL_PED_CROSSING:
-                cropped = _crop_quad(ego_pts, half_w, half_h)
-                pieces = [] if cropped is None else [(el.id, cropped)]
-            else:
-                runs = _crop_polyline(ego_pts, half_w, half_h)
-                pieces = [
-                    (el.id if j == 0 else f"{el.id}#{j}", run)
-                    for j, run in enumerate(runs)
-                ]
-            for piece_id, pts in pieces:
-                if rng.random() < cfg.dropout:
-                    continue
-                if cfg.sigma > 0:
-                    pts = pts + rng.normal(0.0, cfg.sigma, pts.shape)
+        return [(elements[near[n]], ego[first[n]:first[n] + counts[n]])
+                for n in np.flatnonzero(meets).tolist()]
+
+    instances: list[VectorMap] = []
+
+    def observe(batch, lines) -> None:
+        """Phases 2 and 3 for a batch of (pose, cropped elements) views."""
+        runs = iter(_crop_polylines(lines, half_w, half_h))
+        for pose, seen in batch:
+            rng = np.random.default_rng(cfg.seed ^ len(instances))
+            observed: list[MapElement] = []
+            for el, ego_pts in seen:
                 if el.label == LABEL_PED_CROSSING:
-                    noisy = _quad_element(piece_id, pts)
-                    if noisy is not None:
-                        observed.append(noisy)
+                    cropped = _crop_quad(ego_pts, half_w, half_h)
+                    pieces = [] if cropped is None else [(el.id, cropped)]
                 else:
-                    observed.append(MapElement(piece_id, el.label, pts))
-        instances.append(VectorMap(tuple(observed), "ego", pose))
+                    pieces = [
+                        (el.id if j == 0 else f"{el.id}#{j}", run)
+                        for j, run in enumerate(next(runs))
+                    ]
+                for piece_id, pts in pieces:
+                    if rng.random() < cfg.dropout:
+                        continue
+                    if cfg.sigma > 0:
+                        pts = pts + rng.normal(0.0, cfg.sigma, pts.shape)
+                    if el.label == LABEL_PED_CROSSING:
+                        noisy = _quad_element(piece_id, pts)
+                        if noisy is not None:
+                            observed.append(noisy)
+                    else:
+                        observed.append(MapElement(piece_id, el.label, pts))
+            instances.append(VectorMap(tuple(observed), "ego", pose))
+
+    batch, lines, queued = [], [], 0
+    for pose in poses:
+        seen = cropped_elements(pose)
+        batch.append((pose, seen))
+        for el, ego_pts in seen:
+            if el.label != LABEL_PED_CROSSING:
+                lines.append(ego_pts)
+                queued += len(ego_pts)
+        if queued >= _CROP_BLOCK:
+            observe(batch, lines)
+            batch, lines, queued = [], [], 0
+    observe(batch, lines)
     return instances
 
 

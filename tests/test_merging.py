@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -368,6 +370,87 @@ class TestOrientation:
         rev = merge_chain([base, MapElement("s", "divider", noisy[::-1])], config)
         assert len(calls) == 2
         assert rev.points.tobytes() == fwd.points.tobytes()
+
+
+def _counting_distance_matrix(monkeypatch) -> list:
+    """Record the shape of every ``_distance_matrix`` call ``merging`` makes."""
+    calls = []
+    original = merging._distance_matrix
+
+    def counting(p, q):
+        calls.append((len(p), len(q)))
+        return original(p, q)
+
+    monkeypatch.setattr(merging, "_distance_matrix", counting)
+    return calls
+
+
+class TestOrientationCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60))
+    def test_lattice_path_is_a_coupling(self, n, m):
+        if n + m < 3:
+            return
+        i, j = merging._lattice_path(n, m)
+        assert len(i) == len(j) == n + m - 1
+        assert (i[0], j[0]) == (0, 0)
+        assert (i[-1], j[-1]) == (n - 1, m - 1)
+        steps = set(zip(np.diff(i).tolist(), np.diff(j).tolist()))
+        assert steps <= {(1, 0), (0, 1)}
+
+    @pytest.mark.parametrize("case", ["forward", "reversed", "loop", "loop_reversed",
+                                      "two_vertex_base", "two_vertex_member"])
+    def test_matches_reference_where_path_decides_and_not(self, case, monkeypatch):
+        rng = np.random.default_rng(5)
+        xs = np.linspace(0.0, 20.0, 27)
+        line = np.column_stack([xs, 0.1 * xs])
+        noisy = line + rng.normal(0.0, 0.2, line.shape)
+        angles = np.linspace(0.0, 2.0 * np.pi, 25)
+        loop = np.column_stack([5.0 * np.cos(angles), 5.0 * np.sin(angles)])
+        loop[-1] = loop[0]
+        src, base, decided = {
+            "forward": (noisy, line, True),
+            "reversed": (noisy[::-1], line, False),
+            # a closed loop's end pairs are 0 apart: its bound is 0, which
+            # the staircase path leaves even on an exact copy
+            "loop": (loop, loop, False),
+            "loop_reversed": (loop[::-1] + [0.0, 0.3], loop, False),
+            "two_vertex_base": (noisy, line[[0, -1]], True),
+            "two_vertex_member": (noisy[[-1, 0]], line, False),
+        }[case]
+        calls = _counting_distance_matrix(monkeypatch)
+        got = merging._orient(src, base)
+        assert got.tobytes() == reference_orient(src, base).tobytes()
+        assert (calls == []) == decided
+
+    def test_forward_members_of_a_block_drive_skip_the_matrix(self, monkeypatch):
+        # the benchmark's block scene: 30 views of one block, folded into
+        # the main map one at a time
+        bench_dir = str(Path(__file__).resolve().parent.parent / "bench")
+        sys.path.insert(0, bench_dir)
+        try:
+            import scenes
+        finally:
+            sys.path.remove(bench_dir)
+        gt = scenes.ground_truth(scenes.BLOCK)
+        views = scenes.views(scenes.BLOCK, gt, 0)
+        oriented = []
+        orient = merging._orient
+
+        def recording(src, base):
+            got = orient(src, base)
+            oriented.append(got is src)
+            return got
+
+        monkeypatch.setattr(merging, "_orient", recording)
+        calls = _counting_distance_matrix(monkeypatch)
+        main = VectorMap((), "world")
+        config = MergeConfig(smoothing_enabled=True)
+        for view in views:
+            main = merge_maps(main, [view], config)
+        # every view runs along the lines, so every member keeps its order
+        assert len(oriented) > 100 and all(oriented)
+        assert calls == []
 
 
 class TestMergeChain:

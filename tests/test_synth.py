@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from polymerge import (
 from polymerge.geometry import transform_to_world
 
 from helpers import line_element, quad_element, rect_quad
-from oracles import reference_clip_polygon, reference_generate_instances
+from oracles import (_reference_crop_polyline, reference_clip_polygon,
+                     reference_generate_instances)
 
 
 def _gt_map():
@@ -278,6 +280,69 @@ class TestClipPolygon:
         assert [5.0, 5.0] in got.tolist()
 
 
+_tiny = st.sampled_from([0.0, 1e-10, -1e-10, 4e-10, 2e-9, -3e-9])
+
+
+@st.composite
+def _crop_cases(draw):
+    """(polylines, half_w, half_h): lines of every ``_ego_element`` kind
+    against one window, whose edges may sit 1e5 m out, plus runs shorter
+    than 1e-9 m and lines through signed zeros and window edges."""
+    offset = draw(st.sampled_from([0.0, 1e5]))
+    half_w = offset + draw(st.sampled_from([5.0, 7.5, 15.0]))
+    half_h = offset + draw(st.sampled_from([5.0, 30.0]))
+    polys = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["element", "element", "tiny", "zeros"]))
+        if kind == "element":
+            label, pts = draw(_ego_element(half_w, half_h))
+            if label == "ped_crossing":
+                # a crossing's ring, closed, as a line
+                pts = np.vstack([pts, pts[:1]])
+        elif kind == "tiny":
+            edge = st.sampled_from([0.0, -0.0, 1.0, half_w, -half_w, half_h])
+            anchor = np.array([draw(edge), draw(edge)])
+            steps = draw(st.lists(st.tuples(_tiny, _tiny), min_size=1, max_size=4))
+            pts = anchor + np.cumsum(np.vstack([[0.0, 0.0], steps]), axis=0)
+        else:
+            coord = st.sampled_from([0.0, -0.0, 2.0, -2.0, half_w, -half_w, half_h, -half_h,
+                                     2.0 * half_w, -2.0 * half_h])
+            pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=6)))
+        polys.append(np.ascontiguousarray(pts, dtype=float))
+    return polys, half_w, half_h
+
+
+class TestCropPolylines:
+    @pytest.mark.parametrize("block", [synth._CROP_BLOCK, 1, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(case=_crop_cases())
+    def test_matches_per_segment_reference(self, case, block):
+        polys, half_w, half_h = case
+        with mock.patch.object(synth, "_CROP_BLOCK", block):
+            got = synth._crop_polylines(polys, half_w, half_h)
+        assert len(got) == len(polys)
+        for pieces, pts in zip(got, polys):
+            expected = _reference_crop_polyline(pts, half_w, half_h)
+            assert len(pieces) == len(expected)
+            for a, b in zip(pieces, expected):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_run_spread_over_blocks(self):
+        # one run through the window, cut into blocks of one segment each
+        xs = np.linspace(-9.0, 9.0, 7)
+        line = np.column_stack([xs, 0.5 * xs])
+        expected = _reference_crop_polyline(line, 5.0, 5.0)
+        assert len(expected) == 1
+        with mock.patch.object(synth, "_CROP_BLOCK", 1):
+            (got,) = synth._crop_polylines([line], 5.0, 5.0)
+        assert len(got) == 1
+        assert got[0].tobytes() == expected[0].tobytes()
+
+    def test_no_polylines(self):
+        assert synth._crop_polylines([], 5.0, 5.0) == []
+
+
 class TestBatchedViewsMatchReference:
     @settings(max_examples=300, deadline=None)
     @given(_synth_cases())
@@ -350,17 +415,23 @@ class TestBatchedViewsMatchReference:
         # cropping everything would take 11 * 27 = 297 crops
         assert expected == 9 * 3 + 4 + 1
 
-        calls = []
-        for name in ("_crop_polyline", "_crop_quad"):
-            original = getattr(synth, name)
+        queued, quads = [], []
+        crop_polylines, crop_quad = synth._crop_polylines, synth._crop_quad
 
-            def counted(*args, _original=original, _name=name):
-                calls.append(_name)
-                return _original(*args)
+        def counted_lines(polys, *args):
+            queued.append(len(polys))
+            return crop_polylines(polys, *args)
 
-            monkeypatch.setattr(synth, name, counted)
+        def counted_quad(*args):
+            quads.append(1)
+            return crop_quad(*args)
+
+        monkeypatch.setattr(synth, "_crop_polylines", counted_lines)
+        monkeypatch.setattr(synth, "_crop_quad", counted_quad)
         got = generate_instances(gt, poses, cfg)
-        assert len(calls) == expected
+        # every view's lines go to the cropper in one call
+        assert len(queued) == 1
+        assert queued[0] + len(quads) == expected
         _assert_same_instances(got, reference_generate_instances(gt, poses, cfg))
 
 
