@@ -189,7 +189,7 @@ def eval_cmd(est_path, gt_path, th_prox, out_path, plot_path):
               help="Element dropout probability.")
 @click.option("--window", default="30x60", show_default=True,
               help="Sensing window WIDTHxHEIGHT in meters.")
-@click.option("--seed", required=True, type=int, help="RNG seed.")
+@click.option("--seed", required=True, type=click.IntRange(min=0), help="RNG seed.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def synth(gt_path, n_instances, sigma, dropout, window, seed, out_dir):
     """Generate noisy windowed instances of a ground-truth map."""

@@ -206,6 +206,40 @@ def _quat_conjugate(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def _inverse_poses(rotations: np.ndarray, translations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of the poses whose unit quaternions and translations are
+    the rows of ``rotations`` (V, 4) and ``translations`` (V, 3): their
+    rotations and translations, each row with the bits of ``Pose.inverse()``
+    of its pose, which raises ValueError where this does.  As ``Pose``
+    does, each conjugate is divided by its rounded norm
+    ``sqrt(((w*w + x*x) + y*y) + z*z)``, summed in that order, after a check
+    that the norm is within 1e-6 of 1."""
+    conj = _quat_conjugate(rotations)
+    w, x, y, z = conj.T
+    norm = np.sqrt(w * w + x * x + y * y + z * z)
+    off = np.abs(norm - 1.0) > 1e-6
+    if off.any():
+        raise ValueError(f"rotation quaternion norm {norm[off][0]:.9f} is not 1")
+    vecs = np.zeros((len(translations), 4))
+    vecs[:, 1:] = translations
+    shifts = -_hamilton(_hamilton(conj, vecs), rotations)[:, 1:]
+    if not np.isfinite(shifts).all():
+        raise ValueError("translation components must be finite")
+    return conj / norm[:, np.newaxis], shifts
+
+
+def _transform_rows(points: np.ndarray, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+    """Points (N, 2) rotated by unit quaternions and shifted by the x and y
+    of translations: row k by ``rotations[k]`` and ``translations[k]``
+    (shapes (N, 4) and (N, 3)), or every row by one (4,) and (3,).  Every
+    step works on each row on its own, so a row has the bits of a
+    ``transform_to_world`` call with its own pose."""
+    vecs = np.zeros((len(points), 4))
+    vecs[:, 1:3] = points
+    rotated = _hamilton(_hamilton(rotations, vecs), _quat_conjugate(rotations))
+    return rotated[:, 1:3] + translations[..., :2]
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform from an ego frame into the world frame.
@@ -268,9 +302,4 @@ def transform_to_world(points, pose: Pose) -> np.ndarray:
     rotated as q v q^-1 and shifted by the translation; the z component is
     dropped afterwards since maps are planar.
     """
-    pts = as_points(points)
-    q = pose.rotation
-    vecs = np.zeros((len(pts), 4))
-    vecs[:, 1:3] = pts
-    rotated = _hamilton(_hamilton(q, vecs), _quat_conjugate(q))
-    return rotated[:, 1:3] + pose.translation[:2]
+    return _transform_rows(as_points(points), pose.rotation, pose.translation)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, as_points, transform_to_world
+from .geometry import Pose, _transform_rows, as_points
 
 __all__ = [
     "LABELS",
@@ -188,22 +188,31 @@ class VectorMap:
         raise KeyError(element_id)
 
 
-def _world_points(vmap: VectorMap) -> list[np.ndarray]:
-    """Every element's points in the world frame.  An ego map's points are
-    stacked into one ``transform_to_world`` call; the transform works row
-    by row, so each row has the bits of a per-element call."""
-    if vmap.frame == "world" or not vmap.elements:
-        return [el.points for el in vmap.elements]
-    stacked = np.concatenate([el.points for el in vmap.elements])
-    ends = np.cumsum([len(el.points) for el in vmap.elements])
-    return np.split(transform_to_world(stacked, vmap.pose), ends[:-1])
+def _world_points(maps) -> list[list[np.ndarray]]:
+    """Every element's points of every map, in the world frame.  The points
+    of every ego map move in one ``_transform_rows`` call, each row by its
+    own map's pose; the kernel works row by row, so each row has the bits of
+    a per-element ``transform_to_world`` call."""
+    points = [[el.points for el in vmap.elements] for vmap in maps]
+    egos = [k for k, vmap in enumerate(maps) if vmap.frame == "ego" and vmap.elements]
+    if not egos:
+        return points
+    moving = [pts for k in egos for pts in points[k]]
+    rows = [sum(len(pts) for pts in points[k]) for k in egos]
+    rotations = np.repeat([maps[k].pose.rotation for k in egos], rows, axis=0)
+    translations = np.repeat([maps[k].pose.translation for k in egos], rows, axis=0)
+    moved = iter(np.split(_transform_rows(np.concatenate(moving), rotations, translations),
+                          np.cumsum([len(pts) for pts in moving])[:-1]))
+    for k in egos:
+        points[k] = [next(moved) for _ in points[k]]
+    return points
 
 
 def to_world(vmap: VectorMap) -> VectorMap:
     """Express a map in the world frame (identity for world maps)."""
     if vmap.frame == "world":
         return vmap
-    elements = tuple(el.with_points(pts) for el, pts in zip(vmap.elements, _world_points(vmap)))
+    elements = tuple(el.with_points(pts) for el, pts in zip(vmap.elements, _world_points([vmap])[0]))
     return VectorMap(elements, "world")
 
 
@@ -215,9 +224,10 @@ def concatenate(main: VectorMap, secondaries) -> VectorMap:
     main map are flagged ``is_main``.  An empty main map is legal; it
     bootstraps a global map from scratch.
     """
+    sources = [main, *secondaries]
     merged: list[MapElement] = []
-    for idx, src in enumerate([main, *secondaries]):
-        for el, pts in zip(src.elements, _world_points(src)):
+    for idx, (src, points) in enumerate(zip(sources, _world_points(sources))):
+        for el, pts in zip(src.elements, points):
             merged.append(MapElement(f"{idx}:{el.id}", el.label, pts, is_main=(idx == 0)))
     return VectorMap(tuple(merged), "world")
 

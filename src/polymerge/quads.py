@@ -149,6 +149,21 @@ def rasterize_coverage(quads, cell_size: float) -> CoverageGrid:
     on an edge when its distance to it is at most 1e-9.  Per row, each
     crossing edge meets the ray's line at one abscissa, so a quad covers
     the columns between the 1st and 2nd and between the 3rd and 4th hit.
+
+    The centers that can be on an edge are searched per edge and row, in a
+    band around the edge (``_on_edge_candidates``).  The search is skipped
+    when it cannot find one.  It visits, for an edge, the rows within
+    ``reach`` of its y extent; when no row center lies within ``reach`` of
+    a corner's y, each of those rows crosses the edge.  There, with u the
+    unit roundoff and S the ``scale`` below, the parity's abscissa and the
+    search's band center both lie within 9.1 u S of the point of the edge's
+    line at that row, and a center the search accepts lies within
+    ``h (1 + u) + 3.1 u S`` of the band center, h its half width.  The
+    abscissa's neighbouring column centers are its nearest on each side;
+    when both lie farther than the rounded ``h + _kernel_slack(S)``, the
+    gap, at most a cell pitch, itself at most 2 S, bounds h by 2.01 S, so
+    the slack's 9,000 u S covers the 26 u S of rounding (its 1e-150 any
+    subnormal result) and no center lies in the band.
     """
     _require_finite_positive("cell_size", cell_size)
     quads = [np.asarray(q, dtype=float) for q in quads]
@@ -175,7 +190,8 @@ def rasterize_coverage(quads, cell_size: float) -> CoverageGrid:
     crosses = (y1 > y) != (y2 > y)
     with np.errstate(divide="ignore", invalid="ignore"):
         x_hit = (x2 - x1) * (y - y1) / (y2 - y1) + x1
-    hits = np.sort(np.where(crosses, cols.searchsorted(x_hit), 0), axis=-1)
+    right = cols.searchsorted(x_hit)
+    hits = np.sort(np.where(crosses, right, 0), axis=-1)
     row_base = (np.arange(height) * (width + 1))[:, np.newaxis, np.newaxis]
     size = height * (width + 1)
     steps = (np.bincount((hits[..., 0::2] + row_base).ravel(), minlength=size)
@@ -189,6 +205,17 @@ def rasterize_coverage(quads, cell_size: float) -> CoverageGrid:
     scale = max(float(np.abs(corners).max()), abs(cols.item(0)), abs(cols.item(-1)),
                 abs(rows.item(0)), abs(rows.item(-1)))
     reach = 2.0 * (_ON_EDGE + _kernel_slack(scale))
+    # the search below finds nothing when no row center lies within reach of
+    # a corner's y and every crossing abscissa clears both neighbouring
+    # column centers by its band's half width plus slack (see the docstring)
+    ys = corners[:, 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        band = reach * np.hypot(x2 - x1, y2 - y1) / np.abs(y2 - y1) + _kernel_slack(scale)
+        clear = ((x_hit - cols.take(right - 1, mode="clip") > band)
+                 & (cols.take(right, mode="clip") - x_hit > band))
+    if ((clear | ~crosses).all()
+            and (rows.searchsorted(ys + reach, "right") == rows.searchsorted(ys - reach)).all()):
+        return CoverageGrid(lo, cell_size, counts / len(quads))
     start, end = start.reshape(-1, 2), end.reshape(-1, 2)
     edge, row, col = _on_edge_candidates(start, end, cols, rows, reach)
     quad = edge // 4

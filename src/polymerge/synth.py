@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, arc_length, transform_to_world
+from .geometry import Pose, _inverse_poses, _transform_rows, arc_length
 from .map_model import (
     LABEL_PED_CROSSING,
     MapElement,
@@ -50,16 +50,26 @@ class NoiseConfig:
             raise ValueError("sigma must be finite and >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        w, h = self.window
+        try:
+            w, h = self.window
+        except (TypeError, ValueError):
+            raise ValueError(f"window must be a (width, height) pair, got {self.window!r}") from None
         if not all(math.isfinite(side) and side > 0 for side in (w, h)):
             raise ValueError("window sides must be finite and positive")
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
+        # instance k draws from the stream seeded with seed ^ k, which numpy
+        # refuses for a negative seed
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # vertices per block of ``_crop_polylines``, each the start of at most one
 # segment: its temporaries stay small however many views are cropped at once
 _CROP_BLOCK = 1 << 10
+# ground-truth vertices, summed over the views, per block of the pose work in
+# ``generate_instances``: the rows it moves at once stay this few
+_POSE_BLOCK = 1 << 16
 
 
 def _crop_polylines(polys, half_w: float, half_h: float) -> list[list[np.ndarray]]:
@@ -219,20 +229,25 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
     Views go in batches that queue at least ``_CROP_BLOCK`` line vertices
     (the last one fewer), so memory stays bounded, in three phases:
 
-    1. Per view, the elements whose world bounding box, mapped into the
-       view's ego frame, comes within ``1e-6 * (1 + S)`` of the window, S
-       bounding every coordinate magnitude (far above rounding), move into
-       that frame.  ``transform_to_world`` with the inverse pose is an
-       affine map of the plane whose linear part B is the upper-left 2 x 2
-       block of the inverse's rotation matrix, so it maps a box of centre c
-       and half extents h into the box of centre B c + d and half extents
-       |B| h.  A skipped element's ego box thus lies beyond a window edge,
-       which the ego-box test below would find too.  ``transform_to_world``
-       works on each row on its own, so the kept rows have the bits of a
-       call on all of them.  Of the moved elements, only those whose ego
-       bounding box meets the window are cropped: a box strictly beyond one
-       window edge fails the clippers' own comparisons, so the element
-       would yield no piece.  Each such line is queued for the cropper.
+    1. For a block of views at once, the elements whose world bounding box,
+       mapped into a view's ego frame, comes within ``1e-6 * (1 + S)`` of
+       the window, S bounding every coordinate magnitude (far above
+       rounding), move into that view's frame.  ``transform_to_world`` with
+       the inverse pose is an affine map of the plane whose linear part B
+       is the upper-left 2 x 2 block of the inverse's rotation matrix, so it
+       maps a box of centre c and half extents h into the box of centre
+       B c + d and half extents |B| h.  A skipped element's ego box thus
+       lies beyond a window edge, which the ego-box test below would find
+       too.  Every kept element's rows move in one ``_transform_rows`` call,
+       each row by its own view's inverse pose (``_inverse_poses``), which
+       gives each row the bits of a ``transform_to_world`` call on that
+       view's rows.  Of the moved elements, only those whose ego bounding
+       box meets the window are cropped: a box strictly beyond one window
+       edge fails the clippers' own comparisons, so the element would yield
+       no piece.  Each such line is queued for the cropper.  A block holds
+       at most ``_POSE_BLOCK`` ground-truth vertices over all its views
+       (at least one view), which bounds both its box tests and the rows
+       it moves.
     2. One ``_crop_polylines`` call crops every queued line of the batch.
     3. Per view in order, on the RNG stream seeded with ``seed ^ k``, each
        cropped element's pieces (a crossing is cropped here by
@@ -240,6 +255,7 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
        RNG is drawn per piece, so neither skipping an element nor the
        batching changes a draw.
     """
+    poses = list(poses)
     elements = to_world(gt).elements
     if not elements:
         return [VectorMap((), "ego", pose) for pose in poses]
@@ -249,32 +265,41 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
     starts = np.cumsum(sizes) - sizes
     world_lo = np.minimum.reduceat(stacked, starts)
     world_hi = np.maximum.reduceat(stacked, starts)
-    mid, half = 0.5 * (world_lo + world_hi), 0.5 * (world_hi - world_lo)
+    (mid_x, mid_y), (half_x, half_y) = 0.5 * (world_lo + world_hi).T, 0.5 * (world_hi - world_lo).T
     scale = max(float(np.abs(stacked).max()), half_w, half_h)
 
-    def cropped_elements(pose) -> list[tuple[MapElement, np.ndarray]]:
-        """Phase 1: (element, ego points) of each element the view crops."""
-        inverse = pose.inverse()
-        w, x, y, z = inverse.rotation.tolist()
-        dx, dy, _ = inverse.translation.tolist()
-        b = np.array([[1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z)],
-                      [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z)]])
-        margin = 1e-6 * (1.0 + max(scale, abs(dx), abs(dy)))
-        ego_mid = mid[:, :1] * b[:, 0] + mid[:, 1:] * b[:, 1] + (dx, dy)
-        ego_half = half[:, :1] * np.abs(b[:, 0]) + half[:, 1:] * np.abs(b[:, 1])
-        keep = (np.abs(ego_mid) - ego_half <= (half_w + margin, half_h + margin)).all(axis=1)
-        near = np.flatnonzero(keep)
+    def cropped_elements(block) -> list[list[tuple[MapElement, np.ndarray]]]:
+        """Phase 1: per view of the block, (element, ego points) of each
+        element the view crops."""
+        rotations, shifts = _inverse_poses(np.array([pose.rotation for pose in block]),
+                                           np.array([pose.translation for pose in block]))
+        # one row per view, one column per element
+        w, x, y, z = rotations.T[:, :, np.newaxis]
+        dx, dy = shifts[:, :1], shifts[:, 1:2]
+        b00, b01 = 1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z)
+        b10, b11 = 2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z)
+        margin = 1e-6 * (1.0 + np.maximum(np.maximum(np.abs(dx), np.abs(dy)), scale))
+        keep = ((np.abs(mid_x * b00 + mid_y * b01 + dx)
+                 - (half_x * np.abs(b00) + half_y * np.abs(b01)) <= half_w + margin)
+                & (np.abs(mid_x * b10 + mid_y * b11 + dy)
+                   - (half_x * np.abs(b10) + half_y * np.abs(b11)) <= half_h + margin))
+        view, near = np.nonzero(keep)
+        seen: list[list[tuple[MapElement, np.ndarray]]] = [[] for _ in block]
         if not len(near):
-            return []
+            return seen
         counts = sizes[near]
-        first = np.cumsum(counts) - counts
-        ego = transform_to_world(stacked[np.repeat(keep, sizes)], inverse)
+        ends = np.cumsum(counts)
+        first = ends - counts
+        rows = np.arange(ends[-1]) - np.repeat(first - starts[near], counts)
+        owner = np.repeat(view, counts)
+        ego = _transform_rows(stacked[rows], rotations[owner], shifts[owner])
         lo = np.minimum.reduceat(ego, first)
         hi = np.maximum.reduceat(ego, first)
         meets = ((lo[:, 0] <= half_w) & (hi[:, 0] >= -half_w)
                  & (lo[:, 1] <= half_h) & (hi[:, 1] >= -half_h))
-        return [(elements[near[n]], ego[first[n]:first[n] + counts[n]])
-                for n in np.flatnonzero(meets).tolist()]
+        for n in np.flatnonzero(meets).tolist():
+            seen[view[n]].append((elements[near[n]], ego[first[n]:ends[n]]))
+        return seen
 
     instances: list[VectorMap] = []
 
@@ -307,16 +332,18 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
             instances.append(VectorMap(tuple(observed), "ego", pose))
 
     batch, lines, queued = [], [], 0
-    for pose in poses:
-        seen = cropped_elements(pose)
-        batch.append((pose, seen))
-        for el, ego_pts in seen:
-            if el.label != LABEL_PED_CROSSING:
-                lines.append(ego_pts)
-                queued += len(ego_pts)
-        if queued >= _CROP_BLOCK:
-            observe(batch, lines)
-            batch, lines, queued = [], [], 0
+    per_block = max(1, _POSE_BLOCK // len(stacked))
+    for b in range(0, len(poses), per_block):
+        block = poses[b:b + per_block]
+        for pose, seen in zip(block, cropped_elements(block)):
+            batch.append((pose, seen))
+            for el, ego_pts in seen:
+                if el.label != LABEL_PED_CROSSING:
+                    lines.append(ego_pts)
+                    queued += len(ego_pts)
+            if queued >= _CROP_BLOCK:
+                observe(batch, lines)
+                batch, lines, queued = [], [], 0
     observe(batch, lines)
     return instances
 

@@ -489,6 +489,15 @@ class TestSynth:
             assert result.exit_code == 2
             assert "window" in result.output.lower()
 
+    def test_negative_seed_rejected(self, runner, tmp_path, gt_file):
+        result = runner.invoke(main, [
+            "synth", "--gt", gt_file, "--n", "3", "--sigma", "0.1",
+            "--seed", "-1", "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_seed_required(self, runner, tmp_path, gt_file):
         result = runner.invoke(main, [
             "synth", "--gt", gt_file, "--n", "2", "--sigma", "0.1",

@@ -13,9 +13,11 @@ from scipy.spatial.distance import cdist
 from polymerge.geometry import (
     Pose,
     _distance_matrix,
+    _inverse_poses,
     _kernel_slack,
     _segment_feet,
     _segment_foot,
+    _transform_rows,
     arc_length,
     as_points,
     min_distance_to_polyline,
@@ -234,6 +236,63 @@ class TestPose:
     def test_from_yaw_zero_is_identity(self):
         pts = np.array([[1.0, 2.0], [-3.0, 4.0]])
         np.testing.assert_allclose(transform_to_world(pts, Pose.from_yaw(0.0)), pts)
+
+
+@st.composite
+def _poses(draw):
+    """A yaw or any unit quaternion (the map plane seen at a slant), and a
+    translation up to 1e15 m from the origin."""
+    if draw(st.booleans()):
+        pose = Pose.from_yaw(draw(st.floats(-np.pi, np.pi)))
+        q = pose.rotation
+    else:
+        q = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+                          .filter(lambda v: sum(c * c for c in v) > 0.1)))
+        q = q / math.sqrt(sum(c * c for c in q.tolist()))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e8, 1e15]))
+    return Pose(q, offset * np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))))
+
+
+class TestStackedPoses:
+    """``_transform_rows`` and ``_inverse_poses``, the stacked forms of
+    ``transform_to_world`` and ``Pose.inverse``, keep their bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_poses(), st.integers(0, 4)), min_size=1, max_size=5), st.data())
+    def test_row_kernel_matches_per_pose_transform(self, views, data):
+        coord = st.floats(-1e4, 1e4)
+        points = [np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)),
+                           dtype=float).reshape(-1, 2) for _, n in views]
+        rows = [len(pts) for pts in points]
+        got = _transform_rows(np.concatenate(points),
+                              np.repeat([pose.rotation for pose, _ in views], rows, axis=0),
+                              np.repeat([pose.translation for pose, _ in views], rows, axis=0))
+        expected = np.concatenate([transform_to_world(pts, pose)
+                                   for pts, (pose, _) in zip(points, views)])
+        assert got.shape == (sum(rows), 2)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_poses(), min_size=1, max_size=6))
+    def test_stacked_inverse_matches_pose_inverse(self, poses):
+        rotations, translations = _inverse_poses(np.array([pose.rotation for pose in poses]),
+                                                 np.array([pose.translation for pose in poses]))
+        for k, pose in enumerate(poses):
+            inverse = pose.inverse()
+            assert rotations[k].tobytes() == inverse.rotation.tobytes()
+            assert translations[k].tobytes() == inverse.translation.tobytes()
+
+    def test_stacked_inverse_raises_as_pose_does(self):
+        with pytest.raises(ValueError, match="norm 2.000000000 is not 1"):
+            _inverse_poses(np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]), np.zeros((2, 3)))
+        # rotating this translation back overflows
+        q = np.array([0.5, 0.5, 0.5, 0.5])
+        pose = Pose(q, np.full(3, 1.7e308))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="translation components must be finite"):
+                pose.inverse()
+            with pytest.raises(ValueError, match="translation components must be finite"):
+                _inverse_poses(q[np.newaxis], pose.translation[np.newaxis])
 
 
 class TestSegmentParameter:

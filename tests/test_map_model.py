@@ -252,7 +252,7 @@ class TestConcatenate:
             expected = world.element(el.id).points
             assert out.element(f"1:{el.id}").points.tobytes() == expected.tobytes()
 
-    def test_one_transform_per_ego_map_with_per_element_bits(self, small_world_map, monkeypatch):
+    def test_one_transform_for_all_ego_maps_with_per_element_bits(self, small_world_map, monkeypatch):
         rng = np.random.default_rng(41)
         egos = [
             VectorMap(tuple(MapElement(f"e{k}", "divider", random_polyline(rng, scale=30.0))
@@ -262,18 +262,41 @@ class TestConcatenate:
             for _ in range(3)
         ]
         calls = []
+        kernel = map_model._transform_rows
 
-        def counting(points, pose):
+        def counting(points, rotations, translations):
             calls.append(len(points))
-            return transform_to_world(points, pose)
+            return kernel(points, rotations, translations)
 
-        monkeypatch.setattr(map_model, "transform_to_world", counting)
+        monkeypatch.setattr(map_model, "_transform_rows", counting)
         out = concatenate(small_world_map, egos)
-        assert calls == [sum(len(el.points) for el in ego.elements) for ego in egos]
+        assert calls == [sum(len(el.points) for ego in egos for el in ego.elements)]
         for idx, ego in enumerate(egos, start=1):
             for el in ego.elements:
                 expected = MapElement("x", el.label, transform_to_world(el.points, ego.pose)).points
                 assert out.element(f"{idx}:{el.id}").points.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["ego", "world"]), st.integers(0, 4),
+                              st.floats(-np.pi, np.pi), st.sampled_from([0.0, 1e3, 1e6]),
+                              st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
+    def test_matches_per_view_to_world(self, specs):
+        # ego and world sources, empty ones too, the main map among them
+        maps = []
+        for frame, n, yaw, offset, seed in specs:
+            rng = np.random.default_rng(seed)
+            elements = [MapElement(f"e{k}", "divider", random_polyline(rng, scale=30.0))
+                        for k in range(n)]
+            if n and rng.random() < 0.5:
+                elements.append(MapElement("c", "ped_crossing",
+                                           rect_quad(*rng.uniform(-20, 20, 2), 4.0, 3.0, yaw)))
+            pose = Pose.from_yaw(yaw, *(offset * rng.uniform(-1, 1, 2))) if frame == "ego" else None
+            maps.append(VectorMap(tuple(elements), frame, pose))
+        out = concatenate(maps[0], maps[1:])
+        assert len(out) == sum(len(vmap) for vmap in maps)
+        for idx, vmap in enumerate(maps):
+            for el in to_world(vmap).elements:
+                assert out.element(f"{idx}:{el.id}").points.tobytes() == el.points.tobytes()
 
     def test_inputs_not_mutated(self, small_world_map):
         before = [el.points.copy() for el in small_world_map.elements]

@@ -143,6 +143,19 @@ class TestRasterize:
         expected[1:4, 3] = expected[3, 1:4] = 0.0
         np.testing.assert_array_equal(rasterize_coverage([shrunk], 0.5).values, expected)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("nudge", [0.0, 1e-9, -5e-10, -1e-9, -1.4e-9, -1.42e-9, -3e-9])
+    def test_tilted_edge_near_a_center(self, nudge, offset):
+        # the lower right edge of this quad passes nudge / sqrt(2) from the
+        # center (0.75, 0.25), which a negative nudge leaves outside; no other
+        # edge, and no corner's y, comes near a center, so only that edge's
+        # band can find it
+        quad = np.array([(0.5 + nudge, 0.0), (1.0 + nudge, 0.5), (0.7, 0.9), (0.0, 0.4)]) + offset
+        grid = rasterize_coverage([quad], 0.5)
+        assert grid.values[1, 2] == (1.0 if nudge >= -1.4e-9 else 0.0)
+        origin, values = reference_rasterize_coverage([quad], 0.5)
+        assert grid.values.tobytes() == values.tobytes()
+
     def test_single_unit_square(self):
         grid = rasterize_coverage([rect_quad(0.5, 0.5, 1, 1)], 0.1)
         centers = grid.cell_centers()

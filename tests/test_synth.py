@@ -68,6 +68,15 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"seed": -5}, "seed"), ({"seed": -1}, "seed"),
+        ({"window": (1.0, 2.0, 3.0)}, "window"), ({"window": (30.0,)}, "window"),
+        ({"window": 30.0}, "window"),
+    ])
+    def test_error_names_the_field(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            NoiseConfig(**kwargs)
+
 
 class TestGenerateInstances:
     def test_noise_free_full_window_round_trip(self):
@@ -352,6 +361,20 @@ class TestBatchedViewsMatchReference:
             generate_instances(gt, poses, cfg), reference_generate_instances(gt, poses, cfg)
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(_synth_cases(), st.sampled_from([1, 2]))
+    def test_pose_blocks_of_one_and_two_views(self, case, views):
+        gt, poses, cfg = case
+        # three views, so blocks of two leave one over
+        poses = poses + poses[:1]
+        vertices = sum(len(el.points) for el in gt.elements)
+        with mock.patch.object(synth, "_POSE_BLOCK", views * vertices), \
+                mock.patch.object(synth, "_inverse_poses", wraps=synth._inverse_poses) as spy:
+            got = generate_instances(gt, poses, cfg)
+        blocks = [len(call.args[0]) for call in spy.call_args_list]
+        assert blocks == ([] if not gt.elements else [1, 1, 1] if views == 1 else [2, 1])
+        _assert_same_instances(got, reference_generate_instances(gt, poses, cfg))
+
     @pytest.mark.parametrize("offset", [0.0, 1e5])
     @pytest.mark.parametrize("side", [(1, 0), (-1, 0), (0, 1), (0, -1)])
     def test_line_on_window_edge_is_kept(self, side, offset):
@@ -504,13 +527,13 @@ class TestWorldBoxSkip:
         gt = VectorMap(tuple(MapElement(f"{el.id}@{i}", el.label, el.points + [40.0 * i, 0.0])
                              for i in range(2) for el in block), "world")
         moved = []
-        transform = synth.transform_to_world
+        kernel = synth._transform_rows
 
-        def counting(points, pose):
+        def counting(points, rotations, translations):
             moved.append(len(points))
-            return transform(points, pose)
+            return kernel(points, rotations, translations)
 
-        monkeypatch.setattr(synth, "transform_to_world", counting)
+        monkeypatch.setattr(synth, "_transform_rows", counting)
         cfg, poses = NoiseConfig(sigma=0.1, window=(24.0, 24.0), seed=3), [Pose.from_yaw(0.3, 10.0)]
         got = generate_instances(gt, poses, cfg)
         assert moved == [sum(len(el.points) for el in block)]
