@@ -12,6 +12,7 @@ from .map_model import (
     LABEL_PED_CROSSING,
     MapFormatError,
     VectorMap,
+    _check_range,
     atomic_writer,
     load_map,
     save_map,
@@ -197,7 +198,17 @@ def synth(gt_path, n_instances, sigma, dropout, window, seed, out_dir):
     gt = _load(gt_path)
     cfg = NoiseConfig(sigma=sigma, dropout=dropout, window=window_wh, seed=seed)
     poses = straight_path_poses(gt, n_instances)
-    instances = generate_instances(gt, poses, cfg)
+    # a large --sigma can push a noisy vertex past the float range or the
+    # map format's coordinate range: refuse before anything is written
+    try:
+        instances = generate_instances(gt, poses, cfg)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
+    for k, inst in enumerate(instances):
+        try:
+            _check_range(inst)
+        except MapFormatError as exc:
+            raise _InputError(f"instance {k}: {exc}") from None
     paths = write_instances(instances, out_dir)
     click.echo(f"wrote {len(paths) - 1} instance(s) and poses.json to {out_dir}")
 

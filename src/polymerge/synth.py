@@ -10,6 +10,7 @@ be regenerated independently and the whole run is deterministic.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -52,23 +53,29 @@ class NoiseConfig:
             raise ValueError("dropout must lie in [0, 1)")
         try:
             w, h = self.window
+            positive = all(math.isfinite(side) and side > 0 for side in (w, h))
         except (TypeError, ValueError):
-            raise ValueError(f"window must be a (width, height) pair, got {self.window!r}") from None
-        if not all(math.isfinite(side) and side > 0 for side in (w, h)):
+            raise ValueError(
+                f"window must be a (width, height) pair of numbers, got {self.window!r}"
+            ) from None
+        if not positive:
             raise ValueError("window sides must be finite and positive")
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
         # instance k draws from the stream seeded with seed ^ k, which numpy
-        # refuses for a negative seed
+        # refuses for a negative seed; a numpy integer seed is kept as a
+        # Python int, so that seed ^ k cannot overflow its dtype
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-# vertices per block of ``_crop_polylines``, each the start of at most one
-# segment: its temporaries stay small however many views are cropped at once
-_CROP_BLOCK = 1 << 10
-# ground-truth vertices, summed over the views, per block of the pose work in
-# ``generate_instances``: the rows it moves at once stay this few
+# ground-truth vertices, summed over the views, per block of views in
+# ``generate_instances`` (at least one view): the rows a block moves and the
+# line vertices it crops in one ``_crop_polylines`` call stay this few
 _POSE_BLOCK = 1 << 16
 
 
@@ -77,9 +84,9 @@ def _crop_polylines(polys, half_w: float, half_h: float) -> list[list[np.ndarray
     splitting each where it leaves: the runs of every polyline, in order.
 
     Each segment p-q gets a Liang-Barsky clip (Liang & Barsky, ACM TOG
-    1984) with the per-segment rule's float expressions, on arrays of
-    segments: per axis, ``delta = q - p``, ``lo = -half - p`` and
-    ``hi = half - p``; a ``delta == 0.0`` axis misses when ``lo > 0`` or
+    1984) with the per-segment rule's float expressions, on the array of
+    all segments at once: per axis, ``delta = q - p``, ``lo = -half - p``
+    and ``hi = half - p``; a ``delta == 0.0`` axis misses when ``lo > 0`` or
     ``hi < 0`` and leaves the parameters alone, any other takes
     ``ta, tb = lo / delta, hi / delta``, swaps them when ``ta > tb``, and
     updates ``t0 = ta if ta > t0 else t0`` and ``t1 = tb if tb < t1 else t1``
@@ -98,8 +105,7 @@ def _crop_polylines(polys, half_w: float, half_h: float) -> list[list[np.ndarray
     square, which is not negative, cannot round below that; the rounded
     square root is then above 2e-9 * (1 - u)**2; and each rounded sum of
     non-negative terms is at least its larger term, so ``arc_length`` is
-    above 1.99e-9.  A run with no such step, or spread over two blocks of
-    at most ``_CROP_BLOCK`` vertices, is measured with ``arc_length``.
+    above 1.99e-9.  A run with no such step is measured with ``arc_length``.
     """
     pieces: list[list[np.ndarray]] = [[] for _ in polys]
     if not polys:
@@ -108,67 +114,47 @@ def _crop_polylines(polys, half_w: float, half_h: float) -> list[list[np.ndarray
     ends = np.cumsum([len(poly) for poly in polys])
     # vertex s starts segment s, to s + 1, unless it ends its polyline; so
     # segment s - 1 comes before segment s in the same polyline when both exist
-    starts = np.ones(len(pts) - 1, dtype=bool)
-    starts[ends[:-1] - 1] = False
-    run = None  # (polyline, chunks, certified) of the last kept segment's run
-    last, last_end = -2, np.zeros(2)
-
-    def flush():
-        owner, chunks, certified = run
-        piece = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if certified or arc_length(piece) > 1e-9:
-            pieces[owner].append(piece)
-
-    for first in range(0, len(starts), _CROP_BLOCK):
-        stop = min(first + _CROP_BLOCK, len(starts))
-        p = pts[first:stop]
-        d = pts[first + 1:stop + 1] - p
-        t0, t1 = np.zeros(len(p)), np.ones(len(p))
-        hit = starts[first:stop].copy()
-        with np.errstate(over="ignore"):
-            for axis, half in ((0, half_w), (1, half_h)):
-                delta, c = d[:, axis], p[:, axis]
-                lo, hi = -half - c, half - c
-                flat = delta == 0.0
-                hit &= ~(flat & ((lo > 0.0) | (hi < 0.0)))
-                step = np.where(flat, 1.0, delta)
-                ta, tb = lo / step, hi / step
-                swap = ta > tb
-                ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
-                t0 = np.where(~flat & (ta > t0), ta, t0)
-                t1 = np.where(~flat & (tb < t1), tb, t1)
-        hit &= ~(t0 > t1)
-        kept = np.flatnonzero(hit)
-        if not len(kept):
-            continue
-        seg, p, d = first + kept, p[kept], d[kept]
-        a = p + t0[kept, None] * d
-        b = p + t1[kept, None] * d
-        prev = np.concatenate(([last], seg[:-1]))
-        prev_end = np.concatenate((last_end[None], b[:-1]))
-        opens = (seg - 1 != prev) | ~(np.abs(prev_end - a) <= 1e-9 + 1e-5 * np.abs(a)).all(axis=1)
-        last, last_end = seg[-1], b[-1]
-        # the block's run points: each run's start, then every segment end
-        rows = np.cumsum(1 + opens) - 1
-        out = np.empty((rows[-1] + 1, 2))
-        out[rows] = b
-        heads = rows[opens] - 1
-        out[heads] = a[opens]
-        if not opens[0]:
-            run[1].append(out[:heads[0] if len(heads) else len(out)])
-        if not len(heads):
-            continue
-        big = (np.abs(out[1:] - out[:-1]) > 2e-9).any(axis=1)
-        big[heads[heads > 0] - 1] = False
-        certified = np.logical_or.reduceat(big, heads).tolist()
-        owners = np.searchsorted(ends, seg[opens], side="right").tolist()
-        bounds = heads.tolist() + [len(out)]
-        for r, owner in enumerate(owners):
-            if run is not None:
-                flush()
-            run = (owner, [out[bounds[r]:bounds[r + 1]]], certified[r])
-    if run is not None:
-        flush()
+    hit = np.ones(len(pts) - 1, dtype=bool)
+    hit[ends[:-1] - 1] = False
+    p, d = pts[:-1], pts[1:] - pts[:-1]
+    t0, t1 = np.zeros(len(p)), np.ones(len(p))
+    with np.errstate(over="ignore"):
+        for axis, half in ((0, half_w), (1, half_h)):
+            delta, c = d[:, axis], p[:, axis]
+            lo, hi = -half - c, half - c
+            flat = delta == 0.0
+            hit &= ~(flat & ((lo > 0.0) | (hi < 0.0)))
+            step = np.where(flat, 1.0, delta)
+            ta, tb = lo / step, hi / step
+            swap = ta > tb
+            ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
+            t0 = np.where(~flat & (ta > t0), ta, t0)
+            t1 = np.where(~flat & (tb < t1), tb, t1)
+    hit &= ~(t0 > t1)
+    seg = np.flatnonzero(hit)
+    if not len(seg):
+        return pieces
+    p, d = p[seg], d[seg]
+    a = p + t0[seg, None] * d
+    b = p + t1[seg, None] * d
+    joins = (np.abs(b[:-1] - a[1:]) <= 1e-9 + 1e-5 * np.abs(a[1:])).all(axis=1)
+    opens = np.concatenate(([True], (seg[1:] - 1 != seg[:-1]) | ~joins))
+    # the run points: each run's start, then every segment end
+    rows = np.cumsum(1 + opens) - 1
+    out = np.empty((rows[-1] + 1, 2))
+    out[rows] = b
+    heads = rows[opens] - 1
+    out[heads] = a[opens]
+    big = (np.abs(out[1:] - out[:-1]) > 2e-9).any(axis=1)
+    # the step from a run's last point to the next run's start is no step
+    big[heads[1:] - 1] = False
+    certified = np.logical_or.reduceat(big, heads).tolist()
+    owners = np.searchsorted(ends, seg[opens], side="right").tolist()
+    bounds = heads.tolist() + [len(out)]
+    for r, owner in enumerate(owners):
+        run = out[bounds[r]:bounds[r + 1]]
+        if certified[r] or arc_length(run) > 1e-9:
+            pieces[owner].append(run)
     return pieces
 
 
@@ -226,34 +212,34 @@ def _quad_element(el_id: str, pts: np.ndarray) -> MapElement | None:
 def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap]:
     """Produce one ego-frame instance of the ground truth per pose.
 
-    Views go in batches that queue at least ``_CROP_BLOCK`` line vertices
-    (the last one fewer), so memory stays bounded, in three phases:
+    Views go in blocks that hold at most ``_POSE_BLOCK`` ground-truth
+    vertices over all their views (at least one view), so memory stays
+    bounded.  Each block runs three phases:
 
-    1. For a block of views at once, the elements whose world bounding box,
-       mapped into a view's ego frame, comes within ``1e-6 * (1 + S)`` of
-       the window, S bounding every coordinate magnitude (far above
-       rounding), move into that view's frame.  ``transform_to_world`` with
-       the inverse pose is an affine map of the plane whose linear part B
-       is the upper-left 2 x 2 block of the inverse's rotation matrix, so it
-       maps a box of centre c and half extents h into the box of centre
-       B c + d and half extents |B| h.  A skipped element's ego box thus
-       lies beyond a window edge, which the ego-box test below would find
-       too.  Every kept element's rows move in one ``_transform_rows`` call,
-       each row by its own view's inverse pose (``_inverse_poses``), which
-       gives each row the bits of a ``transform_to_world`` call on that
-       view's rows.  Of the moved elements, only those whose ego bounding
-       box meets the window are cropped: a box strictly beyond one window
-       edge fails the clippers' own comparisons, so the element would yield
-       no piece.  Each such line is queued for the cropper.  A block holds
-       at most ``_POSE_BLOCK`` ground-truth vertices over all its views
-       (at least one view), which bounds both its box tests and the rows
-       it moves.
-    2. One ``_crop_polylines`` call crops every queued line of the batch.
+    1. The elements whose world bounding box, mapped into a view's ego
+       frame, comes within ``1e-6 * (1 + S)`` of the window, S bounding
+       every coordinate magnitude (far above rounding), move into that
+       view's frame.  ``transform_to_world`` with the inverse pose is an
+       affine map of the plane whose linear part B is the upper-left 2 x 2
+       block of the inverse's rotation matrix, so it maps a box of centre c
+       and half extents h into the box of centre B c + d and half extents
+       |B| h.  A skipped element's ego box thus lies beyond a window edge,
+       which the ego-box test below would find too.  Every kept element's
+       rows move in one ``_transform_rows`` call, each row by its own view's
+       inverse pose (``_inverse_poses``), which gives each row the bits of a
+       ``transform_to_world`` call on that view's rows.  Of the moved
+       elements, only those whose ego bounding box meets the window are
+       cropped: a box strictly beyond one window edge fails the clippers'
+       own comparisons, so the element would yield no piece.
+    2. One ``_crop_polylines`` call crops every line the block's views keep.
     3. Per view in order, on the RNG stream seeded with ``seed ^ k``, each
        cropped element's pieces (a crossing is cropped here by
        ``_crop_quad``) are dropped out and jittered piece by piece.  The
        RNG is drawn per piece, so neither skipping an element nor the
-       batching changes a draw.
+       blocking changes a draw.
+
+    A noisy line that is not a valid element, say one with a coordinate
+    that overflowed, raises ValueError naming its instance and element.
     """
     poses = list(poses)
     elements = to_world(gt).elements
@@ -302,14 +288,16 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
         return seen
 
     instances: list[VectorMap] = []
-
-    def observe(batch, lines) -> None:
-        """Phases 2 and 3 for a batch of (pose, cropped elements) views."""
-        runs = iter(_crop_polylines(lines, half_w, half_h))
-        for pose, seen in batch:
-            rng = np.random.default_rng(cfg.seed ^ len(instances))
+    per_block = max(1, _POSE_BLOCK // len(stacked))
+    for b in range(0, len(poses), per_block):
+        block = poses[b:b + per_block]
+        seen = cropped_elements(block)
+        runs = iter(_crop_polylines([ego_pts for view in seen for el, ego_pts in view
+                                     if el.label != LABEL_PED_CROSSING], half_w, half_h))
+        for k, (pose, view) in enumerate(zip(block, seen), start=b):
+            rng = np.random.default_rng(cfg.seed ^ k)
             observed: list[MapElement] = []
-            for el, ego_pts in seen:
+            for el, ego_pts in view:
                 if el.label == LABEL_PED_CROSSING:
                     cropped = _crop_quad(ego_pts, half_w, half_h)
                     pieces = [] if cropped is None else [(el.id, cropped)]
@@ -328,23 +316,11 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
                         if noisy is not None:
                             observed.append(noisy)
                     else:
-                        observed.append(MapElement(piece_id, el.label, pts))
+                        try:
+                            observed.append(MapElement(piece_id, el.label, pts))
+                        except ValueError as exc:
+                            raise ValueError(f"instance {k}: {exc}") from None
             instances.append(VectorMap(tuple(observed), "ego", pose))
-
-    batch, lines, queued = [], [], 0
-    per_block = max(1, _POSE_BLOCK // len(stacked))
-    for b in range(0, len(poses), per_block):
-        block = poses[b:b + per_block]
-        for pose, seen in zip(block, cropped_elements(block)):
-            batch.append((pose, seen))
-            for el, ego_pts in seen:
-                if el.label != LABEL_PED_CROSSING:
-                    lines.append(ego_pts)
-                    queued += len(ego_pts)
-            if queued >= _CROP_BLOCK:
-                observe(batch, lines)
-                batch, lines, queued = [], [], 0
-    observe(batch, lines)
     return instances
 
 

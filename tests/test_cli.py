@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -497,6 +498,29 @@ class TestSynth:
         assert result.exit_code == 2, result.output
         assert "--seed" in result.output
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sigma, reason", [
+        ("5e15", "coordinate range"), ("1e16", "coordinate range"), ("1e308", "finite"),
+    ])
+    def test_noise_past_the_coordinate_range_rejected(self, runner, tmp_path, sigma, reason):
+        # the README quick-start map: noise this large moves vertices past
+        # the map format's range, or past the float range
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"frame": "world", "elements": [
+            {"id": "d1", "label": "divider", "points": [[0, 2], [8, 2], [16, 2]]},
+            {"id": "b1", "label": "boundary", "points": [[0, -2], [8, -2], [16, -2]]},
+            {"id": "c1", "label": "ped_crossing",
+             "points": [[6.5, -1], [9.5, -1], [9.5, 1], [6.5, 1]]},
+        ]}))
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "synth", "--gt", str(gt), "--n", "40", "--sigma", sigma,
+            "--seed", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert re.search(r"instance \d+: element '(d1|b1)(#\d+)?'", result.output)
+        assert reason in result.output
+        assert not out.exists()
 
     def test_seed_required(self, runner, tmp_path, gt_file):
         result = runner.invoke(main, [

@@ -71,11 +71,22 @@ class TestNoiseConfig:
     @pytest.mark.parametrize("kwargs, name", [
         ({"seed": -5}, "seed"), ({"seed": -1}, "seed"),
         ({"window": (1.0, 2.0, 3.0)}, "window"), ({"window": (30.0,)}, "window"),
-        ({"window": 30.0}, "window"),
+        ({"window": 30.0}, "window"), ({"window": "ab"}, "window"),
+        ({"window": (30.0, None)}, "window"), ({"seed": 1.5}, "seed"),
+        ({"seed": "3"}, "seed"), ({"seed": np.float64(2.0)}, "seed"),
     ])
     def test_error_names_the_field(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             NoiseConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7), np.int32(7)])
+    def test_numpy_integer_seed_matches_python_int(self, seed):
+        # more views than a uint8 holds: instance k's stream is seed ^ k
+        gt = _gt_map()
+        poses = straight_path_poses(gt, 300)
+        got = generate_instances(gt, poses, NoiseConfig(sigma=0.2, dropout=0.3, seed=seed))
+        expected = generate_instances(gt, poses, NoiseConfig(sigma=0.2, dropout=0.3, seed=7))
+        _assert_same_instances(got, expected)
 
 
 class TestGenerateInstances:
@@ -322,29 +333,30 @@ def _crop_cases(draw):
 
 
 class TestCropPolylines:
-    @pytest.mark.parametrize("block", [synth._CROP_BLOCK, 1, 3])
+    # the case's lines cropped ``copies`` times over in one call: each copy's
+    # segments sit at other offsets of the one pass, and no run may reach
+    # from one line or copy into the next
+    @pytest.mark.parametrize("copies", [1024, 1, 3])
     @settings(max_examples=200, deadline=None)
     @given(case=_crop_cases())
-    def test_matches_per_segment_reference(self, case, block):
+    def test_matches_per_segment_reference(self, case, copies):
         polys, half_w, half_h = case
-        with mock.patch.object(synth, "_CROP_BLOCK", block):
-            got = synth._crop_polylines(polys, half_w, half_h)
-        assert len(got) == len(polys)
-        for pieces, pts in zip(got, polys):
-            expected = _reference_crop_polyline(pts, half_w, half_h)
+        got = synth._crop_polylines(polys * copies, half_w, half_h)
+        assert len(got) == len(polys) * copies
+        expected_by_line = [_reference_crop_polyline(pts, half_w, half_h) for pts in polys]
+        for pieces, expected in zip(got, expected_by_line * copies):
             assert len(pieces) == len(expected)
             for a, b in zip(pieces, expected):
                 assert a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
 
     def test_run_spread_over_blocks(self):
-        # one run through the window, cut into blocks of one segment each
-        xs = np.linspace(-9.0, 9.0, 7)
+        # one run through the window of well over a thousand vertices
+        xs = np.linspace(-9.0, 9.0, 3000)
         line = np.column_stack([xs, 0.5 * xs])
         expected = _reference_crop_polyline(line, 5.0, 5.0)
-        assert len(expected) == 1
-        with mock.patch.object(synth, "_CROP_BLOCK", 1):
-            (got,) = synth._crop_polylines([line], 5.0, 5.0)
+        assert len(expected) == 1 and len(expected[0]) > 1024
+        (got,) = synth._crop_polylines([line], 5.0, 5.0)
         assert len(got) == 1
         assert got[0].tobytes() == expected[0].tobytes()
 
@@ -369,10 +381,13 @@ class TestBatchedViewsMatchReference:
         poses = poses + poses[:1]
         vertices = sum(len(el.points) for el in gt.elements)
         with mock.patch.object(synth, "_POSE_BLOCK", views * vertices), \
-                mock.patch.object(synth, "_inverse_poses", wraps=synth._inverse_poses) as spy:
+                mock.patch.object(synth, "_inverse_poses", wraps=synth._inverse_poses) as spy, \
+                mock.patch.object(synth, "_crop_polylines", wraps=synth._crop_polylines) as crops:
             got = generate_instances(gt, poses, cfg)
         blocks = [len(call.args[0]) for call in spy.call_args_list]
         assert blocks == ([] if not gt.elements else [1, 1, 1] if views == 1 else [2, 1])
+        # every pose block crops its views' lines in one call
+        assert crops.call_count == len(blocks)
         _assert_same_instances(got, reference_generate_instances(gt, poses, cfg))
 
     @pytest.mark.parametrize("offset", [0.0, 1e5])
