@@ -67,6 +67,15 @@ def _finite(ctx, param, value: float) -> float:
     return value
 
 
+def _in_existing_dir(ctx, param, value):
+    """Option callback: an output file goes into a directory that exists,
+    checked before any work so that a bad path writes nothing."""
+    parent = os.path.dirname(value) if value else ""
+    if parent and not os.path.isdir(parent):
+        raise click.BadParameter(f"Directory '{parent}' does not exist.")
+    return value
+
+
 @click.group()
 def main():
     """Merge, evaluate and synthesize labeled vector road maps."""
@@ -88,7 +97,8 @@ def main():
 @click.option("--blur-sigma", default=2.0, show_default=True, callback=_finite,
               help="Blur sigma in cells.")
 @click.option("--smooth", "smoothing", is_flag=True, help="Smooth merged polylines.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
+              callback=_in_existing_dir)
 def merge(main_path, secondary_paths, bootstrap, th_prox, th_cov, cell_size,
           blur_sigma, smoothing, out_path):
     """Merge secondary maps into a main map."""
@@ -162,8 +172,9 @@ def _svg_plot(gt: VectorMap, est: VectorMap, path) -> None:
 @click.option("--gt", "gt_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--th-prox", default=1.0, show_default=True, callback=_finite,
               help="Match threshold in meters.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--plot", "plot_path", type=click.Path(dir_okay=False),
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
+              callback=_in_existing_dir)
+@click.option("--plot", "plot_path", type=click.Path(dir_okay=False), callback=_in_existing_dir,
               help="Optional SVG overlay of both maps.")
 def eval_cmd(est_path, gt_path, th_prox, out_path, plot_path):
     """Evaluate an estimated map against ground truth; writes a CSV report."""

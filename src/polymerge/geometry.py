@@ -38,6 +38,12 @@ def as_points(points) -> np.ndarray:
     return pts
 
 
+def _require_number(name: str, value) -> None:
+    """A number is an int or a float, numpy's too; never a bool or a str."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _require_finite_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive")
@@ -257,9 +263,9 @@ class Pose:
         q = np.asarray(self.rotation, dtype=float)
         if q.shape != (4,):
             raise ValueError(f"rotation must have 4 components, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("rotation components must be finite")
         w, x, y, z = q.tolist()
+        if not all(map(math.isfinite, (w, x, y, z))):
+            raise ValueError("rotation components must be finite")
         norm = math.sqrt(w * w + x * x + y * y + z * z)
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"rotation quaternion norm {norm:.9f} is not 1")
@@ -267,7 +273,7 @@ class Pose:
         t = np.asarray(self.translation, dtype=float)
         if t.shape != (3,):
             raise ValueError(f"translation must have 3 components, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
+        if not all(map(math.isfinite, t.tolist())):
             raise ValueError("translation components must be finite")
         q.flags.writeable = False
         t.flags.writeable = False

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (_distance_matrix, _foot_points, _kernel_slack, _require_finite_positive,
-                       _segment_foot, arc_length, as_points)
+                       _require_number, _segment_foot, arc_length, as_points)
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
 from .geometry import project_point_to_polyline as project_point_to_polyline
-from .map_model import LABEL_PED_CROSSING, MapElement, VectorMap, concatenate
+from .map_model import LABEL_PED_CROSSING, MapElement, VectorMap, _trusted, concatenate
 from .metrics import _greedy_coupling_within, discrete_frechet
 from .proximity import build_graph, merge_chains
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
@@ -62,6 +62,10 @@ class MergeConfig:
     smoothing_enabled: bool = False
 
     def __post_init__(self):
+        for name in ("th_prox", "th_cov", "cell_size", "blur_sigma_cells"):
+            _require_number(name, getattr(self, name))
+        if not isinstance(self.smoothing_enabled, bool):
+            raise ValueError(f"smoothing_enabled must be a bool, got {self.smoothing_enabled!r}")
         _require_finite_positive("th_prox", self.th_prox)
         if not 0.0 < self.th_cov < 1.0:
             raise ValueError("th_cov must lie strictly between 0 and 1")
@@ -435,7 +439,7 @@ def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[
         if c_idx is None:
             if not el.is_main and report is not None:
                 report.isolated.append(el.id)
-            out.append(el if el.is_main else el.with_points(el.points, is_main=True))
+            out.append(el if el.is_main else _trusted(el.id, el.label, el.points, True))
             continue
         if c_idx in emitted:
             continue

@@ -10,17 +10,17 @@ be regenerated independently and the whole run is deterministic.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, _inverse_poses, _transform_rows, arc_length
+from .geometry import Pose, _inverse_poses, _require_number, _transform_rows, arc_length
 from .map_model import (
     LABEL_PED_CROSSING,
     MapElement,
     VectorMap,
+    _certified_elements,
     pose_to_doc,
     save_map,
     to_world,
@@ -47,30 +47,38 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_number("sigma", self.sigma)
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and >= 0")
+        _require_number("dropout", self.dropout)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         try:
             w, h = self.window
-            positive = all(math.isfinite(side) and side > 0 for side in (w, h))
+            for side in (w, h):
+                _require_number("window", side)
         except (TypeError, ValueError):
             raise ValueError(
                 f"window must be a (width, height) pair of numbers, got {self.window!r}"
             ) from None
-        if not positive:
+        if not all(math.isfinite(side) and side > 0 for side in (w, h)):
             raise ValueError("window sides must be finite and positive")
+        object.__setattr__(self, "n_instances", _integer("n_instances", self.n_instances))
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
         # instance k draws from the stream seeded with seed ^ k, which numpy
         # refuses for a negative seed; a numpy integer seed is kept as a
         # Python int, so that seed ^ k cannot overflow its dtype
-        try:
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+def _integer(name: str, value) -> int:
+    """An int or a numpy integer, as a Python int; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ground-truth vertices, summed over the views, per block of views in
@@ -184,10 +192,8 @@ def _clip_polygon(pts: np.ndarray, half_w: float, half_h: float) -> np.ndarray:
 
 
 def _crop_quad(pts: np.ndarray, half_w: float, half_h: float) -> np.ndarray | None:
-    """Crop a crossing quad; partially visible quads are re-fit to 4 corners."""
-    inside = (np.abs(pts[:, 0]) <= half_w) & (np.abs(pts[:, 1]) <= half_h)
-    if np.all(inside):
-        return pts
+    """Crop a crossing quad that is not wholly inside the window: what is
+    visible is re-fit to 4 corners, None when less than a triangle is."""
     clipped = _clip_polygon(pts, half_w, half_h)
     if len(clipped) < 3:
         return None
@@ -230,13 +236,17 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
        ``transform_to_world`` call on that view's rows.  Of the moved
        elements, only those whose ego bounding box meets the window are
        cropped: a box strictly beyond one window edge fails the clippers'
-       own comparisons, so the element would yield no piece.
+       own comparisons, so the element would yield no piece.  A crossing
+       whose box lies within the window has every corner within it, and
+       is kept as it is; ``_crop_quad`` crops the others.
     2. One ``_crop_polylines`` call crops every line the block's views keep.
     3. Per view in order, on the RNG stream seeded with ``seed ^ k``, each
        cropped element's pieces (a crossing is cropped here by
        ``_crop_quad``) are dropped out and jittered piece by piece.  The
        RNG is drawn per piece, so neither skipping an element nor the
-       blocking changes a draw.
+       blocking changes a draw.  The noisy pieces of all the block's views
+       are built in one ``_certified_elements`` call; a crossing it does
+       not certify goes to ``_quad_element``, a line to ``MapElement``.
 
     A noisy line that is not a valid element, say one with a coordinate
     that overflowed, raises ValueError naming its instance and element.
@@ -254,9 +264,9 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
     (mid_x, mid_y), (half_x, half_y) = 0.5 * (world_lo + world_hi).T, 0.5 * (world_hi - world_lo).T
     scale = max(float(np.abs(stacked).max()), half_w, half_h)
 
-    def cropped_elements(block) -> list[list[tuple[MapElement, np.ndarray]]]:
-        """Phase 1: per view of the block, (element, ego points) of each
-        element the view crops."""
+    def cropped_elements(block) -> list[list[tuple[MapElement, np.ndarray, bool]]]:
+        """Phase 1: per view of the block, (element, ego points, wholly
+        inside the window) of each element the view crops."""
         rotations, shifts = _inverse_poses(np.array([pose.rotation for pose in block]),
                                            np.array([pose.translation for pose in block]))
         # one row per view, one column per element
@@ -270,7 +280,7 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
                 & (np.abs(mid_x * b10 + mid_y * b11 + dy)
                    - (half_x * np.abs(b10) + half_y * np.abs(b11)) <= half_h + margin))
         view, near = np.nonzero(keep)
-        seen: list[list[tuple[MapElement, np.ndarray]]] = [[] for _ in block]
+        seen: list[list[tuple[MapElement, np.ndarray, bool]]] = [[] for _ in block]
         if not len(near):
             return seen
         counts = sizes[near]
@@ -283,8 +293,10 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
         hi = np.maximum.reduceat(ego, first)
         meets = ((lo[:, 0] <= half_w) & (hi[:, 0] >= -half_w)
                  & (lo[:, 1] <= half_h) & (hi[:, 1] >= -half_h))
+        inside = ((lo[:, 0] >= -half_w) & (hi[:, 0] <= half_w)
+                  & (lo[:, 1] >= -half_h) & (hi[:, 1] <= half_h)).tolist()
         for n in np.flatnonzero(meets).tolist():
-            seen[view[n]].append((elements[near[n]], ego[first[n]:ends[n]]))
+            seen[view[n]].append((elements[near[n]], ego[first[n]:ends[n]], inside[n]))
         return seen
 
     instances: list[VectorMap] = []
@@ -292,14 +304,15 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
     for b in range(0, len(poses), per_block):
         block = poses[b:b + per_block]
         seen = cropped_elements(block)
-        runs = iter(_crop_polylines([ego_pts for view in seen for el, ego_pts in view
+        runs = iter(_crop_polylines([ego_pts for view in seen for el, ego_pts, _ in view
                                      if el.label != LABEL_PED_CROSSING], half_w, half_h))
-        for k, (pose, view) in enumerate(zip(block, seen), start=b):
+        # (view, piece id, label, noisy points) of every piece the block keeps
+        noisy: list[tuple[int, str, str, np.ndarray]] = []
+        for k, view in enumerate(seen, start=b):
             rng = np.random.default_rng(cfg.seed ^ k)
-            observed: list[MapElement] = []
-            for el, ego_pts in view:
+            for el, ego_pts, inside in view:
                 if el.label == LABEL_PED_CROSSING:
-                    cropped = _crop_quad(ego_pts, half_w, half_h)
+                    cropped = ego_pts if inside else _crop_quad(ego_pts, half_w, half_h)
                     pieces = [] if cropped is None else [(el.id, cropped)]
                 else:
                     pieces = [
@@ -311,16 +324,20 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
                         continue
                     if cfg.sigma > 0:
                         pts = pts + rng.normal(0.0, cfg.sigma, pts.shape)
-                    if el.label == LABEL_PED_CROSSING:
-                        noisy = _quad_element(piece_id, pts)
-                        if noisy is not None:
-                            observed.append(noisy)
-                    else:
-                        try:
-                            observed.append(MapElement(piece_id, el.label, pts))
-                        except ValueError as exc:
-                            raise ValueError(f"instance {k}: {exc}") from None
-            instances.append(VectorMap(tuple(observed), "ego", pose))
+                    noisy.append((k, piece_id, el.label, pts))
+        observed: list[list[MapElement]] = [[] for _ in block]
+        built = _certified_elements([(piece_id, label, pts, False) for _, piece_id, label, pts in noisy])
+        for (k, piece_id, label, pts), el in zip(noisy, built):
+            if el is None and label == LABEL_PED_CROSSING:
+                el = _quad_element(piece_id, pts)
+            elif el is None:
+                try:
+                    el = MapElement(piece_id, label, pts)
+                except ValueError as exc:
+                    raise ValueError(f"instance {k}: {exc}") from None
+            if el is not None:
+                observed[k - b].append(el)
+        instances += [VectorMap(tuple(els), "ego", pose) for pose, els in zip(block, observed)]
     return instances
 
 

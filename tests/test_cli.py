@@ -297,6 +297,15 @@ class TestMerge:
         ])
         assert result.exit_code == 1
 
+    def test_out_in_a_missing_directory_exits_two(self, runner, tmp_path, gt_file):
+        result = runner.invoke(main, [
+            "merge", "--bootstrap", "--secondary", gt_file,
+            "--out", str(tmp_path / "nodir" / "m.json"),
+        ])
+        assert result.exit_code == 2
+        assert "'--out'" in result.output and "nodir" in result.output
+        assert not (tmp_path / "nodir").exists()
+
 
 class TestEval:
     def test_self_evaluation_zero_rows(self, runner, tmp_path, gt_file):
@@ -416,6 +425,22 @@ class TestEval:
             cells = ln.split(",")
             if cells[2] == "df" and cells[-1] != "0":
                 assert float(cells[3]) < 1e-6
+
+
+    @pytest.mark.parametrize("out, plot, option", [
+        ("nodir/r.csv", None, "--out"),
+        ("r.csv", "nodir/p.svg", "--plot"),
+    ])
+    def test_output_in_a_missing_directory_exits_two(self, runner, tmp_path, gt_file,
+                                                     out, plot, option):
+        args = ["eval", "--est", gt_file, "--gt", gt_file, "--out", str(tmp_path / out)]
+        if plot:
+            args += ["--plot", str(tmp_path / plot)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"'{option}'" in result.output and "nodir" in result.output
+        # nothing is written, not even the report of a good --out
+        assert sorted(os.listdir(tmp_path)) == ["gt.json"]
 
 
 class TestSynth:

@@ -1,8 +1,12 @@
 """Data model validation, canonicalization and JSON round trips."""
 
 import json
+import math
 import os
 import stat
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -235,16 +239,25 @@ class TestConcatenate:
             Pose.from_yaw(2.0, 5.0, 5.0),
         )
         moved = transform_to_world(crossing.points, ego.pose)
-        built = []
+        built, batches = [], []
         post_init = MapElement.__post_init__
+        certify = map_model._certified_elements
 
         def counting(el):
             built.append(el.id)
             post_init(el)
 
+        def batched(specs):
+            batches.append([spec[0] for spec in specs])
+            return certify(specs)
+
         monkeypatch.setattr(MapElement, "__post_init__", counting)
+        monkeypatch.setattr(map_model, "_certified_elements", batched)
         out = concatenate(small_world_map, [ego])
-        assert built == ["0:b1", "0:d1", "0:c1", "1:s", "1:c"]
+        # world elements are re-tagged unchecked, and the moved ego elements
+        # go to one batch check, which leaves a batch this small to MapElement
+        assert batches == [["1:s", "1:c"]]
+        assert built == ["1:s", "1:c"]
         monkeypatch.undo()
         world = to_world(ego)
         assert not np.array_equal(world.element("c").points[0], moved[0])
@@ -303,6 +316,207 @@ class TestConcatenate:
         concatenate(small_world_map, [small_world_map])
         for el, pts in zip(small_world_map.elements, before):
             np.testing.assert_array_equal(el.points, pts)
+
+
+# offsets of drawn lines and crossings from the origin, in metres
+_offset = st.sampled_from([0.0, 1.0, 1e3, 1e5, 1e7]).flatmap(
+    lambda d: st.tuples(st.sampled_from([-d, d]), st.sampled_from([-d, d])))
+# relative moves of a quad's critical cross product or area off the cut
+_near = st.sampled_from([-1e-6, -1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 1e-6])
+
+
+def _cross(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _area(c):
+    (x0, y0), *rest = c.tolist()
+    (x1, y1), (x2, y2), (x3, y3) = [(x - x0, y - y0) for x, y in rest]
+    return 0.5 * ((x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2))
+
+
+def _cut(c):
+    """The tol of MapElement's crossing test for corners c."""
+    c = c.tolist()
+    diameter = max(math.hypot(c[i][0] - c[j][0], c[i][1] - c[j][1])
+                   for i in range(4) for j in range(i + 1, 4))
+    return 1e-12 + 8 * map_model._EPS * max(abs(v) for xy in c for v in xy) * diameter
+
+
+# quads of size s and one free height h, and the value that h sets: the
+# area of a thin parallelogram (its cross products at corners 1 and 2 too),
+# the cross product of a straight angle at corner 1, and that of a bow-tie
+# whose edge 2-3 meets edge 0-1 within 2h
+_AT_CUT = {
+    "thin": (lambda h, s: [[0, 0], [s, 0], [3 * s, h], [2 * s, h]], _area),
+    "straight": (lambda h, s: [[0, 0], [s, 0], [2 * s, h], [0, 5 * s]],
+                 lambda c: _cross(*c[:3].tolist())),
+    "bowtie": (lambda h, s: [[0, 0], [2 * s, 0], [s, -h], [s, 5 * s]],
+               lambda c: _cross(*c[:3].tolist())),
+}
+
+
+@st.composite
+def _crossing(draw):
+    kind = draw(st.sampled_from(["valid", "coincident", "bowtie", "collinear", "cut", "cut", "cut"]))
+    offset = np.array(draw(_offset))
+    if kind == "cut":
+        shape, value = _AT_CUT[draw(st.sampled_from(sorted(_AT_CUT)))]
+        # the shift is along x alone and the h of a corner stays near y = 0,
+        # so h is not rounded to the float grid of the shift; at size 1e3,
+        # or shifted, the diameter term leads the cut
+        size = draw(st.sampled_from([1.0, 1e3]))
+        shift = np.array([draw(st.sampled_from([0.0, 1e3, 1e7])), 0.0])
+        # scale h until its value sits at the cut
+        h = 1e-12
+        for _ in range(4):
+            q = np.array(shape(h, size), float) + shift
+            h *= _cut(q) / abs(value(q))
+        q = np.array(shape(h * (1.0 + draw(_near)), size), float) + shift
+    elif kind == "collinear":
+        along = draw(st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
+        q = offset + np.outer(along, [np.cos(0.4), np.sin(0.4)])
+    else:
+        q = rect_quad(*offset, draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 5.0)),
+                      draw(st.floats(0.0, np.pi)))
+        if kind == "coincident":
+            i, j = draw(st.sampled_from([(0, 1), (0, 2), (1, 3), (2, 3)]))
+            q[j] = q[i] + draw(st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]))
+        elif kind == "bowtie":
+            q[[2, 3]] = q[[3, 2]]
+    q = np.roll(q, draw(st.integers(0, 3)), axis=0)
+    return q[::-1] if draw(st.booleans()) else q
+
+
+# line steps: 1e-10 rounds away at the larger offsets
+_lattice_step = st.sampled_from([0.0, 1e-10, 0.25, -1.5, 3.0])
+
+
+@st.composite
+def _line(draw):
+    kind = draw(st.sampled_from(["valid", "valid", "zero", "flat_start", "not_finite", "short"]))
+    n = draw(st.integers(2, 6))
+    pts = np.array(draw(_offset)) + np.array(
+        draw(st.lists(st.tuples(_lattice_step, _lattice_step), min_size=n, max_size=n)))
+    if kind == "zero":
+        pts[:] = pts[0]
+    elif kind == "flat_start":
+        # a first step of 0: the rest of the line decides
+        pts[1] = pts[0]
+    elif kind == "not_finite":
+        pts[draw(st.integers(0, n - 1)), draw(st.integers(0, 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "short":
+        pts = pts[:draw(st.integers(0, 1))]
+    return pts
+
+
+@st.composite
+def _batch(draw):
+    """(id, label, points, is_main) specs of lines and crossings, valid or
+    not, with now and then a field or a point container MapElement must
+    judge itself."""
+    specs = []
+    for k in range(draw(st.integers(0, 8))):
+        label = draw(st.sampled_from(LABELS))
+        pts = draw(_crossing() if label == "ped_crossing" else _line())
+        form = draw(st.sampled_from(["array"] * 6 + ["list", "fortran", "float32", "label", "id"]))
+        el_id = f"e{k}"
+        if form == "list":
+            pts = pts.tolist()
+        elif form == "fortran":
+            pts = np.asfortranarray(pts)
+        elif form == "float32":
+            pts = pts.astype(np.float32)
+        elif form == "label":
+            label = "lane"
+        elif form == "id":
+            el_id = ""
+        specs.append((el_id, label, pts, draw(st.booleans())))
+    return specs
+
+
+def _assert_same_element(a, b):
+    assert isinstance(a, MapElement)
+    assert (a.id, a.label, a.is_main) == (b.id, b.label, b.is_main)
+    assert a.points.dtype == b.points.dtype
+    assert a.points.shape == b.points.shape
+    assert a.points.tobytes() == b.points.tobytes()
+    assert a.points.flags.c_contiguous and b.points.flags.c_contiguous
+    assert not a.points.flags.writeable and not b.points.flags.writeable
+
+
+def _copies(specs):
+    return [(el_id, label, pts.copy() if isinstance(pts, np.ndarray) else pts, is_main)
+            for el_id, label, pts, is_main in specs]
+
+
+class TestBatchBuild:
+    @settings(max_examples=500, deadline=None)
+    @given(_batch())
+    def test_equals_map_element(self, specs):
+        try:
+            expected = [MapElement(*spec) for spec in _copies(specs)]
+        except ValueError as exc:
+            expected = str(exc)
+        # batches of any size, small ones included, go through the batch check
+        with mock.patch.object(map_model, "_BATCH_MIN", 0):
+            try:
+                got = map_model._build_elements(_copies(specs))
+            except ValueError as exc:
+                got = str(exc)
+            certified = map_model._certified_elements(_copies(specs))
+        # where MapElement raises, the batch raises its text for the first bad element
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                _assert_same_element(a, b)
+        # past the first bad element too, every element the batch certifies
+        # is one MapElement builds the same
+        for el, spec in zip(certified, _copies(specs)):
+            if el is not None:
+                _assert_same_element(el, MapElement(*spec))
+
+    def test_bench_grid_scene_builds_nothing_one_by_one(self, monkeypatch):
+        # the benchmark's grid scene at seed 0: every noisy crossing is
+        # certified by the batch, and stacking its world-frame views runs no
+        # element check
+        bench_dir = str(Path(__file__).resolve().parent.parent / "bench")
+        sys.path.insert(0, bench_dir)
+        try:
+            import scenes
+        finally:
+            sys.path.remove(bench_dir)
+        gt = scenes.ground_truth(scenes.GRID)
+        quads, checks, batched = [], [], []
+        canonical_quad = map_model._canonical_quad
+        post_init = MapElement.__post_init__
+        certify = map_model._certified_elements
+
+        def counted_quad(pts):
+            quads.append(1)
+            return canonical_quad(pts)
+
+        def counted_check(el):
+            checks.append(el.id)
+            post_init(el)
+
+        def counted_batch(specs):
+            batched.extend(spec[0] for spec in specs)
+            return certify(specs)
+
+        monkeypatch.setattr(map_model, "_canonical_quad", counted_quad)
+        views = scenes.views(scenes.GRID, gt, 0)
+        assert quads == []
+        assert sum(el.label == "ped_crossing" for v in views for el in v.elements) > 200
+        worlds = [to_world(v) for v in views]
+        monkeypatch.setattr(MapElement, "__post_init__", counted_check)
+        monkeypatch.setattr(map_model, "_certified_elements", counted_batch)
+        out = concatenate(worlds[0], worlds[1:])
+        assert checks == [] and batched == []
+        assert len(out) == sum(len(v) for v in views)
 
 
 class TestSerialization:

@@ -178,6 +178,16 @@ class TestMergeConfig:
         with pytest.raises(ValueError):
             MergeConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"th_prox": "1"}, "th_prox"), ({"th_cov": "0.5"}, "th_cov"),
+        ({"cell_size": True}, "cell_size"), ({"blur_sigma_cells": None}, "blur_sigma_cells"),
+        ({"smoothing_enabled": "false"}, "smoothing_enabled"),
+        ({"smoothing_enabled": 1}, "smoothing_enabled"),
+    ])
+    def test_wrong_type_names_the_field(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            MergeConfig(**kwargs)
+
 
 _lat = st.integers(-4, 4).map(float)
 

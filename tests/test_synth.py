@@ -79,6 +79,17 @@ class TestNoiseConfig:
         with pytest.raises(ValueError, match=name):
             NoiseConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"sigma": "a"}, "sigma"), ({"sigma": None}, "sigma"), ({"sigma": True}, "sigma"),
+        ({"dropout": "a"}, "dropout"), ({"n_instances": "2"}, "n_instances"),
+        ({"n_instances": 1.5}, "n_instances"), ({"n_instances": True}, "n_instances"),
+        ({"seed": True}, "seed"), ({"window": (True, 60.0)}, "window"),
+    ])
+    def test_wrong_type_names_the_field(self, kwargs, name):
+        # numbers are ints or floats, numpy's too, never bools or strings
+        with pytest.raises(ValueError, match=name):
+            NoiseConfig(**kwargs)
+
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7), np.int32(7)])
     def test_numpy_integer_seed_matches_python_int(self, seed):
         # more views than a uint8 holds: instance k's stream is seed ^ k
@@ -442,16 +453,19 @@ class TestBatchedViewsMatchReference:
         poses = [Pose.from_yaw(0.0, 10.0 + 40.0 * i, 40.0 * j) for i in range(3) for j in range(3)]
         poses += [Pose.from_yaw(0.2, 30.0, 0.0), Pose.from_yaw(-0.1, 50.0, 22.0)]
         cfg = NoiseConfig(sigma=0.1, dropout=0.2, window=(30.0, 30.0), seed=11)
-        expected = 0
+        expected = inside = 0
         for pose in poses:
             for el in gt.elements:
                 ego = transform_to_world(el.points, pose.inverse())
                 expected += bool(np.all(ego.min(axis=0) <= 15.0)
                                  and np.all(ego.max(axis=0) >= -15.0))
+                inside += el.label == "ped_crossing" and bool(np.all(np.abs(ego) <= 15.0))
         # each center sees its own block's 3 elements, the view at (30, 0)
         # the 4 lines of two blocks, the one at (50, 22) a single boundary;
         # cropping everything would take 11 * 27 = 297 crops
         assert expected == 9 * 3 + 4 + 1
+        # each center sees its crossing wholly inside the window
+        assert inside == 9
 
         queued, quads = [], []
         crop_polylines, crop_quad = synth._crop_polylines, synth._crop_quad
@@ -467,9 +481,10 @@ class TestBatchedViewsMatchReference:
         monkeypatch.setattr(synth, "_crop_polylines", counted_lines)
         monkeypatch.setattr(synth, "_crop_quad", counted_quad)
         got = generate_instances(gt, poses, cfg)
-        # every view's lines go to the cropper in one call
+        # every view's lines go to the cropper in one call, and a crossing
+        # wholly inside the window is not cropped
         assert len(queued) == 1
-        assert queued[0] + len(quads) == expected
+        assert queued[0] + len(quads) + inside == expected
         _assert_same_instances(got, reference_generate_instances(gt, poses, cfg))
 
 
