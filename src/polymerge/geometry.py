@@ -88,13 +88,13 @@ def _foot_points(a, points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 
 def _segment_feet(ax, ay, start, end) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Clamped foot of (ax, ay) on each segment ``start[k]`` -> ``end[k]``
-    (arrays of shape (S, 2)): (t, x, y, distance), each shaped as ``ax -
-    start[:, 0]`` broadcasts.  ``_foot_points`` is this on a polyline's
-    consecutive vertices, so every entry has the bits of that kernel's
-    entry for its point and segment."""
-    x0, y0 = start[:, 0], start[:, 1]
-    dx, dy = end[:, 0] - x0, end[:, 1] - y0
+    """Clamped foot of (ax, ay) on each segment ``start[..., k, :]`` ->
+    ``end[..., k, :]`` (arrays of shape (..., S, 2)): (t, x, y, distance),
+    each shaped as ``ax - start[..., 0]`` broadcasts.  ``_foot_points`` is
+    this on a polyline's consecutive vertices, so every entry has the bits
+    of that kernel's entry for its point and segment."""
+    x0, y0 = start[..., 0], start[..., 1]
+    dx, dy = end[..., 0] - x0, end[..., 1] - y0
     len_sq = dx * dx + dy * dy
     # degenerate segments project onto their start vertex
     degenerate = len_sq < _DEGENERATE_SQ

@@ -299,7 +299,8 @@ def _world_points(maps) -> list[list[np.ndarray]]:
     """Every element's points of every map, in the world frame.  The points
     of every ego map move in one ``_transform_rows`` call, each row by its
     own map's pose; the kernel works row by row, so each row has the bits of
-    a per-element ``transform_to_world`` call."""
+    a per-element ``transform_to_world`` call.  Each moved element's points
+    are a slice of the kernel's rows."""
     points = [[el.points for el in vmap.elements] for vmap in maps]
     egos = [k for k, vmap in enumerate(maps) if vmap.frame == "ego" and vmap.elements]
     if not egos:
@@ -308,10 +309,14 @@ def _world_points(maps) -> list[list[np.ndarray]]:
     rows = [sum(len(pts) for pts in points[k]) for k in egos]
     rotations = np.repeat([maps[k].pose.rotation for k in egos], rows, axis=0)
     translations = np.repeat([maps[k].pose.translation for k in egos], rows, axis=0)
-    moved = iter(np.split(_transform_rows(np.concatenate(moving), rotations, translations),
-                          np.cumsum([len(pts) for pts in moving])[:-1]))
+    moved = _transform_rows(np.concatenate(moving), rotations, translations)
+    start = 0
     for k in egos:
-        points[k] = [next(moved) for _ in points[k]]
+        rows_k = []
+        for pts in points[k]:
+            rows_k.append(moved[start:start + len(pts)])
+            start += len(pts)
+        points[k] = rows_k
     return points
 
 

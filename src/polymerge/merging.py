@@ -12,6 +12,11 @@ family has moved from its original segment turns those distances into
 lower bounds, so a vertex is re-projected exactly only onto the touched
 families that could be nearest, and onto the extensions.  Equidistant
 segments go to the lowest index, as ``np.argmin`` over the whole base.
+
+A pass with many line chains folds them in lockstep instead: one step
+folds the next source vertex of every chain, projected onto all of its
+chain's current segments in one dense kernel call.  Few chains fold one at
+a time, where the per-vertex cost of that call is not shared.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (_distance_matrix, _foot_points, _kernel_slack, _require_finite_positive,
-                       _require_number, _segment_foot, arc_length, as_points)
+from .geometry import (_DEGENERATE_SQ, _distance_matrix, _foot_points, _kernel_slack,
+                       _require_finite_positive, _require_number, _segment_feet, _segment_foot,
+                       arc_length, as_points)
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
 from .geometry import project_point_to_polyline as project_point_to_polyline
@@ -46,9 +52,15 @@ __all__ = [
 
 # moving-average window of the optional smoothing step
 _SMOOTHING_WINDOW = 5
-# cells of one block of the fold's (vertices, segments) distance matrix, so
-# that its memory stays bounded when a long member meets a long base
+# cells of one block of the fold's (vertices, segments) distance matrix, and
+# of a lockstep group's (chains, capacity) arrays, so that memory stays
+# bounded when a long member meets a long base or many chains fold at once
 _BLOCK_CELLS = 1 << 16
+# Fewest chains of one pass folded in lockstep; fewer fold one at a time.
+# Below it the lockstep's fixed cost, some 70 numpy calls per step, is above
+# the per-chain fold's: 8 chains of grid-batch take 1.5 times as long in
+# lockstep, 16 take 0.8 times (README, "Polyline folding").
+_LOCKSTEP_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -409,6 +421,13 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     counts: dict[int, int] = {}
     for el in rest:
         base = merge_polyline(_orient(el.points, base), base, counts)
+    return _chain_element(members, base_el, base, counts, config, report)
+
+
+def _chain_element(members, base_el: MapElement, base: np.ndarray, counts: dict[int, int],
+                   config: MergeConfig, report) -> MapElement:
+    """The element a chain whose members folded into ``base`` merges to:
+    smoothed when enabled, and recorded in the report."""
     if config.smoothing_enabled:
         smoothed = smooth(base, _SMOOTHING_WINDOW)
         # a line back at its start can average onto that point: no length left
@@ -417,13 +436,115 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
             base = smoothed
     if report is not None:
         report.add_chain(
-            label=label,
+            label=base_el.label,
             members=[el.id for el in members],
             base_id=base_el.id,
             kind="polyline",
             scenarios=counts,
         )
-    return MapElement(base_el.id, label, base, is_main=True)
+    return MapElement(base_el.id, base_el.label, base, is_main=True)
+
+
+def _lockstep_groups(capacity: dict[int, int]) -> list[list[int]]:
+    """The chains to fold in lockstep, keyed by their capacity (base plus
+    member vertices, the most vertices the chain's polyline can reach).
+
+    Sorted by capacity, the chains fill groups in turn, each as long as its
+    rows times its largest capacity stay within ``_BLOCK_CELLS``.  Groups of
+    fewer than ``_LOCKSTEP_MIN`` chains are left to the per-chain fold.
+    """
+    groups, group = [], []
+    for c in sorted(capacity, key=capacity.__getitem__):
+        if group and (len(group) + 1) * capacity[c] > _BLOCK_CELLS:
+            groups.append(group)
+            group = []
+        group.append(c)
+    groups.append(group)
+    return [g for g in groups if len(g) >= _LOCKSTEP_MIN]
+
+
+def _fold_lockstep(folds) -> list[tuple[np.ndarray, dict[int, int]]]:
+    """Each (base, members in fold order) of ``folds``, point arrays, folded
+    as ``merge_chain`` folds them, with every chain's next source vertex folded
+    in the same step: each chain's polyline and scenario counts.
+
+    Row r holds a chain's current polyline, padded to the group's largest
+    capacity.  Each step projects every row's source vertex onto all of
+    that row's segments in one ``_segment_feet`` call, the kernel of
+    ``merge_polyline``'s specification, and pads the distances past each
+    row's last segment with +inf, so a row ``argmin`` picks the nearest
+    current segment, the lowest index on ties.  The four scenarios then
+    update every row at once: a midpoint inserted after the foot's segment,
+    a hit vertex moved, or a foot on an end segment's line put before the
+    first or after the last vertex.  A member is oriented when its first
+    vertex is due, against its chain's polyline as it is then.  Rows run in
+    decreasing number of steps, so the chains still folding are always the
+    leading rows.
+    """
+    steps = [sum(map(len, rest)) for _, rest in folds]
+    order = sorted(range(len(folds)), key=lambda c: -steps[c])
+    total = np.array([steps[c] for c in order])
+    size = np.array([len(folds[c][0]) for c in order])
+    cap = int((size + total).max())
+    # x and y planes of the rows: ``pts[r, :size[r]]`` is row r's polyline as
+    # an (N, 2) view, and each coordinate of a block of rows is contiguous
+    planes = np.zeros((2, len(folds), cap))
+    pts = planes.transpose(1, 2, 0)
+    cells = planes.reshape(2, -1)
+    row_start = np.arange(len(folds)) * cap
+    # the oriented source vertices, and the scenario of each fold, by step
+    src = np.zeros((2, len(folds), total[0]))
+    scenario = np.zeros((len(folds), total[0]), dtype=np.int8)
+    starts: dict[int, list] = {}
+    for r, c in enumerate(order):
+        base, rest = folds[c]
+        pts[r, :size[r]] = base
+        step = 0
+        for member in rest:
+            starts.setdefault(step, []).append((r, member))
+            step += len(member)
+    rows = len(folds)
+    for step in range(total[0]):
+        for r, member in starts.get(step, ()):
+            oriented = _orient(member, pts[r, :size[r]])
+            src[:, r, step:step + len(oriented)] = oriented.T
+        while total[rows - 1] <= step:
+            rows -= 1
+        sz, first, n = size[:rows], row_start[:rows], size[:rows].max()
+        a = src[:, :rows, step]
+        dist = _segment_feet(a[0, :, None], a[1, :, None], pts[:rows, :n - 1], pts[:rows, 1:n])[3]
+        np.putmask(dist, np.arange(n - 1) >= sz[:, None] - 1, np.inf)
+        k = dist.argmin(axis=1)
+        b = cells[:, first + k]
+        d = cells[:, first + k + 1] - b
+        # the unclamped parameter of the foot in the kernel's expressions, 0
+        # on a degenerate segment, as ``_segment_foot`` has it; the clamped t
+        # is this clipped to [0, 1], and the kernel's foot is b + t d
+        len_sq = d[0] * d[0] + d[1] * d[1]
+        flat = len_sq < _DEGENERATE_SQ
+        raw = ((a[0] - b[0]) * d[0] + (a[1] - b[1]) * d[1]) / np.where(flat, 1.0, len_sq)
+        raw[flat] = 0.0
+        inside = (0.0 < raw) & (raw < 1.0)
+        # only a foot clamped onto an end vertex can lie past that end
+        front = (k == 0) & (raw < 0.0)
+        back = (k == sz - 2) & (raw > 1.0)
+        hit = ~(inside | front | back)
+        # the vertex a clamped foot falls on, and the one after an inner foot
+        j = np.where(raw <= 0.0, k, k + 1)
+        line = b + raw * d
+        new = np.where(hit, 0.5 * (a + cells[:, first + j]), np.where(inside, 0.5 * (a + line), line))
+        at = np.where(front, 0, np.where(back, sz, j))
+        # a row that grows shifts its vertices from ``at`` on one place back
+        shift = np.arange(1, n + 1) > np.where(hit, cap, at)[:, None]
+        np.copyto(planes[:, :rows, 1:n + 1], planes[:, :rows, :n], where=shift)
+        cells[:, first + at] = new
+        sz += ~hit
+        scenario[:rows, step] = np.where(inside, 1, np.where(hit, 2, np.where(front, 3, 4)))
+    out: list = [None] * len(folds)
+    for r, c in enumerate(order):
+        counts = np.bincount(scenario[r], minlength=5).tolist()
+        out[c] = (pts[r, :size[r]].copy(), {s: counts[s] for s in range(1, 5) if counts[s]})
+    return out
 
 
 def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[MapElement]:
@@ -432,6 +553,18 @@ def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[
     for c_idx, chain in enumerate(chains):
         for el_id in chain:
             chain_of[el_id] = c_idx
+    members_of = [[by_id[i] for i in chain] for chain in chains]
+    # chain index -> (base element, polyline, scenario counts) of the chains
+    # folded in lockstep; the others fold one at a time in ``merge_chain``
+    folded: dict[int, tuple] = {}
+    groups = _lockstep_groups({c: sum(len(el.points) for el in members)
+                               for c, members in enumerate(members_of)
+                               if members[0].label != LABEL_PED_CROSSING})
+    for group in groups:
+        orders = [_fold_order(members_of[c]) for c in group]
+        folds = _fold_lockstep([(base_el.points, [el.points for el in rest]) for base_el, rest in orders])
+        for c, (base_el, _), (base, counts) in zip(group, orders, folds):
+            folded[c] = (base_el, base, counts)
     emitted: set[int] = set()
     out: list[MapElement] = []
     for el in elements:
@@ -444,9 +577,11 @@ def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[
         if c_idx in emitted:
             continue
         emitted.add(c_idx)
-        members = [by_id[i] for i in chains[c_idx]]
+        members = members_of[c_idx]
         if members[0].label == LABEL_PED_CROSSING:
             out.append(merge_quads(members, config, report))
+        elif c_idx in folded:
+            out.append(_chain_element(members, *folded[c_idx], config, report))
         else:
             out.append(merge_chain(members, config, report))
     return out
@@ -457,8 +592,10 @@ def merge_maps(main: VectorMap, secondaries, config: MergeConfig | None = None, 
 
     The maps are concatenated, the proximity graph is built, and every
     chain collapses into a single element (crossings via the coverage-grid
-    pipeline, everything else via polyline folding).  Isolated elements
-    pass through unchanged, flagged as main.  Because merging can move
+    pipeline, everything else via polyline folding: in lockstep for a group
+    of at least ``_LOCKSTEP_MIN`` line chains that fits ``_BLOCK_CELLS``,
+    one chain at a time otherwise).  Isolated elements pass through
+    unchanged, flagged as main.  Because merging can move
     elements, the pairwise check is re-run on the output and further merge
     passes follow while candidates remain, capped at 3 passes in total.
     """

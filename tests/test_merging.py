@@ -239,6 +239,10 @@ _CLAMPED_FEET = [
     np.array([[3.0, 0.5]]),  # raw > 1 on the last segment
     np.array([[3.0, 0.5], [-1.0, -0.5], [2.0, 0.5], [0.0, 0.5]]),
 ]
+# The nearest segment is the first one, 1e-13 long: the kernel takes it as
+# degenerate, with t 0 and the unclamped parameter 0, so a vertex before it
+# moves the first vertex (scenario 2) rather than extending the line.
+_SHORT_FIRST_SEGMENT = (np.array([[-1.0, 0.5]]), np.array([[0.0, 0.0], [1e-13, 0.0], [1.0, 0.0]]))
 
 
 class TestFold:
@@ -249,6 +253,7 @@ class TestFold:
     @example(case=(_CLAMPED_FEET[2], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
     @example(case=(_CLAMPED_FEET[3], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
     @example(case=(_CLAMPED_FEET[4], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
+    @example(case=_SHORT_FIRST_SEGMENT, block_cells=merging._BLOCK_CELLS)
     def test_matches_per_vertex_fold_bitwise(self, case, block_cells):
         source, base = case
         got_counts, want_counts = {}, {}
@@ -274,6 +279,34 @@ class TestFold:
         assert got.tobytes() == reference_merge_polyline(source, base).tobytes()
         # the per-vertex fold projects onto ~300 segments per vertex
         assert len(calls) <= 5 * len(source)
+
+
+@st.composite
+def _lockstep_chains(draw):
+    """1 to 30 chains, each a ``_fold_cases`` base and its source cut into
+    1 to 3 members (the reversed base when the source is empty)."""
+    chains = []
+    for _ in range(draw(st.integers(1, 30))):
+        source, base = draw(_fold_cases())
+        members = [p for p in np.array_split(source, draw(st.integers(1, 3))) if len(p)]
+        chains.append((base, members or [base[::-1]]))
+    return chains
+
+
+class TestLockstepFold:
+    @settings(max_examples=150, deadline=None)
+    @given(_lockstep_chains())
+    @example([(_SHORT_FIRST_SEGMENT[1], [_SHORT_FIRST_SEGMENT[0]]), (_STRAIGHT_BASE, _CLAMPED_FEET)])
+    def test_matches_per_vertex_fold_of_each_chain_bitwise(self, chains):
+        got = merging._fold_lockstep(chains)
+        assert len(got) == len(chains)
+        for (base, members), (got_line, got_counts) in zip(chains, got):
+            want, want_counts = base, {}
+            for member in members:
+                want = reference_merge_polyline(reference_orient(member, want), want, want_counts)
+            assert got_line.shape == want.shape
+            assert got_line.tobytes() == want.tobytes()
+            assert got_counts == want_counts
 
 
 @st.composite
@@ -641,6 +674,49 @@ class TestMergeMaps:
         save_map(merge_maps(VectorMap((), "world"), [sec], config), p1)
         save_map(merge_maps(VectorMap((), "world"), [sec], config), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("block_cells", [merging._BLOCK_CELLS, 300])
+    def test_lockstep_and_per_chain_folds_agree(self, tmp_path, block_cells):
+        # 40 lines 5 m apart, each its own chain of 3 noisy copies (some
+        # reversed, some past the ends), and a crossing chain beside them;
+        # the second merge folds one more view into the first's mains
+        rng = np.random.default_rng(71)
+        views = []
+        for v in range(4):
+            els = [quad_element("c", 10.0 + 0.1 * v, -10.0)]
+            for i in range(40):
+                n = int(rng.integers(3, 30))
+                xs = np.linspace(rng.uniform(-2.0, 2.0), rng.uniform(18.0, 22.0), n)
+                pts = np.column_stack([xs, np.full(n, 5.0 * i)]) + rng.normal(0.0, 0.2, (n, 2))
+                els.append(MapElement(f"l{i}", ("divider", "boundary")[i % 2],
+                                      pts[::-1] if rng.random() < 0.3 else pts))
+            views.append(VectorMap(tuple(els), "world"))
+        runs = []
+        fold_lockstep = merging._fold_lockstep
+        for lockstep_min in (1, 10**9):
+            groups = []
+
+            def recording(folds):
+                groups.append(len(folds))
+                return fold_lockstep(folds)
+
+            report = MergeReport()
+            with mock.patch.object(merging, "_LOCKSTEP_MIN", lockstep_min), \
+                    mock.patch.object(merging, "_BLOCK_CELLS", block_cells), \
+                    mock.patch.object(merging, "_fold_lockstep", recording):
+                first = merge_maps(VectorMap((), "world"), views[:3], MergeConfig(smoothing_enabled=True),
+                                   report)
+                out = merge_maps(first, views[3:], MergeConfig(smoothing_enabled=True), report)
+            save_map(out, tmp_path / f"{lockstep_min}.json")
+            runs.append(((tmp_path / f"{lockstep_min}.json").read_bytes(), report.to_dict(), groups))
+        (lock_map, lock_report, lock_groups), (chain_map, chain_report, chain_groups) = runs
+        assert lock_map == chain_map
+        assert lock_report == chain_report
+        assert chain_groups == []
+        # every line chain of both merges folds in lockstep: in one group per
+        # merge, or in many when a group may hold only 300 cells
+        assert sum(lock_groups) == 80
+        assert len(lock_groups) == 2 if block_cells == merging._BLOCK_CELLS else len(lock_groups) > 4
 
     def test_report_serializes_to_json(self, config):
         main = VectorMap(
