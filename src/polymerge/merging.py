@@ -5,31 +5,19 @@ of four cases: midpoint insertion inside a segment, midpoint replacement
 of a hit vertex, or extension past the first or last vertex.  Chains of
 mutually close elements collapse into a single merged element.
 
-A member is projected onto its base once, onto the original segments.
-Each current segment belongs to the family of the original segment it
-descends from, or is an extension.  A running bound of how far a touched
-family has moved from its original segment turns those distances into
-lower bounds, so a vertex is re-projected exactly only onto the touched
-families that could be nearest, and onto the extensions.  Equidistant
-segments go to the lowest index, as ``np.argmin`` over the whole base.
-
-A pass with many line chains folds them in lockstep instead: one step
-folds the next source vertex of every chain, projected onto all of its
-chain's current segments in one dense kernel call.  Few chains fold one at
-a time, where the per-vertex cost of that call is not shared.
+The line chains of a merge pass fold in lockstep: one step folds the next
+source vertex of every chain, projected onto all of its chain's current
+segments in one dense kernel call.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (_DEGENERATE_SQ, _distance_matrix, _foot_points, _kernel_slack,
-                       _require_finite_positive, _require_number, _segment_feet, _segment_foot,
-                       arc_length, as_points)
+from .geometry import (_DEGENERATE_SQ, _distance_matrix, _require_finite_positive, _require_number,
+                       _segment_feet, arc_length, as_points)
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
 from .geometry import project_point_to_polyline as project_point_to_polyline
@@ -52,15 +40,9 @@ __all__ = [
 
 # moving-average window of the optional smoothing step
 _SMOOTHING_WINDOW = 5
-# cells of one block of the fold's (vertices, segments) distance matrix, and
-# of a lockstep group's (chains, capacity) arrays, so that memory stays
-# bounded when a long member meets a long base or many chains fold at once
+# cells of a lockstep group's (chains, capacity) arrays, so that memory
+# stays bounded when many chains fold at once
 _BLOCK_CELLS = 1 << 16
-# Fewest chains of one pass folded in lockstep; fewer fold one at a time.
-# Below it the lockstep's fixed cost, some 70 numpy calls per step, is above
-# the per-chain fold's: 8 chains of grid-batch take 1.5 times as long in
-# lockstep, 16 take 0.8 times (README, "Polyline folding").
-_LOCKSTEP_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -128,191 +110,15 @@ class MergeReport:
         }
 
 
-class _Fold:
-    """One member's fold into a base; ``merge_polyline`` says how it works.
-
-    Family f is original segment f.  Its current vertices are original
-    vertex f, the midpoints ``inner[f]`` it gained, and original vertex
-    f + 1, which it shares with family f + 1; vertices move in place.
-    ``front`` and ``back`` hold the extensions before the first and after
-    the last original vertex.  A segment is named (fam, pos): fam -1 for the
-    front extensions, 0 .. n - 1 for a family, n for the back extensions,
-    and pos its index in that chain, so the names sort in polyline order.
-    """
-
-    def __init__(self, src: np.ndarray, base: np.ndarray):
-        self.src, self.base = src, base
-        self.verts = base.tolist()
-        # the bits each moved original vertex had before its first move
-        self.moved: dict[int, tuple] = {}
-        self.inner: dict[int, list] = {}
-        self.front: list = []
-        self.back: list = []
-        n = self.n = len(self.verts) - 1
-        # H[f], as Python floats and as the array the family test reads;
-        # -inf while family f is untouched
-        self.h = [-math.inf] * n
-        self.bound = np.full(n, -np.inf)
-        self.rows = max(1, _BLOCK_CELLS // n)
-        self.scale = max(float(np.abs(src).max(initial=0.0)), float(np.abs(base).max()))
-        self.slack = _kernel_slack(self.scale)
-
-    def chain(self, fam: int) -> list:
-        if fam < 0:
-            return self.front + self.verts[:1]
-        if fam == self.n:
-            return self.verts[-1:] + self.back
-        return [self.verts[fam], *self.inner.get(fam, ()), self.verts[fam + 1]]
-
-    def polyline(self) -> np.ndarray:
-        rows, verts, k = list(self.front), self.verts, 0
-        for fam in sorted(self.inner):
-            rows += verts[k:fam + 1]
-            rows += self.inner[fam]
-            k = fam + 1
-        rows += verts[k:]
-        rows += self.back
-        return np.fromiter(itertools.chain.from_iterable(rows), float, 2 * len(rows)).reshape(-1, 2)
-
-    def nearest(self, i: int, ax: float, ay: float):
-        """The segment ``np.argmin`` over the current polyline picks for
-        source vertex ``i`` at (ax, ay), and its ``_segment_foot``."""
-        r = i % self.rows
-        if r == 0:
-            self.t, self.fx, self.fy, self.dist = _foot_points(self.src[i:i + self.rows], self.base)
-            self.exact = self.dist.copy()
-            self.exact[:, self.bound > -np.inf] = np.inf
-            self.arg = self.exact.argmin(axis=1).tolist()
-        fam = self.arg[r]
-        if self.h[fam] > -math.inf:
-            # touched after the block's argmin: that column is +inf now
-            fam = int(self.exact[r].argmin())
-        best_d, best, foot = self.exact.item(r, fam), (fam, 0), None
-        if self.front or self.back:
-            ends = ([-1] if self.front else []) + ([self.n] if self.back else [])
-            best_d, best, foot = self._scan(ends, ax, ay, best_d, best, foot)
-        limit = best_d + self.slack
-        near = (self.dist[r] - self.bound <= limit).nonzero()[0].tolist()
-        if near:
-            best_d, best, foot = self._scan(near, ax, ay, best_d, best, foot)
-        if foot is None:
-            # the untouched family's own kernel entries; only a clamped foot
-            # needs the unclamped parameter
-            t = self.t.item(r, fam)
-            if 0.0 < t < 1.0:
-                foot = (t, t, self.fx.item(r, fam), self.fy.item(r, fam), best_d)
-            else:
-                (bx, by), (cx, cy) = self.verts[fam:fam + 2]
-                foot = _segment_foot(ax, ay, bx, by, cx, cy)
-        return best, foot
-
-    def _scan(self, fams, ax, ay, best_d, best, foot):
-        """The nearest of (best_d, best, foot) and every segment of ``fams``."""
-        for fam in fams:
-            chain = self.chain(fam)
-            for pos in range(len(chain) - 1):
-                (bx, by), (cx, cy) = chain[pos], chain[pos + 1]
-                res = _segment_foot(ax, ay, bx, by, cx, cy)
-                if res[4] < best_d or (res[4] == best_d and (fam, pos) < best):
-                    best_d, best, foot = res[4], (fam, pos), res
-        return best_d, best, foot
-
-    def touch(self, fam: int, v: list) -> None:
-        """Family ``fam`` (none if out of range) gained or moved vertex ``v``."""
-        if 0 <= fam < self.n:
-            moved, verts = self.moved, self.verts
-            (bx, by), (cx, cy) = moved.get(fam) or verts[fam], moved.get(fam + 1) or verts[fam + 1]
-            h, old = _segment_foot(v[0], v[1], bx, by, cx, cy)[4], self.h[fam]
-            if old == -math.inf:
-                self.exact[:, fam] = np.inf
-            if h > old:
-                self.h[fam] = h
-                self.bound[fam] = h
-
-    def fold(self, ax: float, ay: float, where, foot) -> int:
-        """Fold (ax, ay) into segment ``where``; returns the scenario."""
-        fam, pos = where
-        raw, t, fx, fy, _ = foot
-        n = self.n
-        if 0.0 < t < 1.0:
-            # foot strictly inside a segment: insert the midpoint
-            m = [0.5 * (ax + fx), 0.5 * (ay + fy)]
-            if fam < 0:
-                self.front.insert(pos + 1, m)
-            elif fam == n:
-                self.back.insert(pos, m)
-            else:
-                self.inner.setdefault(fam, []).insert(pos, m)
-                self.touch(fam, m)
-            return 1
-        # t is raw clamped, so only a foot on a vertex can lie past an end
-        chain = self.chain(fam)
-        (x0, y0), (x1, y1) = chain[pos], chain[pos + 1]
-        if raw < 0.0 and where == ((-1, 0) if self.front else (0, 0)):
-            # beyond the start: extend backwards to the foot on the first segment's line
-            self.front.insert(0, self._grown(x0 + raw * (x1 - x0), y0 + raw * (y1 - y0)))
-            return 3
-        if raw > 1.0 and where == ((n, len(self.back) - 1) if self.back
-                                   else (n - 1, len(self.inner.get(n - 1, ())))):
-            # beyond the end: extend forwards to the foot on the last segment's line
-            self.back.append(self._grown(x0 + raw * (x1 - x0), y0 + raw * (y1 - y0)))
-            return 4
-        # foot coincides with a vertex: replace it by the midpoint
-        j = pos if t == 0.0 else pos + 1
-        v = chain[j]
-        # original vertex k, if v is one, belongs to families k - 1 and k
-        k = fam if j == 0 else fam + 1 if j == len(chain) - 1 else -1
-        if 0 <= k <= n:
-            self.moved.setdefault(k, (v[0], v[1]))
-        v[0], v[1] = 0.5 * (ax + v[0]), 0.5 * (ay + v[1])
-        if 0 <= k <= n:
-            self.touch(k - 1, v)
-            self.touch(k, v)
-        else:
-            self.touch(fam, v)
-        return 2
-
-    def _grown(self, x: float, y: float) -> list:
-        self.scale = max(self.scale, abs(x), abs(y))
-        self.slack = _kernel_slack(self.scale)
-        return [x, y]
-
-
 def merge_polyline(source, base, scenario_counts=None) -> np.ndarray:
     """Fold every vertex of ``source`` into ``base``, in order.
 
     The updated base is threaded through the fold, so later vertices see
     the effect of earlier ones.  Each vertex folds into the current segment
     nearest to it, the lowest index among equidistant ones: the segment and
-    the bits that ``np.argmin`` over ``_foot_points`` of the whole current
-    base would give.
-
-    The member is projected onto the base once: one ``_foot_points(src,
-    base)`` call (per block of ``_BLOCK_CELLS`` cells) gives D[i, f], the
-    distance of vertex i to original segment f.  Every current segment
-    descends from one original segment, its family, or extends the base
-    past an end.  A family no fold has touched is still its original
-    segment, so D is its distance to the bit.  For a touched family, H[f] is
-    the largest distance to segment f of any vertex its segments have had.
-    A segment lies in the hull of its two vertices and the distance to a
-    segment is convex, so every segment of family f lies within H[f] of
-    segment f, and D[i, f] - H[f] bounds vertex i's distance to all of them
-    from below.  For each vertex, the nearest untouched family (one argmin
-    per block, taken again for a row whose pick a later fold touched) and
-    every extension segment give an exact distance d; only the touched
-    families whose bound is within d + ``_kernel_slack(S)`` are
-    re-projected, segment by segment, with ``_segment_foot``.  An untouched
-    winner takes its foot from the kernel's own t, x and y.  Only a clamped
-    foot (t 0 or 1) is recomputed with ``_segment_foot``, whose unclamped
-    parameter tells a vertex hit from an extension past an end.
-
-    S bounds every coordinate of the source, the base and the extensions,
-    so the slack is set where an extension grows it, not per vertex.  D, H
-    and each re-projection are kernel distances: the computed D - H errs by
-    two distance errors and a rounding, and a skipped segment's own
-    distance by one more, which the slack covers.  So a segment skipped as
-    farther than d + slack is farther than d by a computed distance too:
-    it can neither win nor tie.
+    the bits that ``np.argmin`` over ``geometry._foot_points`` of the whole
+    current base would give.  It is ``_fold_lockstep`` of one chain whose one
+    member folds in its given order.
 
     The fold is specified where no square of a coordinate difference
     overflows.  Maps ``load_map`` accepts (coordinates within 1e16 m) stay
@@ -324,12 +130,11 @@ def merge_polyline(source, base, scenario_counts=None) -> np.ndarray:
     pts = as_points(base)
     if len(pts) < 2:
         raise ValueError("base polyline needs at least 2 vertices")
-    fold = _Fold(src, pts)
-    for i, (ax, ay) in enumerate(src.tolist()):
-        scenario = fold.fold(ax, ay, *fold.nearest(i, ax, ay))
-        if scenario_counts is not None:
-            scenario_counts[scenario] = scenario_counts.get(scenario, 0) + 1
-    return fold.polyline()
+    [(out, counts)] = _fold_lockstep([(pts, [src])], orient=False)
+    if scenario_counts is not None:
+        for scenario, n in counts.items():
+            scenario_counts[scenario] = scenario_counts.get(scenario, 0) + n
+    return out
 
 
 def _fold_order(members: list[MapElement]) -> tuple[MapElement, list[MapElement]]:
@@ -416,11 +221,7 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
         raise ValueError("crossing chains are merged via merge_quads")
 
     base_el, rest = _fold_order(members)
-
-    base = base_el.points
-    counts: dict[int, int] = {}
-    for el in rest:
-        base = merge_polyline(_orient(el.points, base), base, counts)
+    [(base, counts)] = _fold_lockstep([(base_el.points, [el.points for el in rest])])
     return _chain_element(members, base_el, base, counts, config, report)
 
 
@@ -450,8 +251,8 @@ def _lockstep_groups(capacity: dict[int, int]) -> list[list[int]]:
     member vertices, the most vertices the chain's polyline can reach).
 
     Sorted by capacity, the chains fill groups in turn, each as long as its
-    rows times its largest capacity stay within ``_BLOCK_CELLS``.  Groups of
-    fewer than ``_LOCKSTEP_MIN`` chains are left to the per-chain fold.
+    rows times its largest capacity stay within ``_BLOCK_CELLS``.  No chains
+    give no group, so a pass without line chains does not call the kernel.
     """
     groups, group = [], []
     for c in sorted(capacity, key=capacity.__getitem__):
@@ -459,14 +260,17 @@ def _lockstep_groups(capacity: dict[int, int]) -> list[list[int]]:
             groups.append(group)
             group = []
         group.append(c)
-    groups.append(group)
-    return [g for g in groups if len(g) >= _LOCKSTEP_MIN]
+    if group:
+        groups.append(group)
+    return groups
 
 
-def _fold_lockstep(folds) -> list[tuple[np.ndarray, dict[int, int]]]:
+def _fold_lockstep(folds, orient=True) -> list[tuple[np.ndarray, dict[int, int]]]:
     """Each (base, members in fold order) of ``folds``, point arrays, folded
-    as ``merge_chain`` folds them, with every chain's next source vertex folded
-    in the same step: each chain's polyline and scenario counts.
+    by ``merge_polyline``'s rule, with every chain's next source vertex folded
+    in the same step: each chain's polyline and scenario counts.  Each member
+    is first put in ``_orient``'s vertex order, or, with ``orient`` false,
+    folds in its given order.
 
     Row r holds a chain's current polyline, padded to the group's largest
     capacity.  Each step projects every row's source vertex onto all of
@@ -506,8 +310,9 @@ def _fold_lockstep(folds) -> list[tuple[np.ndarray, dict[int, int]]]:
     rows = len(folds)
     for step in range(total[0]):
         for r, member in starts.get(step, ()):
-            oriented = _orient(member, pts[r, :size[r]])
-            src[:, r, step:step + len(oriented)] = oriented.T
+            if orient:
+                member = _orient(member, pts[r, :size[r]])
+            src[:, r, step:step + len(member)] = member.T
         while total[rows - 1] <= step:
             rows -= 1
         sz, first, n = size[:rows], row_start[:rows], size[:rows].max()
@@ -554,8 +359,7 @@ def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[
         for el_id in chain:
             chain_of[el_id] = c_idx
     members_of = [[by_id[i] for i in chain] for chain in chains]
-    # chain index -> (base element, polyline, scenario counts) of the chains
-    # folded in lockstep; the others fold one at a time in ``merge_chain``
+    # chain index -> (base element, polyline, scenario counts) of every line chain
     folded: dict[int, tuple] = {}
     groups = _lockstep_groups({c: sum(len(el.points) for el in members)
                                for c, members in enumerate(members_of)
@@ -580,10 +384,8 @@ def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[
         members = members_of[c_idx]
         if members[0].label == LABEL_PED_CROSSING:
             out.append(merge_quads(members, config, report))
-        elif c_idx in folded:
-            out.append(_chain_element(members, *folded[c_idx], config, report))
         else:
-            out.append(merge_chain(members, config, report))
+            out.append(_chain_element(members, *folded[c_idx], config, report))
     return out
 
 
@@ -592,11 +394,10 @@ def merge_maps(main: VectorMap, secondaries, config: MergeConfig | None = None, 
 
     The maps are concatenated, the proximity graph is built, and every
     chain collapses into a single element (crossings via the coverage-grid
-    pipeline, everything else via polyline folding: in lockstep for a group
-    of at least ``_LOCKSTEP_MIN`` line chains that fits ``_BLOCK_CELLS``,
-    one chain at a time otherwise).  Isolated elements pass through
-    unchanged, flagged as main.  Because merging can move
-    elements, the pairwise check is re-run on the output and further merge
+    pipeline, everything else via polyline folding: all line chains of a
+    pass in lockstep, in groups that fit ``_BLOCK_CELLS``).  Isolated
+    elements pass through unchanged, flagged as main.  Because merging can
+    move elements, the pairwise check is re-run on the output and further merge
     passes follow while candidates remain, capped at 3 passes in total.
     """
     if config is None:
@@ -623,8 +424,8 @@ def smooth(points, window: int) -> np.ndarray:
     window, shrunk symmetrically near the ends; the vertex count never
     changes.
     """
-    if window < 3 or window % 2 == 0:
-        raise ValueError("window must be an odd number >= 3")
+    if not isinstance(window, (int, np.integer)) or window < 3 or window % 2 == 0:
+        raise ValueError(f"window must be an odd integer >= 3, got {window!r}")
     pts = as_points(points)
     n = len(pts)
     out = pts.copy()

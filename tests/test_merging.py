@@ -27,7 +27,6 @@ from polymerge import (
 )
 
 from polymerge import merging
-from polymerge.geometry import _segment_foot
 
 from helpers import line_element, quad_element, random_polyline
 from oracles import reference_merge_polyline, reference_orient, reference_smooth
@@ -147,6 +146,11 @@ class TestSmooth:
             smooth(pts, 4)
         with pytest.raises(ValueError):
             smooth(pts, 1)
+        with pytest.raises(ValueError):
+            smooth(pts, 5.0)
+        with pytest.raises(ValueError):
+            smooth(pts, "5")
+        np.testing.assert_array_equal(smooth(pts, np.int64(5)), smooth(pts, 5))
 
 
 class TestMergeConfig:
@@ -247,38 +251,21 @@ _SHORT_FIRST_SEGMENT = (np.array([[-1.0, 0.5]]), np.array([[0.0, 0.0], [1e-13, 0
 
 class TestFold:
     @settings(max_examples=600, deadline=None)
-    @given(_fold_cases(), st.sampled_from([merging._BLOCK_CELLS, 1, 7]))
-    @example(case=(_CLAMPED_FEET[0], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
-    @example(case=(_CLAMPED_FEET[1], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
-    @example(case=(_CLAMPED_FEET[2], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
-    @example(case=(_CLAMPED_FEET[3], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
-    @example(case=(_CLAMPED_FEET[4], _STRAIGHT_BASE), block_cells=merging._BLOCK_CELLS)
-    @example(case=_SHORT_FIRST_SEGMENT, block_cells=merging._BLOCK_CELLS)
-    def test_matches_per_vertex_fold_bitwise(self, case, block_cells):
+    @given(_fold_cases())
+    @example(case=(_CLAMPED_FEET[0], _STRAIGHT_BASE))
+    @example(case=(_CLAMPED_FEET[1], _STRAIGHT_BASE))
+    @example(case=(_CLAMPED_FEET[2], _STRAIGHT_BASE))
+    @example(case=(_CLAMPED_FEET[3], _STRAIGHT_BASE))
+    @example(case=(_CLAMPED_FEET[4], _STRAIGHT_BASE))
+    @example(case=_SHORT_FIRST_SEGMENT)
+    def test_matches_per_vertex_fold_bitwise(self, case):
         source, base = case
         got_counts, want_counts = {}, {}
-        with mock.patch.object(merging, "_BLOCK_CELLS", block_cells):
-            got = merge_polyline(source, base, got_counts)
+        got = merge_polyline(source, base, got_counts)
         want = reference_merge_polyline(source, base, want_counts)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert got_counts == want_counts
-
-    def test_noisy_copy_reprojects_few_segments(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        base = np.column_stack([np.linspace(0.0, 150.0, 201), np.zeros(201)])
-        source = base + rng.normal(0.0, 0.2, base.shape)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return _segment_foot(*args)
-
-        monkeypatch.setattr(merging, "_segment_foot", counting)
-        got = merge_polyline(source, base)
-        assert got.tobytes() == reference_merge_polyline(source, base).tobytes()
-        # the per-vertex fold projects onto ~300 segments per vertex
-        assert len(calls) <= 5 * len(source)
 
 
 @st.composite
@@ -637,6 +624,25 @@ class TestMergeMaps:
         np.testing.assert_array_equal(out.elements[0].points, sec.elements[0].points)
         assert [(c.kind, c.fallback) for c in report.chains] == [("quad", True)]
 
+    def test_crossing_chain_and_isolated_line_fold_no_line(self, config, monkeypatch):
+        # the pass has a crossing chain and isolated lines but no line chain
+        main = VectorMap((quad_element("q", 0, 0, is_main=True),
+                          line_element("m", "divider", (0, 20), (4, 20), n=3, is_main=True)), "world")
+        sec = VectorMap((quad_element("q", 0.3, 0.1),
+                         line_element("f", "divider", (0, 50), (4, 50), n=3)), "world")
+
+        def no_fold(folds):
+            raise AssertionError("a pass without line chains folded lines")
+
+        monkeypatch.setattr(merging, "_fold_lockstep", no_fold)
+        report = MergeReport()
+        out = merge_maps(main, [sec], config, report)
+        assert [el.id for el in out.elements] == ["0:q", "0:m", "1:f"]
+        assert all(el.is_main for el in out.elements)
+        np.testing.assert_array_equal(out.element("1:f").points, sec.element("f").points)
+        assert [(c.kind, c.members) for c in report.chains] == [("quad", ["0:q", "1:q"])]
+        assert report.isolated == ["1:f"]
+
     def test_isolated_secondary_reported_and_kept(self, config):
         main = VectorMap(
             (line_element("m", "divider", (0, 0), (4, 0), is_main=True),), "world"
@@ -693,7 +699,9 @@ class TestMergeMaps:
             views.append(VectorMap(tuple(els), "world"))
         runs = []
         fold_lockstep = merging._fold_lockstep
-        for lockstep_min in (1, 10**9):
+        # a group may hold no chain's capacity at 1 cell, so each chain
+        # folds on its own, in a group of one
+        for cells in (block_cells, 1):
             groups = []
 
             def recording(folds):
@@ -701,22 +709,25 @@ class TestMergeMaps:
                 return fold_lockstep(folds)
 
             report = MergeReport()
-            with mock.patch.object(merging, "_LOCKSTEP_MIN", lockstep_min), \
-                    mock.patch.object(merging, "_BLOCK_CELLS", block_cells), \
+            with mock.patch.object(merging, "_BLOCK_CELLS", cells), \
                     mock.patch.object(merging, "_fold_lockstep", recording):
                 first = merge_maps(VectorMap((), "world"), views[:3], MergeConfig(smoothing_enabled=True),
                                    report)
                 out = merge_maps(first, views[3:], MergeConfig(smoothing_enabled=True), report)
-            save_map(out, tmp_path / f"{lockstep_min}.json")
-            runs.append(((tmp_path / f"{lockstep_min}.json").read_bytes(), report.to_dict(), groups))
+            save_map(out, tmp_path / f"{cells}.json")
+            runs.append(((tmp_path / f"{cells}.json").read_bytes(), report.to_dict(), groups))
         (lock_map, lock_report, lock_groups), (chain_map, chain_report, chain_groups) = runs
         assert lock_map == chain_map
         assert lock_report == chain_report
-        assert chain_groups == []
+        assert len(lock_report["chains"]) == 82
+        assert chain_groups == [1] * 80
         # every line chain of both merges folds in lockstep: in one group per
         # merge, or in many when a group may hold only 300 cells
         assert sum(lock_groups) == 80
-        assert len(lock_groups) == 2 if block_cells == merging._BLOCK_CELLS else len(lock_groups) > 4
+        if block_cells == merging._BLOCK_CELLS:
+            assert lock_groups == [40, 40]
+        else:
+            assert len(lock_groups) > 4
 
     def test_report_serializes_to_json(self, config):
         main = VectorMap(
