@@ -177,6 +177,27 @@ def _kernel_slack(scale: float) -> float:
     return 1e-12 * scale + 1e-150
 
 
+def _budget_groups(sizes, budget: int) -> list[list[int]]:
+    """Indices of ``sizes``, (rows, width) blocks, in groups to stack row-wise.
+
+    Sorted by width, the blocks fill groups in turn, each as long as its
+    summed rows times its largest width stay within ``budget`` cells; a
+    block over the budget on its own forms a group of its own.  No blocks
+    give no group.
+    """
+    groups, group, rows = [], [], 0
+    for k in sorted(range(len(sizes)), key=lambda k: sizes[k][1]):
+        height, width = sizes[k]
+        if group and (rows + height) * width > budget:
+            groups.append(group)
+            group, rows = [], 0
+        group.append(k)
+        rows += height
+    if group:
+        groups.append(group)
+    return groups
+
+
 def project_point_to_polyline(a, points) -> Projection:
     """Closest-point projection of ``a`` onto a polyline.
 

@@ -7,7 +7,8 @@ mutually close elements collapse into a single merged element.
 
 The line chains of a merge pass fold in lockstep: one step folds the next
 source vertex of every chain, projected onto all of its chain's current
-segments in one dense kernel call.
+segments in one dense kernel call.  Its crossing chains are fused in
+stacked groups (``quads._fuse_crossings``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (_DEGENERATE_SQ, _distance_matrix, _require_finite_positive, _require_number,
-                       _segment_feet, arc_length, as_points)
+from .geometry import (_DEGENERATE_SQ, _budget_groups, _distance_matrix, _require_finite_positive,
+                       _require_number, _segment_feet, arc_length, as_points)
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
 from .geometry import project_point_to_polyline as project_point_to_polyline
@@ -27,7 +28,10 @@ from .proximity import build_graph, merge_chains
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.polyline_merge_check``.
 from .proximity import polyline_merge_check as polyline_merge_check
-from .quads import merge_quads
+from .quads import _crossing_element, _fuse_crossings
+# Re-exported as a module attribute: the benchmark's per-layer trace wraps
+# ``polymerge.merging.merge_quads``; a merge pass no longer calls it.
+from .quads import merge_quads as merge_quads
 
 __all__ = [
     "MergeConfig",
@@ -40,8 +44,9 @@ __all__ = [
 
 # moving-average window of the optional smoothing step
 _SMOOTHING_WINDOW = 5
-# cells of a lockstep group's (chains, capacity) arrays, so that memory
-# stays bounded when many chains fold at once
+# cells of a lockstep group's (chains, capacity) arrays and of a crossing
+# group's blurred stack, so that memory stays bounded when many chains are
+# stacked at once
 _BLOCK_CELLS = 1 << 16
 
 
@@ -246,25 +251,6 @@ def _chain_element(members, base_el: MapElement, base: np.ndarray, counts: dict[
     return MapElement(base_el.id, base_el.label, base, is_main=True)
 
 
-def _lockstep_groups(capacity: dict[int, int]) -> list[list[int]]:
-    """The chains to fold in lockstep, keyed by their capacity (base plus
-    member vertices, the most vertices the chain's polyline can reach).
-
-    Sorted by capacity, the chains fill groups in turn, each as long as its
-    rows times its largest capacity stay within ``_BLOCK_CELLS``.  No chains
-    give no group, so a pass without line chains does not call the kernel.
-    """
-    groups, group = [], []
-    for c in sorted(capacity, key=capacity.__getitem__):
-        if group and (len(group) + 1) * capacity[c] > _BLOCK_CELLS:
-            groups.append(group)
-            group = []
-        group.append(c)
-    if group:
-        groups.append(group)
-    return groups
-
-
 def _fold_lockstep(folds, orient=True) -> list[tuple[np.ndarray, dict[int, int]]]:
     """Each (base, members in fold order) of ``folds``, point arrays, folded
     by ``merge_polyline``'s rule, with every chain's next source vertex folded
@@ -359,16 +345,22 @@ def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[
         for el_id in chain:
             chain_of[el_id] = c_idx
     members_of = [[by_id[i] for i in chain] for chain in chains]
-    # chain index -> (base element, polyline, scenario counts) of every line chain
+    line = [c for c, members in enumerate(members_of) if members[0].label != LABEL_PED_CROSSING]
+    crossing = [c for c, members in enumerate(members_of) if members[0].label == LABEL_PED_CROSSING]
+    # chain index -> (base element, polyline, scenario counts) of every line
+    # chain; a line chain is one row of its capacity (base plus member
+    # vertices, the most its polyline can reach)
     folded: dict[int, tuple] = {}
-    groups = _lockstep_groups({c: sum(len(el.points) for el in members)
-                               for c, members in enumerate(members_of)
-                               if members[0].label != LABEL_PED_CROSSING})
-    for group in groups:
-        orders = [_fold_order(members_of[c]) for c in group]
+    for group in _budget_groups([(1, sum(len(el.points) for el in members_of[c])) for c in line],
+                                _BLOCK_CELLS):
+        orders = [_fold_order(members_of[line[k]]) for k in group]
         folds = _fold_lockstep([(base_el.points, [el.points for el in rest]) for base_el, rest in orders])
-        for c, (base_el, _), (base, counts) in zip(group, orders, folds):
-            folded[c] = (base_el, base, counts)
+        for k, (base_el, _), (base, counts) in zip(group, orders, folds):
+            folded[line[k]] = (base_el, base, counts)
+    # chain index -> fused corners of every crossing chain, None to fall back
+    fused = dict(zip(crossing, _fuse_crossings([el.points for c in crossing for el in members_of[c]],
+                                               [len(members_of[c]) for c in crossing], config,
+                                               _BLOCK_CELLS)))
     emitted: set[int] = set()
     out: list[MapElement] = []
     for el in elements:
@@ -383,7 +375,7 @@ def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[
         emitted.add(c_idx)
         members = members_of[c_idx]
         if members[0].label == LABEL_PED_CROSSING:
-            out.append(merge_quads(members, config, report))
+            out.append(_crossing_element(members, fused[c_idx], report))
         else:
             out.append(_chain_element(members, *folded[c_idx], config, report))
     return out
@@ -394,8 +386,9 @@ def merge_maps(main: VectorMap, secondaries, config: MergeConfig | None = None, 
 
     The maps are concatenated, the proximity graph is built, and every
     chain collapses into a single element (crossings via the coverage-grid
-    pipeline, everything else via polyline folding: all line chains of a
-    pass in lockstep, in groups that fit ``_BLOCK_CELLS``).  Isolated
+    pipeline, everything else via polyline folding).  Each pass stacks its
+    chains in groups that fit ``_BLOCK_CELLS``: the line chains fold in
+    lockstep, the crossing chains are fused group by group.  Isolated
     elements pass through unchanged, flagged as main.  Because merging can
     move elements, the pairwise check is re-run on the output and further merge
     passes follow while candidates remain, capped at 3 passes in total.

@@ -21,6 +21,7 @@ from polymerge import (
     merge_chain,
     merge_maps,
     merge_polyline,
+    merge_quads,
     project_point_to_polyline,
     save_map,
     smooth,
@@ -728,6 +729,37 @@ class TestMergeMaps:
             assert lock_groups == [40, 40]
         else:
             assert len(lock_groups) > 4
+
+    def test_mixed_chains_keep_their_report_order(self, config):
+        # line and crossing chains interleaved in the input, 10 m apart: each
+        # chain is reported and emitted where its first member stands, as
+        # the element its members merge to on their own
+        rng = np.random.default_rng(73)
+        views = []
+        for _ in range(3):
+            els = []
+            for i in range(12):
+                if i % 3 == 2:
+                    els.append(quad_element(f"c{i}", 8.0 + rng.uniform(-0.2, 0.2),
+                                            10.0 * i + rng.uniform(-0.2, 0.2), angle=0.2))
+                else:
+                    pts = np.column_stack([np.linspace(0.0, 16.0, 9), np.full(9, 10.0 * i)])
+                    els.append(MapElement(f"l{i}", ("divider", "boundary")[i % 2],
+                                          pts + rng.normal(0.0, 0.1, (9, 2))))
+            views.append(VectorMap(tuple(els), "world"))
+        report = MergeReport()
+        out = merge_maps(VectorMap((), "world"), views, config, report)
+        stacked = merging.concatenate(VectorMap((), "world"), views).elements
+        position = {el.id: k for k, el in enumerate(stacked)}
+        assert report.passes == 1
+        assert [c.kind for c in report.chains] == ["polyline", "polyline", "quad"] * 4
+        firsts = [position[c.members[0]] for c in report.chains]
+        assert firsts == sorted(firsts)
+        assert [el.id for el in out.elements] == [c.base_id for c in report.chains]
+        for chain, el in zip(report.chains, out.elements):
+            members = [stacked[position[i]] for i in chain.members]
+            alone = (merge_quads if chain.kind == "quad" else merge_chain)(members, config)
+            assert el.points.tobytes() == alone.points.tobytes()
 
     def test_report_serializes_to_json(self, config):
         main = VectorMap(

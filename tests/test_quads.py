@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,18 +16,20 @@ from polymerge import (
     MapElement,
     MergeConfig,
     MergeReport,
+    VectorMap,
+    merge_maps,
     merge_quads,
     min_rotated_rect,
     rasterize_coverage,
 )
-from polymerge import quads
+from polymerge import merging, quads
+from polymerge.geometry import _budget_groups
 from polymerge.quads import CoverageGrid, EmptyRegionError, blur_coverage, threshold_region
 from polymerge.quads import (
     _blurred_mask,
-    _convex_hull,
+    _convex_hulls,
     _convolve_cells,
     _outline_corners,
-    _row_extremes,
     _separable_blur,
     gaussian_kernel,
     quad_area,
@@ -48,6 +51,25 @@ from oracles import (
 def _signed_area(pts):
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _convex_hull(points):
+    """The hull of one point set by the grouped kernel, which takes sets of
+    at least one point."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not len(points):
+        return points
+    return _convex_hulls(points[:, 0], points[:, 1], np.zeros(len(points), dtype=np.intp), 1)[0]
+
+
+def _row_extremes(points):
+    """The leftmost and rightmost point of each distinct y, by y, then x."""
+    pts = points[np.lexsort((points[:, 0], points[:, 1]))]
+    row_start = np.ones(len(pts), dtype=bool)
+    row_start[1:] = pts[1:, 1] != pts[:-1, 1]
+    row_end = np.ones(len(pts), dtype=bool)
+    row_end[:-1] = row_start[1:]
+    return pts[row_start | row_end]
 
 
 def _all_cell_corners(centers, cell):
@@ -383,10 +405,8 @@ class TestBlur:
         th = data.draw(st.sampled_from([0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
                                         1.0 / members, 0.3, 0.9]))
         assume(0.0 < th < 1.0)
-        grid = CoverageGrid(rng.uniform(-1e6, 1e6, 2), 0.1, values)
-        mask, origin = _blurred_mask(grid, sigma, th)
+        mask = _blurred_mask(values, sigma, th)
         assert mask.tobytes() == reference_region_mask(values, sigma, th).tobytes()
-        assert origin.tobytes() == blur_coverage(grid, sigma).origin.tobytes()
 
 
 class TestThresholdRegion:
@@ -479,6 +499,15 @@ class TestMinRotatedRect:
             assert area <= oracle + 1e-9
             assert oracle - area <= 0.005 * oracle
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+        pts[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="points must be finite"):
+                min_rotated_rect(pts)
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
             min_rotated_rect([(0, 0), (1, 1)])
@@ -552,8 +581,9 @@ class TestConvexHull:
         rows, cols = np.nonzero(mask)
         centers = origin + (np.column_stack([cols, rows]) + 0.5) * cell
         every = _all_cell_corners(centers, cell)
-        outline = _outline_corners(mask, origin, cell)
-        assert len(outline) == 4 * mask.any(axis=1).sum()
+        x, y, grid = _outline_corners(mask, np.zeros(1, dtype=np.intp), origin[np.newaxis], cell)
+        outline = np.column_stack([x, y])
+        assert len(outline) == 4 * mask.any(axis=1).sum() and not grid.any()
         assert _row_extremes(outline).tobytes() == _row_extremes(every).tobytes()
 
     @pytest.mark.parametrize("pts", [
@@ -793,3 +823,106 @@ class TestMergeQuads:
         sv = rel @ v / (v @ v)
         assert np.all(su >= -1e-9) and np.all(su <= 1 + 1e-9)
         assert np.all(sv >= -1e-9) and np.all(sv <= 1 + 1e-9)
+
+
+@st.composite
+def _crossing_chains(draw):
+    """1-20 chains of 2-5 tilted quads each, the chains 60 m apart along a
+    row that starts up to 1e6 m from the origin; a chain's first quad may
+    be main."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin = draw(st.sampled_from([0.0, 1e3, 1e6])) * rng.choice([-1.0, 1.0], 2)
+    elements = []
+    for c in range(draw(st.integers(1, 20))):
+        center = origin + (60.0 * c, 0.0)
+        tilt = rng.uniform(0.0, np.pi)
+        size = rng.uniform(0.8, 2.5, 2)
+        for k in range(int(rng.integers(2, 6))):
+            elements.append(MapElement(
+                f"c{c}q{k}", "ped_crossing",
+                rect_quad(*(center + rng.uniform(-0.2, 0.2, 2)), w=size[0] * rng.uniform(0.8, 1.2),
+                          h=size[1] * rng.uniform(0.8, 1.2), angle=tilt + rng.uniform(-0.2, 0.2)),
+                k == 0 and bool(rng.random() < 0.3)))
+    return elements
+
+
+class TestGroupedFusion:
+    """A merge pass fuses its crossing chains in groups; each chain keeps
+    the bits it has on its own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_crossing_chains(), st.sampled_from([0.3, 0.5, 0.9]), st.sampled_from([0.5, 1.0, 2.0]),
+           st.sampled_from([1, 3000, merging._BLOCK_CELLS]), st.sampled_from([0.1, 0.2]))
+    def test_every_chain_matches_the_whole_raster_pipeline(self, elements, th_cov, sigma, budget, cell):
+        # mains come from the main map (ids "0:..."), the rest from one
+        # secondary ("1:..."); a budget of one cell puts every chain in a
+        # group of its own
+        main = VectorMap(tuple(el for el in elements if el.is_main), "world")
+        secondary = VectorMap(tuple(el for el in elements if not el.is_main), "world")
+        config = MergeConfig(th_cov=th_cov, blur_sigma_cells=sigma, cell_size=cell)
+        report = MergeReport()
+        with mock.patch.object(merging, "_BLOCK_CELLS", budget):
+            out = merge_maps(main, [secondary], config, report)
+        order = [f"0:{el.id}" for el in main.elements] + [f"1:{el.id}" for el in secondary.elements]
+        by_id = dict(zip(order, main.elements + secondary.elements))
+        fused = {el.id: el for el in out.elements}
+        assert report.passes == 1 and len(report.chains) == len(out.elements)
+        for record in report.chains:
+            members = [by_id[i] for i in record.members]
+            assert record.members == [i for i in order if i in set(record.members)]
+            mains = [i for i in record.members if i.startswith("0:")]
+            assert record.base_id == (mains[0] if mains else min(record.members))
+            assert record.kind == "quad" and record.label == "ped_crossing"
+            _, values = reference_rasterize_coverage([el.points for el in members], cell)
+            assert record.fallback == (not reference_region_mask(values, sigma, th_cov).any())
+            expected = reference_merge_quads(members, config)
+            assert fused[record.base_id].points.tobytes() == expected.tobytes()
+            assert fused[record.base_id].is_main
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 300), st.integers(1, 300)), max_size=40),
+           st.integers(1, 20000))
+    def test_groups_hold_the_budget(self, sizes, budget):
+        groups = _budget_groups(sizes, budget)
+        assert sorted(k for group in groups for k in group) == list(range(len(sizes)))
+        for group in groups:
+            rows = sum(sizes[k][0] for k in group)
+            widest = max(sizes[k][1] for k in group)
+            # a block over the budget on its own forms a group of its own
+            assert rows * widest <= budget or len(group) == 1
+
+    def test_stacked_rasters_hold_the_budget(self):
+        # 10 chains of two 4 x 3 m crossings: each blurred grid, with its 12
+        # rows and columns of blur, holds about 3,500 cells
+        rng = np.random.default_rng(5)
+        chains = [[rect_quad(40.0 * c + rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), 4.0, 3.0,
+                             angle=0.25) for _ in range(2)] for c in range(10)]
+        config = MergeConfig()
+        separable_blur = quads._separable_blur
+
+        def stacks(budget):
+            shapes = []
+
+            def recording(values, marginal):
+                blurred = separable_blur(values, marginal)
+                shapes.append(blurred.shape)
+                return blurred
+
+            with mock.patch.object(quads, "_separable_blur", recording):
+                fused = quads._fuse_crossings([q for chain in chains for q in chain], [2] * 10, config,
+                                              budget)
+            return shapes, fused
+
+        alone, fused_alone = stacks(1)
+        assert len(alone) == 10 and all(2500 < rows * width <= 5000 for rows, width in alone)
+        # a grid over the budget on its own forms a group of its own
+        assert stacks(2500)[0] == alone
+        for budget in (10_000, merging._BLOCK_CELLS):
+            shapes, fused = stacks(budget)
+            assert len(shapes) < 10
+            assert all(rows * width <= budget for rows, width in shapes)
+            assert [f.tobytes() for f in fused] == [f.tobytes() for f in fused_alone]
+        for chain, corners in zip(chains, fused_alone):
+            members = [MapElement(f"q{k}", "ped_crossing", q) for k, q in enumerate(chain)]
+            fused = MapElement("f", "ped_crossing", corners).points
+            assert fused.tobytes() == reference_merge_quads(members, config).tobytes()
