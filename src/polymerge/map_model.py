@@ -325,8 +325,7 @@ def to_world(vmap: VectorMap) -> VectorMap:
     if vmap.frame == "world":
         return vmap
     moved = zip(vmap.elements, _world_points([vmap])[0])
-    return VectorMap(tuple(_build_elements([(el.id, el.label, pts, el.is_main) for el, pts in moved])),
-                     "world")
+    return VectorMap(tuple(MapElement(el.id, el.label, pts, el.is_main) for el, pts in moved), "world")
 
 
 def concatenate(main: VectorMap, secondaries) -> VectorMap:
@@ -375,9 +374,9 @@ def _parse_pose(obj, where: str) -> Pose:
         raise MapFormatError(f"{where}: {exc}") from None
 
 
-def _element_fields(obj, index: int) -> tuple:
-    """(id, label, points, is_main) of a JSON element, with its points as an
-    (N, 2) float array; raises MapFormatError for the first field at fault."""
+def _parse_element(obj, index: int) -> MapElement:
+    """The MapElement of a JSON element; raises MapFormatError for the first
+    field at fault."""
     where = f"element #{index}"
     if not isinstance(obj, dict):
         raise MapFormatError(f"{where}: must be an object")
@@ -408,13 +407,8 @@ def _element_fields(obj, index: int) -> tuple:
     if xy is None or np.abs(xy).max(initial=0.0) > _COORD_LIMIT:
         k = next(k for k, p in enumerate(pts) if abs(p[0]) > _COORD_LIMIT or abs(p[1]) > _COORD_LIMIT)
         raise MapFormatError(f"{where}: points[{k}] {_OUT_OF_RANGE}")
-    return el_id, label, xy.reshape(-1, 2), is_main
-
-
-def _parse_element(obj, index: int) -> MapElement:
-    fields = _element_fields(obj, index)
     try:
-        return MapElement(*fields)
+        return MapElement(el_id, label, xy.reshape(-1, 2), is_main)
     except (TypeError, ValueError) as exc:
         raise MapFormatError(str(exc)) from None
 
@@ -445,16 +439,12 @@ def load_map(path) -> VectorMap:
     raw_elements = doc.get("elements")
     if not isinstance(raw_elements, list):
         raise MapFormatError(f"{path}: field 'elements' must be a list")
-    try:
-        elements = _build_elements([_element_fields(obj, k) for k, obj in enumerate(raw_elements)])
-    except (TypeError, ValueError):
-        # element by element, the first error in file order is raised
-        elements = []
-        for k, obj in enumerate(raw_elements):
-            try:
-                elements.append(_parse_element(obj, k))
-            except MapFormatError as exc:
-                raise MapFormatError(f"{path}: {exc}") from None
+    elements = []
+    for k, obj in enumerate(raw_elements):
+        try:
+            elements.append(_parse_element(obj, k))
+        except MapFormatError as exc:
+            raise MapFormatError(f"{path}: {exc}") from None
     try:
         return VectorMap(tuple(elements), frame, pose)
     except ValueError as exc:

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (_DEGENERATE_SQ, _budget_groups, _distance_matrix, _require_finite_positive,
-                       _require_number, _segment_feet, arc_length, as_points)
+from .geometry import (_DEGENERATE_SQ, _budget_groups, _require_finite_positive, _require_number,
+                       _segment_feet, arc_length, as_points)
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
 from .geometry import project_point_to_polyline as project_point_to_polyline
 from .map_model import LABEL_PED_CROSSING, MapElement, VectorMap, _trusted, concatenate
-from .metrics import _greedy_coupling_within, discrete_frechet
+from .metrics import discrete_frechet
 from .proximity import build_graph, merge_chains
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.polyline_merge_check``.
@@ -176,13 +176,10 @@ def _orient(src: np.ndarray, base: np.ndarray) -> np.ndarray:
     distance on some coupling is at most ``lb``, the reversed DF cannot be
     the strictly smaller one and the given order stands.
 
-    The first coupling tried is ``_lattice_path``, whose n + m - 1 entries
-    (and the two of ``lb``) take ``_distance_matrix``'s own expression, so
-    each has the bits of the DPs' entry; this settles most members without
-    the matrix.  Otherwise one greedy coupling on the DPs' own distance
-    matrix is tried, and then both DPs decide.  ``_distance_matrix``
-    computes each entry on its own, so the reversed member's matrix is the
-    forward one with its rows reversed, bit for bit.
+    The coupling tried is ``_lattice_path``, whose n + m - 1 entries (and
+    the two of ``lb``) take ``geometry._distance_matrix``'s own expression,
+    so each has the bits of the DPs' entry; this settles most members.
+    Otherwise both DPs decide.
     """
     i, j = _lattice_path(len(src), len(base))
     i = np.append(i, (len(src) - 1, 0))
@@ -195,9 +192,6 @@ def _orient(src: np.ndarray, base: np.ndarray) -> np.ndarray:
     path = np.sqrt(dx, out=dx)
     lb = max(path.item(-2), path.item(-1))
     if not (path[:-2] > lb).any():
-        return src
-    dist = _distance_matrix(src, base)
-    if _greedy_coupling_within(dist, lb):
         return src
     if discrete_frechet(src[::-1], base) < discrete_frechet(src, base):
         return src[::-1]

@@ -71,7 +71,7 @@ def _greedy_coupling_within(dist: np.ndarray, limit: float) -> bool:
     ``dist`` couples no distance above ``limit``.  It starts at the first
     pair; each step takes the cheapest of the diagonal, down and right
     moves, and once one chain is at its end the rest of the other pairs
-    with that end.  Both callers pass distances between finite points,
+    with that end.  Its caller passes distances between finite points,
     so no entry or limit is NaN."""
     at = dist.item
     if at(0, 0) > limit:
@@ -294,12 +294,9 @@ def _pcm_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
         off = offsets[r0:r1]
         samples = np.empty((r1 - r0, wide_s + wide_l))
         c = cols[:wide_s]
-        if len(ks) == 1:
-            samples[:, :wide_s] = arcs_s[ks[0]]
-        else:
-            short_at = first_s[r0:r1, None] + c
-            short_at[c >= n_s_of[r0:r1, None]] = len(flat_s) - 1
-            samples[:, :wide_s] = flat_s[short_at]
+        short_at = first_s[r0:r1, None] + c
+        short_at[c >= n_s_of[r0:r1, None]] = len(flat_s) - 1
+        samples[:, :wide_s] = flat_s[short_at]
         c = cols[:wide_l]
         inner = samples[:, wide_s:]
         np.subtract(flat_l[np.minimum(lo[r0:r1, None] + c, last[r0:r1, None])], off[:, None],

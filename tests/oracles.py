@@ -72,30 +72,6 @@ def frechet_exhaustive(p, q) -> float:
     return best[0]
 
 
-def frechet_exhaustive_noprune(p, q) -> float:
-    """Same enumeration without pruning; only for very small inputs."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n, m = len(p), len(q)
-    dist = np.linalg.norm(p[:, np.newaxis, :] - q[np.newaxis, :, :], axis=2)
-    results = []
-
-    def walk(i, j, current):
-        current = max(current, dist[i, j])
-        if i == n - 1 and j == m - 1:
-            results.append(current)
-            return
-        if i + 1 < n:
-            walk(i + 1, j, current)
-        if j + 1 < m:
-            walk(i, j + 1, current)
-        if i + 1 < n and j + 1 < m:
-            walk(i + 1, j + 1, current)
-
-    walk(0, 0, 0.0)
-    return min(results)
-
-
 def _segment_distance_matrix(points, poly):
     """Min distance of each point to a polyline, no shared code with the
     package: per-vertex loop over segments with the textbook formula."""

@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from polymerge import (
     to_world,
 )
 from polymerge import map_model
+from polymerge.cli import main as cli_main
 from polymerge.geometry import transform_to_world
 from polymerge.map_model import atomic_writer
 
@@ -773,6 +775,24 @@ class TestLoadErrors:
         doc = {"frame": "world", "elements": [{"id": "z", "label": "divider", "points": [[1, 1], [1, 1]]}]}
         with pytest.raises(MapFormatError, match="bad.json.*'z'.*zero arc length"):
             load_map(_write(tmp_path, doc))
+
+    def test_first_error_in_file_order_across_error_kinds(self, tmp_path):
+        # element 3 fails MapElement's rule and element 12 a JSON field
+        # check, in a file as long as a batch check would take: the one
+        # earlier in the file is named
+        elements = [{"id": f"e{k}", "label": "divider", "points": [[0, k], [1, k]]} for k in range(20)]
+        elements[3]["points"] = [[2, 3], [2, 3], [2, 3]]
+        elements[12]["points"] = [[0, 12], ["1.5", 0]]
+        path = _write(tmp_path, {"frame": "world", "elements": elements})
+        with pytest.raises(MapFormatError) as info:
+            load_map(path)
+        assert str(info.value) == f"{path}: element 'e3': polyline has zero arc length: its vertices coincide"
+        out = tmp_path / "merged.json"
+        result = CliRunner().invoke(cli_main, ["merge", "--bootstrap", "--secondary", str(path),
+                                               "--out", str(out)])
+        assert result.exit_code == 2
+        assert "'e3'" in result.output and "'e12'" not in result.output
+        assert not out.exists()
 
     def test_bad_point_pair(self, tmp_path):
         doc = {"frame": "world", "elements": [{"id": "e", "label": "divider", "points": [[0, 0], [1]]}]}

@@ -339,7 +339,7 @@ _COLLAPSING_PAIR = [
     MapElement("m1", "divider", np.array([[1.0, 2], [2, 4], [0, 0], [1, 2]])),
 ]
 
-# the greedy coupling must test the first pair: the rest of it stays within
+# the lattice-path coupling must test the first pair: the rest of it stays within
 # the reversed member's end-pair bound 1, the first pair is sqrt(2) apart,
 # and the reversed member is the closer one
 _START_PAIR_ABOVE_BOUND = [
@@ -388,13 +388,7 @@ class TestOrientation:
         rng = np.random.default_rng(11)
         base = line_element("m", "divider", (0, 0), (20, 0), n=27, is_main=True)
         noisy = base.points + rng.normal(0.0, 0.2, base.points.shape)
-        calls = []
-
-        def counting(p, q):
-            calls.append(len(p) * len(q))
-            return discrete_frechet(p, q)
-
-        monkeypatch.setattr(merging, "discrete_frechet", counting)
+        calls = _counting_frechet(monkeypatch)
         fwd = merge_chain([base, MapElement("s", "divider", noisy)], config)
         assert calls == []
         # a reversed copy is not settled by the bounds, and the DPs reverse it
@@ -403,16 +397,16 @@ class TestOrientation:
         assert rev.points.tobytes() == fwd.points.tobytes()
 
 
-def _counting_distance_matrix(monkeypatch) -> list:
-    """Record the shape of every ``_distance_matrix`` call ``merging`` makes."""
+def _counting_frechet(monkeypatch) -> list:
+    """Record the shape of every ``discrete_frechet`` call ``merging`` makes."""
     calls = []
-    original = merging._distance_matrix
+    original = merging.discrete_frechet
 
     def counting(p, q):
         calls.append((len(p), len(q)))
         return original(p, q)
 
-    monkeypatch.setattr(merging, "_distance_matrix", counting)
+    monkeypatch.setattr(merging, "discrete_frechet", counting)
     return calls
 
 
@@ -449,10 +443,11 @@ class TestOrientationCertificate:
             "two_vertex_base": (noisy, line[[0, -1]], True),
             "two_vertex_member": (noisy[[-1, 0]], line, False),
         }[case]
-        calls = _counting_distance_matrix(monkeypatch)
+        calls = _counting_frechet(monkeypatch)
         got = merging._orient(src, base)
         assert got.tobytes() == reference_orient(src, base).tobytes()
-        assert (calls == []) == decided
+        # the path settles the member with no DF, or both DFs decide
+        assert len(calls) == (0 if decided else 2)
 
     def test_forward_members_of_a_block_drive_skip_the_matrix(self, monkeypatch):
         # the benchmark's block scene: 30 views of one block, folded into
@@ -474,7 +469,7 @@ class TestOrientationCertificate:
             return got
 
         monkeypatch.setattr(merging, "_orient", recording)
-        calls = _counting_distance_matrix(monkeypatch)
+        calls = _counting_frechet(monkeypatch)
         main = VectorMap((), "world")
         config = MergeConfig(smoothing_enabled=True)
         for view in views:
