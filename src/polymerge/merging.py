@@ -5,10 +5,10 @@ of four cases: midpoint insertion inside a segment, midpoint replacement
 of a hit vertex, or extension past the first or last vertex.  Chains of
 mutually close elements collapse into a single merged element.
 
-The line chains of a merge pass fold in lockstep: one step folds the next
-source vertex of every chain, projected onto all of its chain's current
-segments in one dense kernel call.  Its crossing chains are fused in
-stacked groups (``quads._fuse_crossings``).
+The line chains of a merge pass fold in lockstep (``_fold_chains``): one
+step folds the next source vertex of every chain, projected onto all of
+its chain's current segments in one dense kernel call.  Its crossing
+chains are fused in stacked groups (``quads._fuse_crossings``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (_DEGENERATE_SQ, _budget_groups, _require_finite_positive, _require_number,
-                       _segment_feet, arc_length, as_points)
+                       _segment_feet, as_points)
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
 from .geometry import project_point_to_polyline as project_point_to_polyline
@@ -142,32 +142,37 @@ def merge_polyline(source, base, scenario_counts=None) -> np.ndarray:
     return out
 
 
-def _fold_order(members: list[MapElement]) -> tuple[MapElement, list[MapElement]]:
-    """The chain's base and its other members in fold order, measuring each
-    member's arc length at most once."""
+def _fold_order(members: list[MapElement], length: dict) -> tuple[MapElement, list[MapElement]]:
+    """The chain's base and its other members in fold order, by the arc
+    length ``length[id(el)]`` of each member."""
     mains = [el for el in members if el.is_main]
-    lone = mains[0] if len(mains) == 1 else None
-    length = {id(el): arc_length(el.points) for el in members if el is not lone}
-    base = lone or min(mains or members, key=lambda el: (-length[id(el)], el.id))
+    base = min(mains or members, key=lambda el: (-length[id(el)], el.id))
     # a stable sort: members of equal length keep their chain order
     rest = sorted((el for el in members if el is not base), key=lambda el: -length[id(el)])
     return base, rest
 
 
-def _lattice_path(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cells (i_k, j_k) of one monotone coupling of an n-vertex and an
-    m-vertex chain, n + m >= 3: ``i_k = k * (n - 1) // (n + m - 2)`` and
-    ``j_k = k - i_k`` for k = 0 .. n + m - 2, unit steps from (0, 0) to
-    (n - 1, m - 1)."""
-    k = np.arange(n + m - 1)
+def _runs(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The run of every item of runs of ``sizes`` items laid end to end, and
+    its index within that run."""
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    return run, np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run]
+
+
+def _lattice_path(n, m, k) -> tuple[np.ndarray, np.ndarray]:
+    """The cells (i_k, j_k) at the steps ``k`` of one monotone coupling of
+    an n-vertex and an m-vertex chain, n + m >= 3: ``i_k = k * (n - 1) //
+    (n + m - 2)`` and ``j_k = k - i_k`` for k = 0 .. n + m - 2, unit steps
+    from (0, 0) to (n - 1, m - 1); n, m and k may be arrays alike."""
     i = k * (n - 1) // (n + m - 2)
     return i, k - i
 
 
-def _orient(src: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """``src`` in the vertex order it is folded in: reversed when the
-    reversed order has the strictly smaller discrete Frechet distance (DF)
-    to ``base``.
+def _flips(src, n, cells, first, size) -> np.ndarray:
+    """Whether each member of ``src``, members of ``n`` vertices laid end to
+    end, folds reversed: when the reversed order has the strictly smaller
+    discrete Frechet distance (DF) to its base, the ``size`` columns of
+    ``cells``, rows x and y, from column ``first``.
 
     Every coupling contains both end pairs, so the reversed DF is at least
     ``lb``, the larger of the distances from the member's last vertex to
@@ -181,21 +186,22 @@ def _orient(src: np.ndarray, base: np.ndarray) -> np.ndarray:
     so each has the bits of the DPs' entry; this settles most members.
     Otherwise both DPs decide.
     """
-    i, j = _lattice_path(len(src), len(base))
-    i = np.append(i, (len(src) - 1, 0))
-    j = np.append(j, (0, len(base) - 1))
-    dx = src[i, 0] - base[j, 0]
-    dy = src[i, 1] - base[j, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    path = np.sqrt(dx, out=dx)
-    lb = max(path.item(-2), path.item(-1))
-    if not (path[:-2] > lb).any():
-        return src
-    if discrete_frechet(src[::-1], base) < discrete_frechet(src, base):
-        return src[::-1]
-    return src
+    # each member's block: its two end pairs, then its lattice-path cells
+    block = n + size + 1
+    run, k = _runs(block)
+    nn, mm, off, k = n[run], size[run], np.cumsum(n) - n, k - 2
+    i, j = _lattice_path(nn, mm, k)
+    i = np.where(k < 0, (k == -2) * (nn - 1), i) + off[run]
+    j = np.where(k < 0, (k == -1) * (mm - 1), j) + first[run]
+    dx, dy = src[i, 0] - cells[0, j], src[i, 1] - cells[1, j]
+    path = np.sqrt(dx * dx + dy * dy)
+    start = np.cumsum(block) - block
+    lb, worst = np.maximum.reduceat(path, np.stack([start, start + 2], axis=1).ravel()).reshape(-1, 2).T
+    flip = worst > lb
+    for r in np.flatnonzero(flip).tolist():
+        p, base = src[off[r]:off[r] + n[r]], cells[:, first[r]:first[r] + size[r]].T
+        flip[r] = discrete_frechet(p[::-1], base) < discrete_frechet(p, base)
+    return flip
 
 
 def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
@@ -207,7 +213,7 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     when its reversed orientation is closer to the base in Frechet distance.
     Smoothing, when enabled, is skipped where it would leave the line with
     no length.  The result keeps the base's id and label and is flagged as
-    main.
+    main.  It is ``_fold_chains`` of one chain.
     """
     members = list(chain)
     if len(members) < 2:
@@ -218,22 +224,39 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     label = members[0].label
     if label == LABEL_PED_CROSSING:
         raise ValueError("crossing chains are merged via merge_quads")
-
-    base_el, rest = _fold_order(members)
-    [(base, counts)] = _fold_lockstep([(base_el.points, [el.points for el in rest])])
-    return _chain_element(members, base_el, base, counts, config, report)
+    [(base_el, base, counts)] = _fold_chains([members], config)
+    return _chain_element(members, base_el, base, counts, report)
 
 
-def _chain_element(members, base_el: MapElement, base: np.ndarray, counts: dict[int, int],
-                   config: MergeConfig, report) -> MapElement:
-    """The element a chain whose members folded into ``base`` merges to:
-    smoothed when enabled, and recorded in the report."""
+def _fold_chains(chains, config: MergeConfig) -> list[tuple[MapElement, np.ndarray, dict[int, int]]]:
+    """``merge_chain``'s rule on each chain of ``chains``, member lists: its
+    base element, line and scenario counts.  Arc lengths, fold and
+    smoothing each run once over all the chains."""
+    members = [el for chain in chains for el in chain]
+    step = np.linalg.norm(np.diff(np.concatenate([el.points for el in members]), axis=0), axis=1)
+    # each member's own steps, a contiguous slice: the pairwise sum of ``arc_length``
+    ends = np.cumsum([len(el.points) for el in members]).tolist()
+    length = {id(el): step[b - len(el.points):b - 1].sum() for el, b in zip(members, ends)}
+    orders = [_fold_order(chain, length) for chain in chains]
+    lines, counts = map(list, zip(*_fold_lockstep([(b.points, [el.points for el in r]) for b, r in orders])))
     if config.smoothing_enabled:
-        smoothed = smooth(base, _SMOOTHING_WINDOW)
-        # a line back at its start can average onto that point: no length left
+        sizes = np.array([len(line) for line in lines])
+        stops = np.cumsum(sizes)
+        smoothed = _smooth_runs(np.concatenate(lines), sizes, _SMOOTHING_WINDOW)
+        # a line back at its start can average onto that point: no length
+        # left; each line tests its own steps, not the step into the next
         steps = smoothed[1:] - smoothed[:-1]
-        if (steps * steps).any():
-            base = smoothed
+        moves = (steps * steps).any(axis=1)
+        moves[stops[:-1] - 1] = False
+        # a kept line is copied out, so that its element pins no group array
+        for c in np.flatnonzero(np.logical_or.reduceat(moves, stops - sizes)).tolist():
+            lines[c] = smoothed[stops[c] - sizes[c]:stops[c]].copy()
+    return [(base, line, c) for (base, _), line, c in zip(orders, lines, counts)]
+
+
+def _chain_element(members, base_el: MapElement, base: np.ndarray, counts: dict, report) -> MapElement:
+    """The element a chain whose members merged to ``base`` becomes,
+    recorded in the report."""
     if report is not None:
         report.add_chain(
             label=base_el.label,
@@ -248,9 +271,9 @@ def _chain_element(members, base_el: MapElement, base: np.ndarray, counts: dict[
 def _fold_lockstep(folds, orient=True) -> list[tuple[np.ndarray, dict[int, int]]]:
     """Each (base, members in fold order) of ``folds``, point arrays, folded
     by ``merge_polyline``'s rule, with every chain's next source vertex folded
-    in the same step: each chain's polyline and scenario counts.  Each member
-    is first put in ``_orient``'s vertex order, or, with ``orient`` false,
-    folds in its given order.
+    in the same step: each chain's polyline and scenario counts.  Each
+    member is first put in ``_flips``'s vertex order, or, with ``orient``
+    false, folds in its given order.
 
     Row r holds a chain's current polyline, padded to the group's largest
     capacity.  Each step projects every row's source vertex onto all of
@@ -260,8 +283,8 @@ def _fold_lockstep(folds, orient=True) -> list[tuple[np.ndarray, dict[int, int]]
     current segment, the lowest index on ties.  The four scenarios then
     update every row at once: a midpoint inserted after the foot's segment,
     a hit vertex moved, or a foot on an end segment's line put before the
-    first or after the last vertex.  A member is oriented when its first
-    vertex is due, against its chain's polyline as it is then.  Rows run in
+    first or after the last vertex.  The members due at a step are oriented
+    at once, each against its chain's polyline as it is then.  Rows run in
     decreasing number of steps, so the chains still folding are always the
     leading rows.
     """
@@ -289,10 +312,12 @@ def _fold_lockstep(folds, orient=True) -> list[tuple[np.ndarray, dict[int, int]]
             step += len(member)
     rows = len(folds)
     for step in range(total[0]):
-        for r, member in starts.get(step, ()):
-            if orient:
-                member = _orient(member, pts[r, :size[r]])
-            src[:, r, step:step + len(member)] = member.T
+        if step in starts:
+            due, members = zip(*starts[step])
+            due, lens, stack = np.array(due), np.array([len(p) for p in members]), np.concatenate(members)
+            flip = _flips(stack, lens, cells, row_start[due], size[due]) if orient else lens < 0
+            run, i = _runs(lens)
+            src[:, due[run], step + np.where(flip[run], lens[run] - 1 - i, i)] = stack.T
         while total[rows - 1] <= step:
             rows -= 1
         sz, first, n = size[:rows], row_start[:rows], size[:rows].max()
@@ -347,10 +372,8 @@ def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[
     folded: dict[int, tuple] = {}
     for group in _budget_groups([(1, sum(len(el.points) for el in members_of[c])) for c in line],
                                 _BLOCK_CELLS):
-        orders = [_fold_order(members_of[line[k]]) for k in group]
-        folds = _fold_lockstep([(base_el.points, [el.points for el in rest]) for base_el, rest in orders])
-        for k, (base_el, _), (base, counts) in zip(group, orders, folds):
-            folded[line[k]] = (base_el, base, counts)
+        folded.update(zip([line[k] for k in group], _fold_chains([members_of[line[k]] for k in group],
+                                                                 config)))
     # chain index -> fused corners of every crossing chain, None to fall back
     fused = dict(zip(crossing, _fuse_crossings([el.points for c in crossing for el in members_of[c]],
                                                [len(members_of[c]) for c in crossing], config,
@@ -371,7 +394,7 @@ def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[
         if members[0].label == LABEL_PED_CROSSING:
             out.append(_crossing_element(members, fused[c_idx], report))
         else:
-            out.append(_chain_element(members, *folded[c_idx], config, report))
+            out.append(_chain_element(members, *folded[c_idx], report))
     return out
 
 
@@ -414,12 +437,18 @@ def smooth(points, window: int) -> np.ndarray:
     if not isinstance(window, (int, np.integer)) or window < 3 or window % 2 == 0:
         raise ValueError(f"window must be an odd integer >= 3, got {window!r}")
     pts = as_points(points)
-    n = len(pts)
+    return _smooth_runs(pts, [len(pts)], window)
+
+
+def _smooth_runs(pts: np.ndarray, sizes, window: int) -> np.ndarray:
+    """``smooth`` of every polyline of ``pts``, polylines of ``sizes``
+    vertices laid end to end, in one pass: a window never leaves its line."""
+    run, i = _runs(sizes)
+    n = np.asarray(sizes)[run]
     out = pts.copy()
-    inner = np.arange(1, n - 1)
-    halves = np.minimum(np.minimum(inner, n - 1 - inner), window // 2)
+    halves = np.minimum(np.minimum(i, n - 1 - i), window // 2)
     for half in range(1, window // 2 + 1):
-        idx = inner[halves == half]
+        idx = np.flatnonzero(halves == half)
         # rows summed left to right, then divided: the bits np.mean gives
         total = pts[idx - half]
         for k in range(1 - half, half + 1):

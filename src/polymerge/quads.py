@@ -544,22 +544,23 @@ def _convex_hulls(x: np.ndarray, y: np.ndarray, point_set: np.ndarray, n_sets: i
     counter-clockwise, no duplicate endpoint; the distinct points
     themselves when fewer than 3.
 
-    Only the leftmost and rightmost point of each distinct y go on: a
+    Only the leftmost and rightmost points of each distinct y go on: a
     point between two others of its row lies on the segment joining them,
     so it is never a strict hull vertex.  Two sorts, each one call over
     every set, are still needed: the rows by the bits of y, which rounding
     can order other than the grid rows an outline comes in, and the walk's
-    order by x, then y.  Equal points keep the first, as
-    ``np.unique(axis=0)`` does for rows with equal bits.  The lower walk
-    skips the points strictly inside the lower half of the set's octagon
-    and the upper walk those inside the upper half (``_octagon_sides``);
-    the walk's turn tests decide the hull.
+    order by x, then y.  Of equal points (``0.0`` equals ``-0.0``) the
+    first in input order stays.  The lower walk skips the points strictly
+    inside the lower half of the set's octagon and the upper walk those
+    inside the upper half (``_octagon_sides``); the walk's turn tests
+    decide the hull.
     """
     order = np.lexsort((x, y, point_set))
     x, y, point_set = x[order], y[order], point_set[order]
     ends = np.ones(len(x) + 1, dtype=bool)
     ends[1:-1] = (y[1:] != y[:-1]) | (point_set[1:] != point_set[:-1])
-    keep = ends[:-1] | ends[1:]
+    row = np.cumsum(ends[:-1]) - 1
+    keep = (x == x[ends[:-1]][row]) | (x == x[ends[1:]][row])
     x, y, point_set = x[keep], y[keep], point_set[keep]
     order = np.lexsort((y, x, point_set))
     x, y, point_set = x[order], y[order], point_set[order]

@@ -232,8 +232,13 @@ def pcm_offset_sweep(p, q, step: float = 0.01) -> float:
 def monotone_chain_hull(points) -> np.ndarray:
     """Andrew's monotone chain over every distinct point, without the
     row-extremes trim: counter-clockwise strict vertices from the smallest
-    (x, y)."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    (x, y).  Of equal points (``0.0`` equals ``-0.0``) the first in input
+    order stays: a stable sort by (x, y) puts it first."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[fresh]
     if len(pts) < 3:
         return pts
 

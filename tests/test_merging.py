@@ -17,6 +17,7 @@ from polymerge import (
     MergeConfig,
     MergeReport,
     VectorMap,
+    arc_length,
     discrete_frechet,
     merge_chain,
     merge_maps,
@@ -358,6 +359,21 @@ _OVERFLOWING_CHAIN = [
 ]
 
 
+def _oriented(src, base):
+    """``src`` in the vertex order the fold takes it in against ``base``:
+    ``merging._flips`` of one member."""
+    flip = merging._flips(src, np.array([len(src)]), base.T, np.zeros(1, int), np.array([len(base)]))
+    return src[::-1] if flip[0] else src
+
+
+def _reference_flips(src, n, cells, first, size):
+    """``merging._flips`` by ``oracles.reference_orient``, member by member."""
+    offsets = np.cumsum(n) - n
+    members = [src[o:o + k] for o, k in zip(offsets.tolist(), n.tolist())]
+    bases = [cells[:, f:f + m].T for f, m in zip(first.tolist(), size.tolist())]
+    return np.array([reference_orient(p, b) is not p for p, b in zip(members, bases)], dtype=bool)
+
+
 class TestOrientation:
     @settings(max_examples=400, deadline=None)
     @given(_orientation_chains(), st.booleans())
@@ -368,7 +384,7 @@ class TestOrientation:
         # the rule alone, at every scale: each member against each other one
         with np.errstate(over="ignore", invalid="ignore"):
             for src, base in itertools.permutations([el.points for el in chain], 2):
-                assert merging._orient(src, base).tobytes() == reference_orient(src, base).tobytes()
+                assert _oriented(src, base).tobytes() == reference_orient(src, base).tobytes()
         # the rule inside the fold, on chains up to the 1e150 scale (lattice
         # coordinates reach 4), as in the fold property; the fold overflows
         # on the 1e155 and 1e300 chains
@@ -377,7 +393,8 @@ class TestOrientation:
         config = MergeConfig(smoothing_enabled=smoothing)
         got_report, want_report = MergeReport(), MergeReport()
         got = merge_chain(chain, config, got_report)
-        with mock.patch.object(merging, "_orient", reference_orient):
+        # the fold's stacked orientation replaced by the reference rule
+        with mock.patch.object(merging, "_flips", _reference_flips):
             want = merge_chain(chain, config, want_report)
         assert got.id == want.id
         assert got.points.shape == want.points.shape
@@ -416,7 +433,7 @@ class TestOrientationCertificate:
     def test_lattice_path_is_a_coupling(self, n, m):
         if n + m < 3:
             return
-        i, j = merging._lattice_path(n, m)
+        i, j = merging._lattice_path(n, m, np.arange(n + m - 1))
         assert len(i) == len(j) == n + m - 1
         assert (i[0], j[0]) == (0, 0)
         assert (i[-1], j[-1]) == (n - 1, m - 1)
@@ -444,7 +461,7 @@ class TestOrientationCertificate:
             "two_vertex_member": (noisy[[-1, 0]], line, False),
         }[case]
         calls = _counting_frechet(monkeypatch)
-        got = merging._orient(src, base)
+        got = _oriented(src, base)
         assert got.tobytes() == reference_orient(src, base).tobytes()
         # the path settles the member with no DF, or both DFs decide
         assert len(calls) == (0 if decided else 2)
@@ -452,32 +469,204 @@ class TestOrientationCertificate:
     def test_forward_members_of_a_block_drive_skip_the_matrix(self, monkeypatch):
         # the benchmark's block scene: 30 views of one block, folded into
         # the main map one at a time
-        bench_dir = str(Path(__file__).resolve().parent.parent / "bench")
-        sys.path.insert(0, bench_dir)
-        try:
-            import scenes
-        finally:
-            sys.path.remove(bench_dir)
+        scenes = _bench_scenes()
         gt = scenes.ground_truth(scenes.BLOCK)
         views = scenes.views(scenes.BLOCK, gt, 0)
-        oriented = []
-        orient = merging._orient
+        flipped = []
+        flips = merging._flips
 
-        def recording(src, base):
-            got = orient(src, base)
-            oriented.append(got is src)
+        def recording(*args):
+            got = flips(*args)
+            flipped.extend(got.tolist())
             return got
 
-        monkeypatch.setattr(merging, "_orient", recording)
+        monkeypatch.setattr(merging, "_flips", recording)
         calls = _counting_frechet(monkeypatch)
         main = VectorMap((), "world")
         config = MergeConfig(smoothing_enabled=True)
         for view in views:
             main = merge_maps(main, [view], config)
         # every view runs along the lines, so every member keeps its order
-        assert len(oriented) > 100 and all(oriented)
+        assert len(flipped) > 100 and not any(flipped)
         assert calls == []
 
+
+def _bench_scenes():
+    """The benchmark's scene module, ``bench/scenes.py``."""
+    bench_dir = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench_dir)
+    try:
+        import scenes
+    finally:
+        sys.path.remove(bench_dir)
+    return scenes
+
+
+def _path_settles(src, base) -> bool:
+    """The lattice-path certificate of one member on Python floats: no
+    distance on the coupling ``_lattice_path`` exceeds the larger end-pair
+    distance of the reversed member."""
+    (n, m), src, base = (len(src), len(base)), src.tolist(), base.tolist()
+
+    def dist(a, b):
+        dx, dy = a[0] - b[0], a[1] - b[1]
+        return math.sqrt(dx * dx + dy * dy)
+
+    bound = max(dist(src[-1], base[0]), dist(src[0], base[-1]))
+    steps = [(k * (n - 1) // (n + m - 2), k) for k in range(n + m - 1)]
+    return all(dist(src[i], base[k - i]) <= bound for i, k in steps)
+
+
+@st.composite
+def _stacked_lines(draw, max_size=60, min_lines=1):
+    """``min_lines`` to 12 random lines of 2 to ``max_size`` vertices, each
+    drawn on its own scale and offset."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = []
+    for _ in range(draw(st.integers(min_lines, 12))):
+        n = draw(st.integers(2, max_size))
+        scale = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+        offset = draw(st.sampled_from([0.0, 1e3, -1e6]))
+        lines.append(np.cumsum(rng.normal(0.0, scale, (n, 2)), axis=0) + offset)
+    return lines
+
+
+@st.composite
+def _line_chains(draw):
+    """1 to 12 divider chains, each a random line and 1 to 3 noisy copies,
+    some reversed, the first member main or not; and, when drawn, the pair
+    of ``_COLLAPSING_PAIR``, whose smoothed line collapses onto its start,
+    at a drawn place among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chains = []
+    for c, line in enumerate(draw(_stacked_lines(max_size=30))):
+        members = [line] + [line + rng.normal(0.0, 0.3, line.shape) for _ in range(draw(st.integers(1, 3)))]
+        main = draw(st.booleans())
+        chains.append([MapElement(f"c{c}m{k}", "divider", p[::-1] if draw(st.booleans()) else p,
+                                  is_main=main and k == 0) for k, p in enumerate(members)])
+    if draw(st.booleans()):
+        chains.insert(draw(st.integers(0, len(chains))), _COLLAPSING_PAIR)
+    return chains
+
+
+def _circle(n: int) -> np.ndarray:
+    """A closed loop of n vertices, radius 5 m: the last vertex is the first."""
+    angles = np.linspace(0.0, 2.0 * np.pi, n)
+    loop = np.column_stack([5.0 * np.cos(angles), 5.0 * np.sin(angles)])
+    loop[-1] = loop[0]
+    return loop
+
+
+class TestStackedStages:
+    """The stages a merge pass runs over all its line chains at once (arc
+    lengths, orientation, smoothing) against their rules for one item."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_stacked_lines(max_size=300, min_lines=2))
+    def test_arc_lengths_equal_arc_length_bitwise(self, lines):
+        # chains of 2 consecutive lines, the last one of 3 when they are odd
+        cuts = list(range(0, len(lines) - 1, 2))
+        chains = [[MapElement(f"c{a}m{k}", "divider", p) for k, p in enumerate(lines[a:b])]
+                  for a, b in zip(cuts, cuts[1:] + [len(lines)])]
+        seen = {}
+        fold_order = merging._fold_order
+
+        def recording(members, length):
+            seen.update({el.id: (el.points, length[id(el)]) for el in members})
+            return fold_order(members, length)
+
+        with mock.patch.object(merging, "_fold_order", recording):
+            merging._fold_chains(chains, MergeConfig())
+        assert len(seen) == len(lines)
+        for points, length in seen.values():
+            assert float(length).hex() == arc_length(points).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacked_lines(), st.sampled_from([3, 5, 7, 9]))
+    def test_smoothing_matches_reference_per_line(self, lines, window):
+        got = merging._smooth_runs(np.concatenate(lines), [len(p) for p in lines], window)
+        want = np.concatenate([reference_smooth(p, window) for p in lines])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_line_chains())
+    @example([_COLLAPSING_PAIR])
+    def test_smoothing_guard_is_per_chain(self, chains):
+        folded = merging._fold_chains(chains, MergeConfig())
+        got = merging._fold_chains(chains, MergeConfig(smoothing_enabled=True))
+        for chain, (base_el, line, counts), (got_base, got_line, got_counts) in zip(chains, folded, got):
+            smoothed = reference_smooth(line, merging._SMOOTHING_WINDOW)
+            steps = smoothed[1:] - smoothed[:-1]
+            want = smoothed if (steps * steps).any() else line
+            # the collapsing pair keeps its fold, and only it does
+            assert (want is line) == (chain is _COLLAPSING_PAIR)
+            assert got_base is base_el and got_counts == counts
+            assert got_line.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["forward", "reversed", "loop", "loop_reversed"]),
+                              st.integers(2, 30), st.integers(2, 30), st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=12))
+    def test_mixed_orientation_batch_matches_reference(self, specs):
+        # noisy copies of open lines settle on the lattice path, reversed
+        # ones and loops (end pairs about 0 apart) need both DFs
+        members, bases = [], []
+        for kind, n, m, seed in specs:
+            rng = np.random.default_rng(seed)
+            if kind.startswith("loop"):
+                base, src = _circle(m), _circle(n)
+            else:
+                length, slope = rng.uniform(5.0, 40.0), rng.uniform(-0.3, 0.3)
+                shift = rng.uniform(-1e3, 1e3, 2)
+                base, src = (np.column_stack([xs, slope * xs]) + shift
+                             for xs in (np.linspace(0.0, length, m), np.linspace(0.0, length, n)))
+            src = src + rng.normal(0.0, 0.2, src.shape)
+            members.append(src[::-1] if kind.endswith("reversed") else src)
+            bases.append(base)
+        n, size = np.array([len(p) for p in members]), np.array([len(b) for b in bases])
+        calls = []
+
+        def counting(p, q):
+            calls.append((len(p), len(q)))
+            return discrete_frechet(p, q)
+
+        with mock.patch.object(merging, "discrete_frechet", counting):
+            flip = merging._flips(np.concatenate(members), n, np.concatenate(bases).T,
+                                  np.cumsum(size) - size, size)
+        assert flip.tolist() == [reference_orient(p, b) is not p for p, b in zip(members, bases)]
+        # both DFs run for each member the lattice path leaves, and only then
+        assert calls == [(len(p), len(b)) for p, b in zip(members, bases) if not _path_settles(p, b)
+                         for _ in range(2)]
+
+    def test_bench_grid_scene_runs_no_per_chain_stage(self, monkeypatch):
+        # the benchmark's grid scene at seed 0: one merge_maps call measures,
+        # orients and smooths its line chains only in stacked passes
+        scenes = _bench_scenes()
+        views = scenes.views(scenes.GRID, scenes.ground_truth(scenes.GRID), 0)
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append((name, len(args[1]) if name == "_flips" else 1))
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "polymerge"]:
+            if hasattr(module, "arc_length"):
+                monkeypatch.setattr(module, "arc_length", counting("arc_length", module.arc_length))
+        for name in ("smooth", "_fold_chains", "_flips", "_smooth_runs"):
+            monkeypatch.setattr(merging, name, counting(name, getattr(merging, name)))
+        report = MergeReport()
+        merge_maps(VectorMap((), "world"), views, MergeConfig(smoothing_enabled=True), report)
+        per_chain = sum(c.kind == "polyline" for c in report.chains)
+        count = {name: sum(1 for n, _ in calls if n == name) for name, _ in calls}
+        oriented = sum(k for n, k in calls if n == "_flips")
+        # no per-member length or per-chain smoothing: one smoothing per
+        # group, and one orientation test for all members due at a step
+        # (seed 0: 377 members of 144 chains in 8 tests)
+        assert per_chain > 100 and "arc_length" not in count and "smooth" not in count
+        assert count["_smooth_runs"] == count["_fold_chains"] < per_chain
+        assert oriented > per_chain and oriented > 10 * count["_flips"]
 
 class TestMergeChain:
     def test_main_element_is_base(self, config):

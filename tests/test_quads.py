@@ -543,8 +543,9 @@ class TestMinRotatedRect:
 
 class TestConvexHull:
     """The row-extremes trim and the dedupe give the bytes of the monotone
-    chain over ``np.unique(points, axis=0)``: ``tobytes`` sees a flipped
-    sign of zero, which ``np.array_equal`` does not."""
+    chain over the distinct points, the first of equal ones in input order:
+    ``tobytes`` sees a flipped sign of zero, which ``np.array_equal`` does
+    not."""
 
     def test_trimmed_hull_equals_untrimmed_random(self):
         rng = np.random.default_rng(59)
@@ -599,6 +600,16 @@ class TestConvexHull:
         # duplicates that leave fewer than 3 distinct points
         [[1, 2], [1, 2], [1, 2]],
         [[-0.0, 0.5], [3, 0.5], [-0.0, 0.5], [3, 0.5]],
+        # 22 points near the origin on a 0.05 m lattice: (0.2, 0.0) and then
+        # (0.2, -0.0) end the row y = 0 and lie on the hull, and the first
+        # one in input order stays
+        [[0.25, 0.1], [-0.25, 0.05], [-0.0, 0.2], [-0.25, -0.05], [-0.0, 0.25], [0.2, 0.0],
+         [-0.2, 0.15000000000000002], [-0.15000000000000002, -0.1], [-0.2, -0.15000000000000002],
+         [-0.0, -0.15000000000000002], [-0.15000000000000002, 0.1], [0.05, -0.25], [0.1, 0.25],
+         [0.1, 0.15000000000000002], [-0.15000000000000002, -0.05],
+         [0.15000000000000002, 0.30000000000000004], [0.2, 0.2], [0.1, -0.0],
+         [0.15000000000000002, 0.25], [0.2, -0.0], [-0.2, -0.30000000000000004],
+         [0.2, 0.30000000000000004]],
     ])
     def test_duplicated_rows_keep_their_bits(self, pts):
         pts = np.array(pts, dtype=float)
