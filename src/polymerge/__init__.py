@@ -11,10 +11,10 @@ from .map_model import (
     save_map,
     to_world,
 )
-from .merging import MergeConfig, MergeReport, merge_chain, merge_maps, merge_polyline, smooth
+from .merging import MergeConfig, MergeReport, merge_chain, merge_maps, merge_polyline, merge_quads, smooth
 from .metrics import discrete_frechet, evaluate_map, match_elements, pcm
 from .proximity import build_graph, merge_chains, polyline_merge_check
-from .quads import merge_quads, min_rotated_rect, rasterize_coverage
+from .quads import min_rotated_rect, rasterize_coverage
 from .synth import NoiseConfig, generate_instances, straight_path_poses, write_instances
 
 __version__ = "0.1.0"

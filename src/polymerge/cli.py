@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 
 import click
 import numpy as np
@@ -205,6 +206,14 @@ def eval_cmd(est_path, gt_path, th_prox, out_path, plot_path):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def synth(gt_path, n_instances, sigma, dropout, window, seed, out_dir):
     """Generate noisy windowed instances of a ground-truth map."""
+    # an earlier run's instance k >= n would sit beside this run's poses.json
+    # and be read as one of its views: refuse before anything is written
+    names = os.listdir(out_dir) if os.path.isdir(out_dir) else []
+    found = (re.fullmatch(r"instance_(\d+)\.json", name) for name in names)
+    stale = [int(m[1]) for m in found if m and int(m[1]) >= n_instances]
+    if stale:
+        raise click.BadParameter(f"{os.path.join(out_dir, f'instance_{min(stale)}.json')} is left from "
+                                 "an earlier run with more instances", param_hint="'--out'")
     window_wh = _parse_window(window)
     gt = _load(gt_path)
     cfg = NoiseConfig(sigma=sigma, dropout=dropout, window=window_wh, seed=seed)

@@ -24,6 +24,10 @@ __all__ = [
 
 # below this squared length a segment is treated as a single point
 _DEGENERATE_SQ = 1e-12 ** 2
+# cells of a stacked group of ``_budget_groups``: a lockstep group's (chains,
+# capacity) arrays or a crossing group's blurred stack, so that memory stays
+# bounded when many chains are stacked at once
+_BLOCK_CELLS = 1 << 16
 
 
 def as_points(points) -> np.ndarray:
@@ -177,18 +181,18 @@ def _kernel_slack(scale: float) -> float:
     return 1e-12 * scale + 1e-150
 
 
-def _budget_groups(sizes, budget: int) -> list[list[int]]:
+def _budget_groups(sizes) -> list[list[int]]:
     """Indices of ``sizes``, (rows, width) blocks, in groups to stack row-wise.
 
     Sorted by width, the blocks fill groups in turn, each as long as its
-    summed rows times its largest width stay within ``budget`` cells; a
+    summed rows times its largest width stay within ``_BLOCK_CELLS``; a
     block over the budget on its own forms a group of its own.  No blocks
     give no group.
     """
     groups, group, rows = [], [], 0
     for k in sorted(range(len(sizes)), key=lambda k: sizes[k][1]):
         height, width = sizes[k]
-        if group and (rows + height) * width > budget:
+        if group and (rows + height) * width > _BLOCK_CELLS:
             groups.append(group)
             group, rows = [], 0
         group.append(k)

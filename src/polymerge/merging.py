@@ -5,10 +5,12 @@ of four cases: midpoint insertion inside a segment, midpoint replacement
 of a hit vertex, or extension past the first or last vertex.  Chains of
 mutually close elements collapse into a single merged element.
 
-The line chains of a merge pass fold in lockstep (``_fold_chains``): one
-step folds the next source vertex of every chain, projected onto all of
-its chain's current segments in one dense kernel call.  Its crossing
-chains are fused in stacked groups (``quads._fuse_crossings``).
+A merge pass makes one call per kernel: its line chains fold in lockstep
+(``_fold_chains``), one step folding the next source vertex of every
+chain onto all of its chain's current segments in one dense kernel call,
+and its crossing chains are fused on coverage grids
+(``quads._fuse_crossings``).  ``_chain_element`` turns every merged chain
+into its element and its report record.
 """
 
 from __future__ import annotations
@@ -28,26 +30,20 @@ from .proximity import build_graph, merge_chains
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.polyline_merge_check``.
 from .proximity import polyline_merge_check as polyline_merge_check
-from .quads import _crossing_element, _fuse_crossings
-# Re-exported as a module attribute: the benchmark's per-layer trace wraps
-# ``polymerge.merging.merge_quads``; a merge pass no longer calls it.
-from .quads import merge_quads as merge_quads
+from .quads import _fuse_crossings, quad_area
 
 __all__ = [
     "MergeConfig",
     "MergeReport",
     "merge_polyline",
     "merge_chain",
+    "merge_quads",
     "merge_maps",
     "smooth",
 ]
 
 # moving-average window of the optional smoothing step
 _SMOOTHING_WINDOW = 5
-# cells of a lockstep group's (chains, capacity) arrays and of a crossing
-# group's blurred stack, so that memory stays bounded when many chains are
-# stacked at once
-_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,9 +87,6 @@ class MergeReport:
     chains: list[ChainRecord] = field(default_factory=list)
     isolated: list[str] = field(default_factory=list)
     passes: int = 0
-
-    def add_chain(self, label, members, base_id, kind, scenarios=None, fallback=False):
-        self.chains.append(ChainRecord(label, members, base_id, kind, scenarios, fallback))
 
     def to_dict(self) -> dict:
         return {
@@ -221,24 +214,67 @@ def merge_chain(chain, config: MergeConfig, report=None) -> MapElement:
     labels = {el.label for el in members}
     if len(labels) != 1:
         raise ValueError(f"chain mixes labels: {sorted(labels)}")
-    label = members[0].label
-    if label == LABEL_PED_CROSSING:
+    if members[0].label == LABEL_PED_CROSSING:
         raise ValueError("crossing chains are merged via merge_quads")
-    [(base_el, base, counts)] = _fold_chains([members], config)
-    return _chain_element(members, base_el, base, counts, report)
+    [folded] = _fold_chains([members], config)
+    return _chain_element(members, report, *folded)
+
+
+def merge_quads(chain, config: MergeConfig, report=None) -> MapElement:
+    """Merge a chain of pedestrian-crossing elements into one rectangle.
+
+    The result keeps the id of the chain's main element when one exists
+    (else the lexicographically smallest id) and is flagged as main.  When
+    no cell reaches the coverage threshold the largest input quad passes
+    through unchanged and the fallback is recorded in the report.  The
+    kernel is ``quads._fuse_crossings`` on a group of one chain.
+    """
+    members = list(chain)
+    if len(members) < 2:
+        raise ValueError("a merge chain needs at least 2 elements")
+    for el in members:
+        if el.label != LABEL_PED_CROSSING:
+            raise ValueError(f"element '{el.id}' is not a {LABEL_PED_CROSSING}")
+    _require_finite_positive("cell_size", config.cell_size)
+    [corners] = _fuse_crossings([el.points for el in members], [len(members)], config)
+    return _chain_element(members, report, None, corners)
+
+
+def _chain_element(members, report, base: MapElement | None, points, scenarios=None) -> MapElement:
+    """The main element a merge chain becomes, recorded in the report.  A
+    line chain keeps the id of its fold ``base``; a crossing chain (no base)
+    that of its main element if any, else its smallest id, and falls back to
+    its largest quad where no cell reached th_cov (``points`` None)."""
+    label, ids = members[0].label, [el.id for el in members]
+    base_id = base.id if base is not None else min([el.id for el in members if el.is_main] or ids)
+    fallback = points is None
+    if fallback:
+        points = max(members, key=lambda el: (quad_area(el.points), el.id)).points
+    if report is not None:
+        kind = "quad" if label == LABEL_PED_CROSSING else "polyline"
+        report.chains.append(ChainRecord(label, ids, base_id, kind, scenarios, fallback))
+    return MapElement(base_id, label, points, is_main=True)
 
 
 def _fold_chains(chains, config: MergeConfig) -> list[tuple[MapElement, np.ndarray, dict[int, int]]]:
     """``merge_chain``'s rule on each chain of ``chains``, member lists: its
-    base element, line and scenario counts.  Arc lengths, fold and
-    smoothing each run once over all the chains."""
+    base element, line and scenario counts.  Arc lengths and smoothing run
+    once over all the chains, the fold once per ``geometry._budget_groups``
+    group, a chain's row as wide as its base plus member vertices, the most
+    its line can reach."""
+    if not chains:
+        return []
     members = [el for chain in chains for el in chain]
     step = np.linalg.norm(np.diff(np.concatenate([el.points for el in members]), axis=0), axis=1)
     # each member's own steps, a contiguous slice: the pairwise sum of ``arc_length``
     ends = np.cumsum([len(el.points) for el in members]).tolist()
     length = {id(el): step[b - len(el.points):b - 1].sum() for el, b in zip(members, ends)}
     orders = [_fold_order(chain, length) for chain in chains]
-    lines, counts = map(list, zip(*_fold_lockstep([(b.points, [el.points for el in r]) for b, r in orders])))
+    folded: dict[int, tuple] = {}
+    for group in _budget_groups([(1, sum(len(el.points) for el in chain)) for chain in chains]):
+        folded.update(zip(group, _fold_lockstep([(orders[c][0].points, [el.points for el in orders[c][1]])
+                                                 for c in group])))
+    lines, counts = map(list, zip(*(folded[c] for c in range(len(chains)))))
     if config.smoothing_enabled:
         sizes = np.array([len(line) for line in lines])
         stops = np.cumsum(sizes)
@@ -252,20 +288,6 @@ def _fold_chains(chains, config: MergeConfig) -> list[tuple[MapElement, np.ndarr
         for c in np.flatnonzero(np.logical_or.reduceat(moves, stops - sizes)).tolist():
             lines[c] = smoothed[stops[c] - sizes[c]:stops[c]].copy()
     return [(base, line, c) for (base, _), line, c in zip(orders, lines, counts)]
-
-
-def _chain_element(members, base_el: MapElement, base: np.ndarray, counts: dict, report) -> MapElement:
-    """The element a chain whose members merged to ``base`` becomes,
-    recorded in the report."""
-    if report is not None:
-        report.add_chain(
-            label=base_el.label,
-            members=[el.id for el in members],
-            base_id=base_el.id,
-            kind="polyline",
-            scenarios=counts,
-        )
-    return MapElement(base_el.id, base_el.label, base, is_main=True)
 
 
 def _fold_lockstep(folds, orient=True) -> list[tuple[np.ndarray, dict[int, int]]]:
@@ -359,42 +381,26 @@ def _fold_lockstep(folds, orient=True) -> list[tuple[np.ndarray, dict[int, int]]
 
 def _run_pass(elements: tuple[MapElement, ...], chains, config, report) -> list[MapElement]:
     by_id = {el.id: el for el in elements}
-    chain_of: dict[str, int] = {}
-    for c_idx, chain in enumerate(chains):
-        for el_id in chain:
-            chain_of[el_id] = c_idx
     members_of = [[by_id[i] for i in chain] for chain in chains]
-    line = [c for c, members in enumerate(members_of) if members[0].label != LABEL_PED_CROSSING]
-    crossing = [c for c, members in enumerate(members_of) if members[0].label == LABEL_PED_CROSSING]
-    # chain index -> (base element, polyline, scenario counts) of every line
-    # chain; a line chain is one row of its capacity (base plus member
-    # vertices, the most its polyline can reach)
-    folded: dict[int, tuple] = {}
-    for group in _budget_groups([(1, sum(len(el.points) for el in members_of[c])) for c in line],
-                                _BLOCK_CELLS):
-        folded.update(zip([line[k] for k in group], _fold_chains([members_of[line[k]] for k in group],
-                                                                 config)))
-    # chain index -> fused corners of every crossing chain, None to fall back
-    fused = dict(zip(crossing, _fuse_crossings([el.points for c in crossing for el in members_of[c]],
-                                               [len(members_of[c]) for c in crossing], config,
-                                               _BLOCK_CELLS)))
-    emitted: set[int] = set()
+    line = [members for members in members_of if members[0].label != LABEL_PED_CROSSING]
+    crossing = [members for members in members_of if members[0].label == LABEL_PED_CROSSING]
+    folded = iter(_fold_chains(line, config))
+    fused = iter(_fuse_crossings([el.points for members in crossing for el in members],
+                                 [len(members) for members in crossing], config))
+    # chains come ordered by their first member, where each stands in the
+    # output; the report records them in that order
+    merged = {chain[0]: _chain_element(members, report, None, next(fused))
+              if members[0].label == LABEL_PED_CROSSING else _chain_element(members, report, *next(folded))
+              for chain, members in zip(chains, members_of)}
+    chained = {i for chain in chains for i in chain}
     out: list[MapElement] = []
     for el in elements:
-        c_idx = chain_of.get(el.id)
-        if c_idx is None:
+        if el.id in merged:
+            out.append(merged[el.id])
+        elif el.id not in chained:
             if not el.is_main and report is not None:
                 report.isolated.append(el.id)
             out.append(el if el.is_main else _trusted(el.id, el.label, el.points, True))
-            continue
-        if c_idx in emitted:
-            continue
-        emitted.add(c_idx)
-        members = members_of[c_idx]
-        if members[0].label == LABEL_PED_CROSSING:
-            out.append(_crossing_element(members, fused[c_idx], report))
-        else:
-            out.append(_chain_element(members, *folded[c_idx], report))
     return out
 
 
@@ -404,8 +410,8 @@ def merge_maps(main: VectorMap, secondaries, config: MergeConfig | None = None, 
     The maps are concatenated, the proximity graph is built, and every
     chain collapses into a single element (crossings via the coverage-grid
     pipeline, everything else via polyline folding).  Each pass stacks its
-    chains in groups that fit ``_BLOCK_CELLS``: the line chains fold in
-    lockstep, the crossing chains are fused group by group.  Isolated
+    chains in groups that fit ``geometry._BLOCK_CELLS``: the line chains
+    fold in lockstep, the crossing chains are fused group by group.  Isolated
     elements pass through unchanged, flagged as main.  Because merging can
     move elements, the pairwise check is re-run on the output and further merge
     passes follow while candidates remain, capped at 3 passes in total.

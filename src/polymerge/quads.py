@@ -1,10 +1,11 @@
-"""Merging pedestrian-crossing quadrilaterals via a coverage grid.
+"""Raster geometry of pedestrian-crossing fusion on a coverage grid.
 
 All observed quads of one chain are rasterized into a shared occupancy
 grid (cell value = fraction of quads covering the cell center), the grid
 is softened with a Gaussian blur in full mode so nothing is cut off at the
 borders, cells above a quantile threshold form the consensus region, and
 the merged crossing is the minimum-area rotated rectangle around it.
+``merging`` turns each rectangle into a map element and a report record.
 
 A merge pass fuses its crossing chains in groups (``_fuse_crossings``),
 each group's grids stacked row-wise in one array, with the same bits as
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _budget_groups, _kernel_slack, _require_finite_positive, _segment_feet
-from .map_model import LABEL_PED_CROSSING, MapElement
 
 __all__ = [
     "EmptyRegionError",
@@ -45,7 +45,6 @@ __all__ = [
     "threshold_region",
     "min_rotated_rect",
     "quad_area",
-    "merge_quads",
 ]
 
 # A cell center this close to a quad edge counts as covered.
@@ -662,15 +661,15 @@ def quad_area(points) -> float:
     return abs(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
 
 
-def _fuse_crossings(quads, n_quads, config, budget: int) -> list[np.ndarray | None]:
+def _fuse_crossings(quads, n_quads, config) -> list[np.ndarray | None]:
     """The fused rectangle's corners of each crossing chain, None where no
     cell reaches ``config.th_cov``.
 
     Chain k is ``n_quads[k]`` consecutive quads of ``quads``, each (4, 2).
     Chains are fused in groups (``geometry._budget_groups``) whose blurred
-    stack, the largest of their stacked arrays, fits ``budget`` cells: the
-    group's rows, a grid's plus 2 * radius each, times its widest blurred
-    grid; a chain over the budget on its own forms a group of its own.
+    stack, the largest of their stacked arrays, fits ``geometry._BLOCK_CELLS``
+    cells: the group's rows, a grid's plus 2 * radius each, times its widest
+    blurred grid; a chain over the budget on its own forms a group of its own.
     Per group: one stacked raster (``_raster_stack``), one blur and cut,
     one ``argmax`` outline, the hulls, and one rotating-calipers pass, each
     chain with the bits it has on its own.
@@ -683,7 +682,7 @@ def _fuse_crossings(quads, n_quads, config, budget: int) -> list[np.ndarray | No
     lo, size = _raster_extents(quads, n_quads, cell_size)
     quad_first = _first(n_quads)
     out: list = [None] * len(n_quads)
-    for group in _budget_groups((size[:, ::-1] + side).tolist(), budget):
+    for group in _budget_groups((size[:, ::-1] + side).tolist()):
         group = np.array(group)
         counts = n_quads[group]
         take = np.arange(counts.sum()) + (quad_first[group] - _first(counts)).repeat(counts)
@@ -705,43 +704,3 @@ def _fuse_crossings(quads, n_quads, config, budget: int) -> list[np.ndarray | No
             out[c] = corners
     return out
 
-
-def _crossing_element(members, corners, report) -> MapElement:
-    """The element a crossing chain fuses to, recorded in the report: the
-    rectangle ``corners``, or the largest member quad when they are None.
-    It keeps the id of the chain's main element when one exists (else the
-    lexicographically smallest id) and is flagged as main."""
-    main_ids = sorted(el.id for el in members if el.is_main)
-    out_id = main_ids[0] if main_ids else min(el.id for el in members)
-    fallback = corners is None
-    if fallback:
-        corners = max(members, key=lambda el: (quad_area(el.points), el.id)).points
-    if report is not None:
-        report.add_chain(
-            label=LABEL_PED_CROSSING,
-            members=[el.id for el in members],
-            base_id=out_id,
-            kind="quad",
-            fallback=fallback,
-        )
-    return MapElement(out_id, LABEL_PED_CROSSING, corners, is_main=True)
-
-
-def merge_quads(chain, config, report=None) -> MapElement:
-    """Merge a chain of pedestrian-crossing elements into one rectangle.
-
-    The result keeps the id of the chain's main element when one exists
-    (else the lexicographically smallest id) and is flagged as main.  When
-    no cell reaches the coverage threshold the largest input quad passes
-    through unchanged and the fallback is recorded in the report.  The
-    kernel is ``_fuse_crossings`` on a group of one chain.
-    """
-    members = list(chain)
-    if len(members) < 2:
-        raise ValueError("a merge chain needs at least 2 elements")
-    for el in members:
-        if el.label != LABEL_PED_CROSSING:
-            raise ValueError(f"element '{el.id}' is not a {LABEL_PED_CROSSING}")
-    _require_finite_positive("cell_size", config.cell_size)
-    [corners] = _fuse_crossings([el.points for el in members], [len(members)], config, 0)
-    return _crossing_element(members, corners, report)

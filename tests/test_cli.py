@@ -468,6 +468,23 @@ class TestSynth:
         for name in os.listdir(dirs[0]):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_stale_instances_of_a_larger_run_rejected(self, runner, tmp_path, gt_file):
+        out = tmp_path / "inst"
+
+        def synth(n):
+            return runner.invoke(main, ["synth", "--gt", gt_file, "--n", str(n), "--sigma", "0.1",
+                                        "--seed", "7", "--out", str(out)])
+
+        assert synth(5).exit_code == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        # instances 2-4 would sit beside a manifest of 2 poses: nothing is
+        # written or deleted, and the first of them is named
+        result = synth(2)
+        assert result.exit_code == 2
+        assert f"{out / 'instance_2.json'} is left" in result.output
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        assert synth(5).exit_code == 0 and synth(7).exit_code == 0
+
     def test_zero_instances_rejected(self, runner, tmp_path, gt_file):
         result = runner.invoke(main, [
             "synth", "--gt", gt_file, "--n", "0", "--sigma", "0.1",

@@ -28,7 +28,7 @@ from polymerge import (
     smooth,
 )
 
-from polymerge import merging
+from polymerge import geometry, merging
 
 from helpers import line_element, quad_element, random_polyline
 from oracles import reference_merge_polyline, reference_orient, reference_smooth
@@ -866,7 +866,7 @@ class TestMergeMaps:
         save_map(merge_maps(VectorMap((), "world"), [sec], config), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("block_cells", [merging._BLOCK_CELLS, 300])
+    @pytest.mark.parametrize("block_cells", [geometry._BLOCK_CELLS, 300])
     def test_lockstep_and_per_chain_folds_agree(self, tmp_path, block_cells):
         # 40 lines 5 m apart, each its own chain of 3 noisy copies (some
         # reversed, some past the ends), and a crossing chain beside them;
@@ -894,7 +894,7 @@ class TestMergeMaps:
                 return fold_lockstep(folds)
 
             report = MergeReport()
-            with mock.patch.object(merging, "_BLOCK_CELLS", cells), \
+            with mock.patch.object(geometry, "_BLOCK_CELLS", cells), \
                     mock.patch.object(merging, "_fold_lockstep", recording):
                 first = merge_maps(VectorMap((), "world"), views[:3], MergeConfig(smoothing_enabled=True),
                                    report)
@@ -905,11 +905,12 @@ class TestMergeMaps:
         assert lock_map == chain_map
         assert lock_report == chain_report
         assert len(lock_report["chains"]) == 82
+        # each patch changes the grouping: every line chain of both merges
+        # folds in lockstep, in one group per merge by default, but alone at
+        # 1 cell and in many groups at 300 cells
         assert chain_groups == [1] * 80
-        # every line chain of both merges folds in lockstep: in one group per
-        # merge, or in many when a group may hold only 300 cells
         assert sum(lock_groups) == 80
-        if block_cells == merging._BLOCK_CELLS:
+        if block_cells == geometry._BLOCK_CELLS:
             assert lock_groups == [40, 40]
         else:
             assert len(lock_groups) > 4
@@ -917,15 +918,18 @@ class TestMergeMaps:
     def test_mixed_chains_keep_their_report_order(self, config):
         # line and crossing chains interleaved in the input, 10 m apart: each
         # chain is reported and emitted where its first member stands, as
-        # the element its members merge to on their own
+        # the element and the record its members merge to on their own; no
+        # cell reaches th_cov in the last crossing chain, of 1 cm quads, so
+        # it falls back to its largest quad
         rng = np.random.default_rng(73)
         views = []
         for _ in range(3):
             els = []
             for i in range(12):
                 if i % 3 == 2:
+                    side = (3.0, 2.0) if i < 11 else (0.01, 0.01)
                     els.append(quad_element(f"c{i}", 8.0 + rng.uniform(-0.2, 0.2),
-                                            10.0 * i + rng.uniform(-0.2, 0.2), angle=0.2))
+                                            10.0 * i + rng.uniform(-0.2, 0.2), *side, angle=0.2))
                 else:
                     pts = np.column_stack([np.linspace(0.0, 16.0, 9), np.full(9, 10.0 * i)])
                     els.append(MapElement(f"l{i}", ("divider", "boundary")[i % 2],
@@ -940,10 +944,13 @@ class TestMergeMaps:
         firsts = [position[c.members[0]] for c in report.chains]
         assert firsts == sorted(firsts)
         assert [el.id for el in out.elements] == [c.base_id for c in report.chains]
+        assert [c.fallback for c in report.chains] == [False] * 11 + [True]
         for chain, el in zip(report.chains, out.elements):
             members = [stacked[position[i]] for i in chain.members]
-            alone = (merge_quads if chain.kind == "quad" else merge_chain)(members, config)
+            alone_report = MergeReport()
+            alone = (merge_quads if chain.kind == "quad" else merge_chain)(members, config, alone_report)
             assert el.points.tobytes() == alone.points.tobytes()
+            assert alone_report.chains == [chain]
 
     def test_report_serializes_to_json(self, config):
         main = VectorMap(

@@ -22,7 +22,7 @@ from polymerge import (
     min_rotated_rect,
     rasterize_coverage,
 )
-from polymerge import merging, quads
+from polymerge import geometry, quads
 from polymerge.geometry import _budget_groups
 from polymerge.quads import CoverageGrid, EmptyRegionError, blur_coverage, threshold_region
 from polymerge.quads import (
@@ -857,13 +857,29 @@ def _crossing_chains(draw):
     return elements
 
 
+def _stacked_cells(sizes, group) -> int:
+    """Cells of the stack of a group of (rows, width) blocks."""
+    return sum(sizes[k][0] for k in group) * max(sizes[k][1] for k in group)
+
+
+def _assert_patch_regroups(sizes, groups, budget):
+    """``groups`` of ``sizes``, made under a ``geometry._BLOCK_CELLS`` of
+    ``budget``, hold that budget, and differ from the default grouping
+    exactly where a group of several blocks there exceeds it: a patch that
+    did not reach ``_budget_groups`` fails here."""
+    default = _budget_groups(sizes)
+    assert all(len(g) == 1 or _stacked_cells(sizes, g) <= budget for g in groups)
+    assert (groups != default) == any(len(g) > 1 and _stacked_cells(sizes, g) > budget
+                                      for g in default)
+
+
 class TestGroupedFusion:
     """A merge pass fuses its crossing chains in groups; each chain keeps
     the bits it has on its own."""
 
     @settings(max_examples=40, deadline=None)
     @given(_crossing_chains(), st.sampled_from([0.3, 0.5, 0.9]), st.sampled_from([0.5, 1.0, 2.0]),
-           st.sampled_from([1, 3000, merging._BLOCK_CELLS]), st.sampled_from([0.1, 0.2]))
+           st.sampled_from([1, 3000, geometry._BLOCK_CELLS]), st.sampled_from([0.1, 0.2]))
     def test_every_chain_matches_the_whole_raster_pipeline(self, elements, th_cov, sigma, budget, cell):
         # mains come from the main map (ids "0:..."), the rest from one
         # secondary ("1:..."); a budget of one cell puts every chain in a
@@ -872,8 +888,17 @@ class TestGroupedFusion:
         secondary = VectorMap(tuple(el for el in elements if not el.is_main), "world")
         config = MergeConfig(th_cov=th_cov, blur_sigma_cells=sigma, cell_size=cell)
         report = MergeReport()
-        with mock.patch.object(merging, "_BLOCK_CELLS", budget):
+        calls = []
+
+        def recording(sizes):
+            calls.append((sizes, _budget_groups(sizes)))
+            return calls[-1][1]
+
+        with mock.patch.object(geometry, "_BLOCK_CELLS", budget), \
+                mock.patch.object(quads, "_budget_groups", recording):
             out = merge_maps(main, [secondary], config, report)
+        [(sizes, groups)] = calls
+        _assert_patch_regroups(sizes, groups, budget)
         order = [f"0:{el.id}" for el in main.elements] + [f"1:{el.id}" for el in secondary.elements]
         by_id = dict(zip(order, main.elements + secondary.elements))
         fused = {el.id: el for el in out.elements}
@@ -894,13 +919,11 @@ class TestGroupedFusion:
     @given(st.lists(st.tuples(st.integers(1, 300), st.integers(1, 300)), max_size=40),
            st.integers(1, 20000))
     def test_groups_hold_the_budget(self, sizes, budget):
-        groups = _budget_groups(sizes, budget)
+        with mock.patch.object(geometry, "_BLOCK_CELLS", budget):
+            groups = _budget_groups(sizes)
         assert sorted(k for group in groups for k in group) == list(range(len(sizes)))
-        for group in groups:
-            rows = sum(sizes[k][0] for k in group)
-            widest = max(sizes[k][1] for k in group)
-            # a block over the budget on its own forms a group of its own
-            assert rows * widest <= budget or len(group) == 1
+        # a block over the budget on its own forms a group of its own
+        _assert_patch_regroups(sizes, groups, budget)
 
     def test_stacked_rasters_hold_the_budget(self):
         # 10 chains of two 4 x 3 m crossings: each blurred grid, with its 12
@@ -919,16 +942,20 @@ class TestGroupedFusion:
                 shapes.append(blurred.shape)
                 return blurred
 
-            with mock.patch.object(quads, "_separable_blur", recording):
-                fused = quads._fuse_crossings([q for chain in chains for q in chain], [2] * 10, config,
-                                              budget)
+            with mock.patch.object(geometry, "_BLOCK_CELLS", budget), \
+                    mock.patch.object(quads, "_separable_blur", recording):
+                fused = quads._fuse_crossings([q for chain in chains for q in chain], [2] * 10, config)
             return shapes, fused
 
         alone, fused_alone = stacks(1)
         assert len(alone) == 10 and all(2500 < rows * width <= 5000 for rows, width in alone)
         # a grid over the budget on its own forms a group of its own
         assert stacks(2500)[0] == alone
-        for budget in (10_000, merging._BLOCK_CELLS):
+        # all 10 grids fit the default budget in one stack, and 10,000 cells
+        # hold 2 of them: each patch changes the grouping
+        assert len(stacks(geometry._BLOCK_CELLS)[0]) == 1
+        assert len(stacks(10_000)[0]) == 5
+        for budget in (10_000, geometry._BLOCK_CELLS):
             shapes, fused = stacks(budget)
             assert len(shapes) < 10
             assert all(rows * width <= budget for rows, width in shapes)
