@@ -24,9 +24,9 @@ __all__ = [
 
 # below this squared length a segment is treated as a single point
 _DEGENERATE_SQ = 1e-12 ** 2
-# cells of a stacked group of ``_budget_groups``: a lockstep group's (chains,
-# capacity) arrays or a crossing group's blurred stack, so that memory stays
-# bounded when many chains are stacked at once
+# cells of a stacked block, so that memory stays bounded: a lockstep or a
+# crossing group of ``_budget_groups``, or a ``_per_block`` block of
+# convolved cells' products or of a pose block's ground-truth vertices
 _BLOCK_CELLS = 1 << 16
 
 
@@ -181,6 +181,23 @@ def _kernel_slack(scale: float) -> float:
     return 1e-12 * scale + 1e-150
 
 
+def _starts(sizes) -> np.ndarray:
+    """Where each run of ``sizes`` items starts when the runs are laid end to end."""
+    return np.cumsum(sizes) - sizes
+
+
+def _runs(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The run of every item of runs of ``sizes`` items laid end to end, and
+    its index within that run."""
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    return run, np.arange(len(run)) - _starts(sizes)[run]
+
+
+def _per_block(cost: int) -> int:
+    """How many items of ``cost`` cells each fit ``_BLOCK_CELLS``, at least one."""
+    return max(1, _BLOCK_CELLS // cost)
+
+
 def _budget_groups(sizes) -> list[list[int]]:
     """Indices of ``sizes``, (rows, width) blocks, in groups to stack row-wise.
 
@@ -208,7 +225,12 @@ def project_point_to_polyline(a, points) -> Projection:
     Evaluates the clamped segment projection for every segment and keeps
     the minimum distance; among equidistant segments the lowest index wins.
     """
-    t, fx, fy, dist = _foot_points(np.asarray(a, dtype=float), points)
+    a = np.asarray(a, dtype=float)
+    if a.shape != (2,):
+        raise ValueError(f"query point must have shape (2,), got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("query point coordinates must be finite")
+    t, fx, fy, dist = _foot_points(a, points)
     k = int(np.argmin(dist))
     return Projection(np.array([fx[k], fy[k]]), k, float(t[k]), float(dist[k]))
 

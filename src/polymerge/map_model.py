@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, _transform_rows, as_points
+from .geometry import Pose, _starts, _transform_rows, as_points
 
 __all__ = [
     "LABELS",
@@ -128,10 +128,10 @@ class MapElement:
             )
         try:
             pts = as_points(self.points)
-            if len(pts) < 2:
-                raise ValueError(f"a polyline needs at least 2 vertices, got {len(pts)}")
             if self.label == LABEL_PED_CROSSING:
                 pts = _canonical_quad(pts)
+            elif len(pts) < 2:
+                raise ValueError(f"a polyline needs at least 2 vertices, got {len(pts)}")
             else:
                 # when every step squares to 0, the arc length is 0 as well;
                 # the first step, on Python floats, settles almost every line
@@ -177,10 +177,6 @@ _SIDE_A, _SIDE_B, _SIDE_C = np.array([[0, 0, 2, 2, 1, 1, 3, 3], [1, 1, 3, 3, 2, 
 # of the tests can overflow.
 _CUT_MARGIN = 1e-9
 _BATCH_BOUND = 1e100
-# Below this many elements the batch check's fixed cost, some 60 numpy calls,
-# is above that of checking each element: 5 elements of a block view take
-# ~29 us one by one and ~75 us in one batch, 24 take ~126 us and ~107 us.
-_BATCH_MIN = 16
 
 
 def _certified_quads(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,12 +217,9 @@ def _certified_elements(specs) -> list[MapElement | None]:
     to build or reject.  It certifies a non-empty str id, a label of
     LABELS, a bool is_main and a float64 (N, 2) array of finite points: a
     line of 2 vertices or more with a nonzero first step, or a crossing
-    whose 4 corners pass ``_certified_quads``.  A batch of fewer than
-    ``_BATCH_MIN`` specs is left to MapElement whole.
+    whose 4 corners pass ``_certified_quads``.
     """
     out: list[MapElement | None] = [None] * len(specs)
-    if len(specs) < _BATCH_MIN:
-        return out
     screened = [n for n, (el_id, label, pts, is_main) in enumerate(specs)
                 if type(pts) is np.ndarray and pts.dtype == np.float64 and pts.shape[1:] == (2,)
                 and (len(pts) == 4 if label == LABEL_PED_CROSSING else len(pts) >= 2 and label in LABELS)
@@ -235,7 +228,7 @@ def _certified_elements(specs) -> list[MapElement | None]:
         return out
     points = [specs[n][2] for n in screened]
     sizes = np.array([len(pts) for pts in points])
-    starts = np.cumsum(sizes) - sizes
+    starts = _starts(sizes)
     stacked = np.concatenate(points)
     certified = np.logical_and.reduceat(np.isfinite(stacked).all(axis=1), starts)
     quad = np.array([specs[n][1] == LABEL_PED_CROSSING for n in screened])

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (_DEGENERATE_SQ, _budget_groups, _require_finite_positive, _require_number,
-                       _segment_feet, as_points)
+from .geometry import (_DEGENERATE_SQ, _budget_groups, _require_finite_positive, _require_number, _runs,
+                       _segment_feet, _starts, as_points)
 # Re-exported as a module attribute: the benchmark's per-layer trace wraps
 # ``polymerge.merging.project_point_to_polyline``; the fold no longer calls it.
 from .geometry import project_point_to_polyline as project_point_to_polyline
@@ -145,13 +145,6 @@ def _fold_order(members: list[MapElement], length: dict) -> tuple[MapElement, li
     return base, rest
 
 
-def _runs(sizes) -> tuple[np.ndarray, np.ndarray]:
-    """The run of every item of runs of ``sizes`` items laid end to end, and
-    its index within that run."""
-    run = np.repeat(np.arange(len(sizes)), sizes)
-    return run, np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run]
-
-
 def _lattice_path(n, m, k) -> tuple[np.ndarray, np.ndarray]:
     """The cells (i_k, j_k) at the steps ``k`` of one monotone coupling of
     an n-vertex and an m-vertex chain, n + m >= 3: ``i_k = k * (n - 1) //
@@ -182,13 +175,13 @@ def _flips(src, n, cells, first, size) -> np.ndarray:
     # each member's block: its two end pairs, then its lattice-path cells
     block = n + size + 1
     run, k = _runs(block)
-    nn, mm, off, k = n[run], size[run], np.cumsum(n) - n, k - 2
+    nn, mm, off, k = n[run], size[run], _starts(n), k - 2
     i, j = _lattice_path(nn, mm, k)
     i = np.where(k < 0, (k == -2) * (nn - 1), i) + off[run]
     j = np.where(k < 0, (k == -1) * (mm - 1), j) + first[run]
     dx, dy = src[i, 0] - cells[0, j], src[i, 1] - cells[1, j]
     path = np.sqrt(dx * dx + dy * dy)
-    start = np.cumsum(block) - block
+    start = _starts(block)
     lb, worst = np.maximum.reduceat(path, np.stack([start, start + 2], axis=1).ravel()).reshape(-1, 2).T
     flip = worst > lb
     for r in np.flatnonzero(flip).tolist():
@@ -235,7 +228,6 @@ def merge_quads(chain, config: MergeConfig, report=None) -> MapElement:
     for el in members:
         if el.label != LABEL_PED_CROSSING:
             raise ValueError(f"element '{el.id}' is not a {LABEL_PED_CROSSING}")
-    _require_finite_positive("cell_size", config.cell_size)
     [corners] = _fuse_crossings([el.points for el in members], [len(members)], config)
     return _chain_element(members, report, None, corners)
 

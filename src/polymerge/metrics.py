@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _distance_matrix
+from .geometry import _distance_matrix, _starts
 from .map_model import LABELS, VectorMap
 from .proximity import candidate_pairs, polyline_merge_check
 
@@ -254,14 +254,14 @@ def _pcm_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
     # of them and the two flush positions keeps each one that differs from
     # its left neighbour
     flat_l = np.concatenate(arcs_l)
-    first_l = np.cumsum(n_l) - n_l
+    first_l = _starts(n_l)
     clipped = np.clip(flat_l, 0.0, np.repeat(span, n_l))
     fresh = np.empty(len(flat_l), dtype=bool)
     fresh[1:] = clipped[1:] != clipped[:-1]
     fresh[first_l] = True
     offsets = clipped[fresh]
     n_rows = np.add.reduceat(fresh, first_l)
-    first_row = np.cumsum(n_rows) - n_rows
+    first_row = _starts(n_rows)
     pair_of = np.repeat(np.arange(len(pairs)), n_rows)
     # Row r's inner vertices are flat_l[lo[r]:hi[r]].  A row's offset is
     # below span unless it is its pair's last: every long arc from its
@@ -278,7 +278,7 @@ def _pcm_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
     n_inner = np.maximum.reduceat(count, first_row)
     last = (first_l + n_l - 1)[pair_of]
     flat_s = np.concatenate([*arcs_s, [np.inf]])
-    first_s = (np.cumsum(n_s) - n_s)[pair_of]
+    first_s = _starts(n_s)[pair_of]
     n_s_of = n_s[pair_of]
     cols = np.arange(int((n_s + n_inner).max()))
 

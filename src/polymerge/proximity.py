@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _kernel_slack, _require_finite_positive, _segment_foot, min_distance_to_polyline
+from .geometry import (_kernel_slack, _require_finite_positive, _runs, _segment_foot, _starts,
+                       min_distance_to_polyline)
 from .map_model import MapElement, VectorMap
 
 __all__ = ["ProximityGraph", "polyline_merge_check", "candidate_pairs", "build_graph", "merge_chains"]
@@ -66,7 +67,7 @@ def _boxes(elements) -> tuple[np.ndarray, np.ndarray]:
     zero, which no gap, sort, search or slack in ``candidate_pairs`` tells
     apart."""
     sizes = [len(el.points) for el in elements]
-    heads = np.cumsum(sizes) - sizes
+    heads = _starts(sizes)
     points = np.concatenate([el.points for el in elements])
     return np.minimum.reduceat(points, heads), np.maximum.reduceat(points, heads)
 
@@ -103,8 +104,8 @@ def candidate_pairs(elements, th_prox: float) -> np.ndarray:
         stop = np.searchsorted(start, reach, side="right")
         # sorted position k pairs with positions k+1 .. stop[k]-1
         counts = stop - np.arange(1, len(idx) + 1)
-        first = np.repeat(np.arange(len(idx)), counts)
-        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+        first, second = _runs(counts)
+        second += first + 1
         a, b = idx[first], idx[second]
         gap = np.maximum(np.maximum(lo[a], lo[b]) - np.minimum(hi[a], hi[b]), 0.0)
         keep = (gap < limit).all(axis=1)

@@ -17,10 +17,11 @@ proportion to each region's edge rather than its area:
   per row and edge, and measures edge distances only for cell centers
   that can lie within 1e-9 of an edge (a reach widened by the kernel's
   ``geometry._kernel_slack``), each against that edge alone;
-- the blur is estimated by two 1-D passes of the kernel's marginal, built
-  once per sigma and applied one tap at a time over shifted slices, and
-  only cells whose estimate lies within 1e-9 of ``th_cov`` are convolved
-  exactly, by ``blur_coverage``'s own kernel ``_convolve_cells``;
+- the blur is estimated by two 1-D passes of the kernel's marginal (the
+  kernel is built once per pass), applied one tap at a time over shifted
+  slices, and only cells whose estimate lies within 1e-9 of ``th_cov``
+  are convolved exactly, by ``blur_coverage``'s own kernel
+  ``_convolve_cells``;
 - the rectangle is fitted to the outline corners: per row, the leftmost
   cell's two left corners and the rightmost cell's two right corners, the
   only cell corners that can be hull vertices; the hull's lower and upper
@@ -29,13 +30,13 @@ proportion to each region's edge rather than its area:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _budget_groups, _kernel_slack, _require_finite_positive, _segment_feet
+from .geometry import (_budget_groups, _kernel_slack, _per_block, _require_finite_positive, _runs,
+                       _segment_feet, _starts, as_points)
 
 __all__ = [
     "EmptyRegionError",
@@ -53,20 +54,10 @@ _ON_EDGE = 1e-9
 # exact blur over sigma 0.5-4 (tests/test_quads.py); cells whose estimate
 # lies this close to th_cov are convolved exactly.
 _RECHECK_BAND = 1e-9
-# products per block of cells in ``_convolve_cells``, which bounds its memory
-_CONVOLVE_BLOCK = 1 << 16
 
 
 class EmptyRegionError(ValueError):
     """No grid cell reached the coverage threshold."""
-
-
-def _center_axes(origin: np.ndarray, cell_size: float, shape) -> tuple[np.ndarray, np.ndarray]:
-    """World x of every column center and world y of every row center."""
-    height, width = shape
-    cols = (np.arange(width) + 0.5) * cell_size + origin[0]
-    rows = (np.arange(height) + 0.5) * cell_size + origin[1]
-    return cols, rows
 
 
 @dataclass(frozen=True)
@@ -103,9 +94,8 @@ class CoverageGrid:
 
     def cell_centers(self) -> np.ndarray:
         """Centers of all cells, shape (height * width, 2), row-major."""
-        cols, rows = _center_axes(self.origin, self.cell_size, self.values.shape)
-        xx, yy = np.meshgrid(cols, rows)
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        rows, cols = (np.indices(self.values.shape).reshape(2, -1) + 0.5) * self.cell_size
+        return np.column_stack([cols + self.origin[0], rows + self.origin[1]])
 
 
 def _on_edge_candidates(start, end, cols, rows, reach):
@@ -117,9 +107,8 @@ def _on_edge_candidates(start, end, cols, rows, reach):
     """
     ax, ay, bx, by = start[:, 0], start[:, 1], end[:, 0], end[:, 1]
     first = rows.searchsorted(np.minimum(ay, by) - reach)
-    n_rows = rows.searchsorted(np.maximum(ay, by) + reach, "right") - first
-    edge = np.arange(len(start)).repeat(n_rows)
-    row = np.arange(len(edge)) - (n_rows.cumsum() - n_rows - first).repeat(n_rows)
+    edge, row = _runs(rows.searchsorted(np.maximum(ay, by) + reach, "right") - first)
+    row += first[edge]
     y = rows[row]
     dx, dy = (bx - ax)[edge], (by - ay)[edge]
     x_lo = np.minimum(ax, bx)[edge] - reach
@@ -133,17 +122,8 @@ def _on_edge_candidates(start, end, cols, rows, reach):
         x_lo = np.where(sloped, np.fmax(x_lo, x_line - half), x_lo)
         x_hi = np.where(sloped, np.fmin(x_hi, x_line + half), x_hi)
     col0 = cols.searchsorted(x_lo)
-    n_cols = np.maximum(cols.searchsorted(x_hi, "right") - col0, 0)
-    pair = np.arange(len(edge)).repeat(n_cols)
-    col = np.arange(len(pair)) - (n_cols.cumsum() - n_cols - col0).repeat(n_cols)
-    return edge[pair], row[pair], col
-
-
-def _first(counts) -> np.ndarray:
-    """Where each run of ``counts`` starts when the runs are laid end to end."""
-    first = np.zeros(len(counts), dtype=np.intp)
-    np.cumsum(counts[:-1], out=first[1:])
-    return first
+    pair, col = _runs(np.maximum(cols.searchsorted(x_hi, "right") - col0, 0))
+    return edge[pair], row[pair], col + col0[pair]
 
 
 def _axes(lo: np.ndarray, cell_size: float, lengths: np.ndarray) -> np.ndarray:
@@ -187,7 +167,7 @@ def _raster_extents(quads: np.ndarray, n_quads: np.ndarray, cell_size: float):
     each chain of ``n_quads[k]`` consecutive quads of ``quads`` (Q, 4, 2):
     the chain's bounding box with a one-cell apron."""
     corners = quads.reshape(-1, 2)
-    first = 4 * _first(n_quads)
+    first = 4 * _starts(n_quads)
     lo = np.minimum.reduceat(corners, first) - cell_size
     hi = np.maximum.reduceat(corners, first) + cell_size
     return lo, np.maximum(1, np.ceil((hi - lo) / cell_size)).astype(np.intp)
@@ -226,14 +206,13 @@ def _raster_stack(quads, n_quads, lo, size, cell_size: float, gap: int):
     """
     width, height = size[:, 0], size[:, 1]
     chains = np.arange(len(n_quads))
-    first = _first(height + gap)
+    first = _starts(height + gap)
     n_rows, wide = int(first[-1] + height[-1]), int(width.max())
     cols, rows = _axes(lo[:, 0], cell_size, width), _axes(lo[:, 1], cell_size, height)
     # each chain's quads, padded to the most with quads of one y: no row
     # crosses those
-    quad_chain = chains.repeat(n_quads)
     padded = np.zeros((len(n_quads), int(n_quads.max()), 4, 2))
-    padded[quad_chain, np.arange(len(quads)) - _first(n_quads)[quad_chain]] = quads
+    padded[_runs(n_quads)] = quads
     # scale bounds every corner and center of the stack
     scale = max(float(np.abs(quads).max()),
                 float(np.abs([cols[:, 1], cols[chains, width], rows[:, 1], rows[chains, height]]).max()))
@@ -347,7 +326,7 @@ def _convolve_cells(values: np.ndarray, kernel: np.ndarray, rows, cols) -> np.nd
     right and then to the running sum, and the last ``width % 4`` products
     added one at a time.  That is the order of ``scipy.signal.convolve2d``
     (1.17), whose bits this has (tests/test_quads.py).  Cells go in blocks
-    of at most ``_CONVOLVE_BLOCK`` products.
+    of at most ``geometry._BLOCK_CELLS`` products.
     """
     kh, kw = kernel.shape
     height, width = values.shape
@@ -356,7 +335,7 @@ def _convolve_cells(values: np.ndarray, kernel: np.ndarray, rows, cols) -> np.nd
     # windows[i, j, a, b] = values[i - a, j - b]
     windows = np.lib.stride_tricks.sliding_window_view(padded, kernel.shape)[:, :, ::-1, ::-1]
     runs = kw - kw % 4
-    step = max(1, _CONVOLVE_BLOCK // kernel.size)
+    step = _per_block(kernel.size)
     out = np.empty(len(rows))
     for start in range(0, len(rows), step):
         products = windows[rows[start:start + step], cols[start:start + step]] * kernel
@@ -396,16 +375,6 @@ def threshold_region(grid: CoverageGrid, th_cov: float) -> np.ndarray:
     return grid.cell_centers()[mask.ravel()]
 
 
-@functools.lru_cache(maxsize=8)
-def _kernel_and_marginal(sigma_cells: float) -> tuple[np.ndarray, np.ndarray]:
-    """``gaussian_kernel(sigma_cells)`` and its column sums, read-only,
-    built once per sigma."""
-    kernel = gaussian_kernel(sigma_cells)
-    marginal = kernel.sum(axis=0)
-    kernel.flags.writeable = marginal.flags.writeable = False
-    return kernel, marginal
-
-
 def _separable_blur(values: np.ndarray, marginal: np.ndarray) -> np.ndarray:
     """Full-mode blur estimate: two 1-D passes with the kernel's marginal,
     one product and one shifted add per tap.
@@ -442,9 +411,10 @@ def _separable_blur(values: np.ndarray, marginal: np.ndarray) -> np.ndarray:
     return blurred.reshape(height + side, wide)
 
 
-def _blurred_mask(values: np.ndarray, sigma_cells: float, th_cov: float) -> np.ndarray:
-    """``blur_coverage`` of a grid of ``values`` cut at ``th_cov``: the
-    cells whose blur is at least ``th_cov``, with the same bits.
+def _blurred_mask(values: np.ndarray, kernel: np.ndarray, th_cov: float) -> np.ndarray:
+    """``blur_coverage`` of a grid of ``values`` with ``gaussian_kernel``'s
+    ``kernel``, cut at ``th_cov``: the cells whose blur is at least
+    ``th_cov``, with the same bits.
 
     A cell whose separable estimate lies within ``_RECHECK_BAND`` of
     ``th_cov`` is convolved exactly by ``_convolve_cells``, as
@@ -452,8 +422,7 @@ def _blurred_mask(values: np.ndarray, sigma_cells: float, th_cov: float) -> np.n
     sum, so grids stacked with 2 * radius zero rows between them blur as
     they do on their own.
     """
-    kernel, marginal = _kernel_and_marginal(sigma_cells)
-    estimate = _separable_blur(values, marginal)
+    estimate = _separable_blur(values, kernel.sum(axis=0))
     mask = estimate >= th_cov
     rows, cols = np.nonzero(np.abs(estimate - th_cov) <= _RECHECK_BAND)
     if len(rows):
@@ -504,8 +473,7 @@ def _octagon_sides(x: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> tuple[np
     """
     n = bounds[1:] - bounds[:-1]
     sets = np.arange(len(n))
-    set_of = sets.repeat(n)
-    slot = np.arange(len(x)) - bounds[set_of]
+    set_of, slot = _runs(n)
     px = x[bounds[:-1]].repeat(n.max()).reshape(len(n), -1)
     py = y[bounds[:-1]].repeat(n.max()).reshape(len(n), -1)
     px[set_of, slot], py[set_of, slot] = x, y
@@ -603,7 +571,7 @@ def _rotated_rects(hulls: list[np.ndarray]) -> np.ndarray:
     lengths = np.array([len(hull) for hull in hulls])
     pts = np.concatenate(hulls)
     j = np.arange(lengths.max())
-    first = _first(lengths)[:, np.newaxis]
+    first = _starts(lengths)[:, np.newaxis]
     vertex = first + np.where(j < lengths[:, np.newaxis], j, 0)
     px, py = pts[vertex, 0], pts[vertex, 1]
     after = first + np.where(j + 1 < lengths[:, np.newaxis], j + 1, 0)
@@ -643,10 +611,14 @@ def min_rotated_rect(points) -> np.ndarray:
     side collinear with a hull edge, so each edge direction (of length at
     least 1e-12) is tried and the smallest axis-aligned box in that rotated
     frame wins; the first edge wins a tie.  Returns the 4 corners in
-    counter-clockwise order.  Non-finite points, fewer than 3 distinct
-    points, a collinear set or a hull without such an edge are rejected.
+    counter-clockwise order.  Points not of shape (N, 2), non-finite points,
+    fewer than 3 distinct points, a collinear set or a hull without such an
+    edge are rejected.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = np.asarray(points, dtype=float)
+    if pts.size and (pts.ndim != 2 or pts.shape[1] != 2):
+        raise ValueError(f"min_rotated_rect needs points of shape (N, 2), got shape {pts.shape}")
+    pts = pts.reshape(-1, 2)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     [hull] = _convex_hulls(pts[:, 0], pts[:, 1], np.zeros(len(pts), dtype=np.intp), 1) if len(pts) else [pts]
@@ -656,7 +628,7 @@ def min_rotated_rect(points) -> np.ndarray:
 
 def quad_area(points) -> float:
     """Unsigned shoelace area of a quadrilateral given by its 4 corners."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = as_points(points)
     x, y = pts[:, 0], pts[:, 1]
     return abs(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
 
@@ -678,29 +650,28 @@ def _fuse_crossings(quads, n_quads, config) -> list[np.ndarray | None]:
         return []
     cell_size = config.cell_size
     quads, n_quads = np.stack(quads), np.asarray(n_quads)
-    side = len(_kernel_and_marginal(config.blur_sigma_cells)[1]) - 1
+    kernel = gaussian_kernel(config.blur_sigma_cells)
+    side = len(kernel) - 1
     lo, size = _raster_extents(quads, n_quads, cell_size)
-    quad_first = _first(n_quads)
+    quad_first = _starts(n_quads)
     out: list = [None] * len(n_quads)
     for group in _budget_groups((size[:, ::-1] + side).tolist()):
         group = np.array(group)
         counts = n_quads[group]
-        take = np.arange(counts.sum()) + (quad_first[group] - _first(counts)).repeat(counts)
+        chain, i = _runs(counts)
+        take = quad_first[group][chain] + i
         values, first = _raster_stack(quads[take], counts, lo[group], size[group], cell_size, side)
-        mask = _blurred_mask(values, config.blur_sigma_cells, config.th_cov)
+        mask = _blurred_mask(values, kernel, config.th_cov)
         x, y, grid = _outline_corners(mask, first, lo[group] - side // 2 * cell_size, cell_size)
         if not len(grid):
             continue
         # the chains with a region, each a point set of the hulls
-        fitted = np.zeros(len(group), dtype=np.intp)
-        fitted[grid] = 1
-        point_set = (np.cumsum(fitted) - 1)[grid]
-        fitted = group[fitted.astype(bool)]
+        fitted, point_set = np.unique(grid, return_inverse=True)
         hulls = _convex_hulls(x, y, point_set, len(fitted))
         for k, hull in enumerate(hulls):
             if len(hull) < 3:
                 _require_hull(hull, np.column_stack([x, y])[point_set == k])
-        for c, corners in zip(fitted, _rotated_rects(hulls)):
+        for c, corners in zip(group[fitted], _rotated_rects(hulls)):
             out[c] = corners
     return out
 

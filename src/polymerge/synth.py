@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, _inverse_poses, _require_number, _transform_rows, arc_length
+from .geometry import (Pose, _inverse_poses, _per_block, _require_number, _runs, _starts,
+                       _transform_rows, arc_length)
 from .map_model import (
     LABEL_PED_CROSSING,
     MapElement,
@@ -63,6 +64,8 @@ class NoiseConfig:
             ) from None
         if not all(math.isfinite(side) and side > 0 for side in (w, h)):
             raise ValueError("window sides must be finite and positive")
+        # a tuple keeps the frozen config hashable and equal to its tuple twin
+        object.__setattr__(self, "window", (float(w), float(h)))
         object.__setattr__(self, "n_instances", _integer("n_instances", self.n_instances))
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
@@ -79,12 +82,6 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-# ground-truth vertices, summed over the views, per block of views in
-# ``generate_instances`` (at least one view): the rows a block moves and the
-# line vertices it crops in one ``_crop_polylines`` call stay this few
-_POSE_BLOCK = 1 << 16
 
 
 def _crop_polylines(polys, half_w: float, half_h: float) -> list[list[np.ndarray]]:
@@ -218,9 +215,10 @@ def _quad_element(el_id: str, pts: np.ndarray) -> MapElement | None:
 def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap]:
     """Produce one ego-frame instance of the ground truth per pose.
 
-    Views go in blocks that hold at most ``_POSE_BLOCK`` ground-truth
-    vertices over all their views (at least one view), so memory stays
-    bounded.  Each block runs three phases:
+    Views go in blocks that hold at most ``geometry._BLOCK_CELLS``
+    ground-truth vertices over all their views (at least one view), so the
+    rows a block moves and the line vertices it crops in one
+    ``_crop_polylines`` call stay bounded.  Each block runs three phases:
 
     1. The elements whose world bounding box, mapped into a view's ego
        frame, comes within ``1e-6 * (1 + S)`` of the window, S bounding
@@ -258,7 +256,7 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
     half_w, half_h = cfg.window[0] / 2.0, cfg.window[1] / 2.0
     stacked = np.vstack([el.points for el in elements])
     sizes = np.array([len(el.points) for el in elements])
-    starts = np.cumsum(sizes) - sizes
+    starts = _starts(sizes)
     world_lo = np.minimum.reduceat(stacked, starts)
     world_hi = np.maximum.reduceat(stacked, starts)
     (mid_x, mid_y), (half_x, half_y) = 0.5 * (world_lo + world_hi).T, 0.5 * (world_hi - world_lo).T
@@ -284,11 +282,9 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
         if not len(near):
             return seen
         counts = sizes[near]
-        ends = np.cumsum(counts)
-        first = ends - counts
-        rows = np.arange(ends[-1]) - np.repeat(first - starts[near], counts)
-        owner = np.repeat(view, counts)
-        ego = _transform_rows(stacked[rows], rotations[owner], shifts[owner])
+        pair, vertex = _runs(counts)
+        first, owner = _starts(counts), view[pair]
+        ego = _transform_rows(stacked[starts[near][pair] + vertex], rotations[owner], shifts[owner])
         lo = np.minimum.reduceat(ego, first)
         hi = np.maximum.reduceat(ego, first)
         meets = ((lo[:, 0] <= half_w) & (hi[:, 0] >= -half_w)
@@ -296,11 +292,11 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
         inside = ((lo[:, 0] >= -half_w) & (hi[:, 0] <= half_w)
                   & (lo[:, 1] >= -half_h) & (hi[:, 1] <= half_h)).tolist()
         for n in np.flatnonzero(meets).tolist():
-            seen[view[n]].append((elements[near[n]], ego[first[n]:ends[n]], inside[n]))
+            seen[view[n]].append((elements[near[n]], ego[first[n]:first[n] + counts[n]], inside[n]))
         return seen
 
     instances: list[VectorMap] = []
-    per_block = max(1, _POSE_BLOCK // len(stacked))
+    per_block = _per_block(len(stacked))
     for b in range(0, len(poses), per_block):
         block = poses[b:b + per_block]
         seen = cropped_elements(block)

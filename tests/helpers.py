@@ -25,6 +25,24 @@ def quad_element(el_id, cx, cy, w=3.0, h=2.0, angle=0.0, is_main=False):
     return MapElement(el_id, "ped_crossing", rect_quad(cx, cy, w, h, angle), is_main)
 
 
+def acceptance_block():
+    """The 20 m acceptance block: boundaries at y = -10 and 10 m, dividers at
+    y = -3 and 3 m, each with a vertex every 0.75 m along x, and two 4 x 3 m
+    crossings at x = 6 and 14 m tilted by 0.25 and -0.25 rad."""
+    xs = np.arange(0.0, 20.0 + 1e-9, 0.75)
+    lines = [MapElement(el_id, label, np.column_stack([xs, np.full_like(xs, y)]))
+             for el_id, label, y in (("bnd_s", "boundary", -10.0), ("bnd_n", "boundary", 10.0),
+                                     ("div_s", "divider", -3.0), ("div_n", "divider", 3.0))]
+    crossings = [MapElement(el_id, "ped_crossing", rect_quad(cx, 0.0, 4.0, 3.0, angle))
+                 for el_id, cx, angle in (("cross_w", 6.0, 0.25), ("cross_e", 14.0, -0.25))]
+    return VectorMap(tuple(lines + crossings), "world")
+
+
+def acceptance_poses(n):
+    """``n`` poses along the block from x = 2 to 18 m, yaw alternating 0.06 and -0.06 rad."""
+    return [Pose.from_yaw(0.06 * (-1) ** k, x, 0.0) for k, x in enumerate(np.linspace(2.0, 18.0, n))]
+
+
 def random_polyline(rng, n_min=2, n_max=8, scale=10.0):
     n = int(rng.integers(n_min, n_max + 1))
     start = rng.uniform(-scale, scale, 2)

@@ -1,6 +1,6 @@
 """Acceptance gate for the whole pipeline.
 
-Eight checks, each printing one PASS/FAIL line with its measured margin so a
+Nine checks, each printing one PASS/FAIL line with its measured margin so a
 plain test log shows how much headroom every guarantee has, and a check
 that the acceptance scene's eval report does not depend on how ``pcm``
 batches its offsets and pairs.
@@ -16,7 +16,8 @@ import polymerge as pm
 from polymerge.cli import main as cli_main
 from polymerge.quads import quad_area
 
-from helpers import line_element, quad_element, random_polyline, random_world_map
+from helpers import (acceptance_block, acceptance_poses, line_element, quad_element, random_polyline,
+                     random_world_map)
 from oracles import (
     dense_projection,
     frechet_exhaustive,
@@ -29,7 +30,7 @@ from oracles import (
 
 def _verdict(capsys, index, name, ok, detail):
     with capsys.disabled():
-        print(f"\nacceptance {index}/8 {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+        print(f"\nacceptance {index}/9 {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
 def test_projection_against_dense_sampling(capsys):
@@ -185,36 +186,9 @@ def test_quad_pipeline_quality(capsys):
     assert worst_gap <= 0.005
 
 
-def _tilted_rect(cx, cy, w, h, angle):
-    c, s = np.cos(angle), np.sin(angle)
-    base = np.array([[-w / 2, -h / 2], [w / 2, -h / 2], [w / 2, h / 2], [-w / 2, h / 2]])
-    return base @ np.array([[c, s], [-s, c]]) + [cx, cy]
-
-
-def _synthetic_gt():
-    def line(el_id, label, y):
-        xs = np.arange(0.0, 20.0 + 1e-9, 0.75)
-        return pm.MapElement(el_id, label, np.column_stack([xs, np.full_like(xs, y)]))
-
-    return pm.VectorMap(
-        (
-            line("bnd_s", "boundary", -10.0),
-            line("bnd_n", "boundary", 10.0),
-            line("div_s", "divider", -3.0),
-            line("div_n", "divider", 3.0),
-            pm.MapElement("cross_w", "ped_crossing", _tilted_rect(6.0, 0.0, 4.0, 3.0, 0.25)),
-            pm.MapElement("cross_e", "ped_crossing", _tilted_rect(14.0, 0.0, 4.0, 3.0, -0.25)),
-        ),
-        "world",
-    )
-
-
 def _run_synthetic_seed(seed):
-    gt = _synthetic_gt()
-    poses = [
-        pm.Pose.from_yaw(0.06 * (-1) ** k, x, 0.0)
-        for k, x in enumerate(np.linspace(2.0, 18.0, 15))
-    ]
+    gt = acceptance_block()
+    poses = acceptance_poses(15)
     cfg = pm.NoiseConfig(sigma=0.2, dropout=0.1, window=(30, 60), n_instances=15, seed=seed)
     instances = pm.generate_instances(gt, poses, cfg)
     merged = pm.merge_maps(
@@ -278,11 +252,8 @@ def test_eval_rows_match_per_offset_pcm():
     # the seed-42 scene's report, merged and per view, against a loop over
     # the matched pairs with the per-offset pcm and discrete_frechet: the
     # same statistics, to the bit
-    gt = _synthetic_gt()
-    poses = [
-        pm.Pose.from_yaw(0.06 * (-1) ** k, x, 0.0)
-        for k, x in enumerate(np.linspace(2.0, 18.0, 15))
-    ]
+    gt = acceptance_block()
+    poses = acceptance_poses(15)
     cfg = pm.NoiseConfig(sigma=0.2, dropout=0.1, window=(30, 60), n_instances=15, seed=42)
     instances = [pm.to_world(inst) for inst in pm.generate_instances(gt, poses, cfg)]
     merged = pm.merge_maps(
@@ -299,7 +270,7 @@ def test_eval_rows_match_per_offset_pcm():
 def test_pipeline_byte_determinism(capsys, tmp_path):
     runner = CliRunner()
     gt_path = tmp_path / "gt.json"
-    pm.save_map(_synthetic_gt(), gt_path)
+    pm.save_map(acceptance_block(), gt_path)
     outputs = []
     for tag in ("first", "second"):
         work = tmp_path / tag
@@ -367,3 +338,59 @@ def test_bad_inputs_exit_code_and_messages(capsys, tmp_path):
     _verdict(
         capsys, 8, "bad inputs exit 2 and name the field", all_ok, ", ".join(details)
     )
+
+
+def test_incremental_drive_invariants(capsys, tmp_path):
+    # the paper's incremental use: each of 30 views of the acceptance block
+    # folded into the main map in its own round, as `merge --main` does.
+    # Quality is printed, not asserted: line DF stays several times a single
+    # view's under the paper's rule
+    t0 = time.perf_counter()
+    gt = acceptance_block()
+    config = pm.MergeConfig(smoothing_enabled=True)
+    empty = pm.VectorMap((), "world")
+    path = tmp_path / "main.json"
+    shown = (1, 2, 5, 10, 20, 30)
+    figures = {k: [] for k in shown}
+    violations = []
+    for seed in (0, 1 << 20):
+        cfg = pm.NoiseConfig(sigma=0.2, dropout=0.1, window=(30, 60), n_instances=30, seed=seed)
+        main = empty
+        for k, view in enumerate(pm.generate_instances(gt, acceptance_poses(30), cfg), start=1):
+            report = pm.MergeReport()
+            main = pm.merge_maps(main, [pm.to_world(view)], config, report)
+            pm.save_map(main, path)
+            saved = path.read_bytes()
+            pm.save_map(pm.load_map(path), path)
+            unchanged = pm.merge_maps(main, [empty], config)
+            checks = {
+                "save-load-save bytes": path.read_bytes() == saved,
+                "no NaN": not any(np.isnan(el.points).any() for el in main.elements),
+                "one pass": report.passes == 1,
+                "two-member chains": all(len(c.members) == 2 for c in report.chains),
+                "element count": k == 1 or len(main) == len(gt),
+                "empty view keeps points": [el.points.tobytes() for el in unchanged.elements]
+                == [el.points.tobytes() for el in main.elements],
+            }
+            violations += [f"seed {seed} round {k}: {name}" for name, ok in checks.items() if not ok]
+            if k in figures:
+                means = {(r.label, r.metric): np.nan if r.mean is None else r.mean
+                         for r in pm.evaluate_map(main, gt, 1.0).rows}
+                figures[k].append([
+                    (means["divider", "df"] + means["boundary", "df"]) / 2,
+                    (means["divider", "pcm"] + means["boundary", "pcm"]) / 2,
+                    max(len(el.points) for el in main.elements),
+                    max(len(el.id) for el in main.elements),
+                ])
+    per_round = {k: np.mean(v, axis=0) for k, v in figures.items()}
+    _verdict(
+        capsys, 9, "incremental drive invariants", not violations,
+        f"2 seeds x 30 rounds, {len(violations)} violations; mean over seeds at rounds "
+        + "/".join(map(str, shown)) + ": "
+        + "; ".join(f"{name} " + "/".join(fmt.format(per_round[k][i]) for k in shown)
+                    for i, (name, fmt) in enumerate([("line DF", "{:.2f}"), ("line PCM", "{:.2f}"),
+                                                     ("max vertices", "{:.0f}"),
+                                                     ("id chars", "{:.0f}")]))
+        + f", {time.perf_counter() - t0:.1f} s",
+    )
+    assert not violations, violations[:10]

@@ -151,6 +151,20 @@ class TestMerge:
         assert "zero.json" in result.output and "'d0'" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    def test_crossing_with_wrong_corner_count_exits_two(self, runner, tmp_path, n):
+        corners = [[0, 0], [2, 0], [2, 2], [0, 2], [1, 3]][:n]
+        bad = tmp_path / "corners.json"
+        bad.write_text(json.dumps({"frame": "world", "elements": [
+            {"id": "c7", "label": "ped_crossing", "points": corners}]}))
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, [
+            "merge", "--bootstrap", "--secondary", str(bad), "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert f"'c7': a ped_crossing needs exactly 4 vertices, got {n}" in result.output
+        assert not out.exists()
+
     def test_line_collapsed_by_world_transform_exits_two(self, runner, tmp_path):
         # 1e-11 m long in its ego frame, shorter than the float spacing at 1e6 m
         bad = tmp_path / "ego.json"

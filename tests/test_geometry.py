@@ -1,6 +1,7 @@
 """Projection primitives and rigid transforms."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -97,6 +98,17 @@ class TestProjectPointToPolyline:
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
             project_point_to_polyline((0, 0), [(1, 1)])
+
+    @pytest.mark.parametrize("a", [[[1.0, 0.5]], [1.0, 0.5, 2.0], 1.0, []])
+    def test_query_point_of_another_shape_rejected(self, a):
+        message = f"query point must have shape (2,), got shape {np.shape(a)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            project_point_to_polyline(a, [(0, 0), (2, 0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="query point coordinates must be finite"):
+            project_point_to_polyline([bad, 1.0], [(0, 0), (2, 0)])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)

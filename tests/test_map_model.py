@@ -6,7 +6,6 @@ import os
 import stat
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +90,14 @@ class TestMapElement:
         penta = np.vstack([rect_quad(0, 0, 2, 2), [[0.0, 3.0]]])
         with pytest.raises(ValueError, match="4 vertices"):
             MapElement("c", "ped_crossing", penta)
+        # fewer than 2 corners get the crossing's message too, not the
+        # line's "at least 2 vertices"
+        for n in (0, 1, 2, 3, 5):
+            expected = reference_quad_problem(penta[:n])
+            assert expected == f"a ped_crossing needs exactly 4 vertices, got {n}"
+            with pytest.raises(ValueError) as exc:
+                MapElement("c", "ped_crossing", penta[:n])
+            assert str(exc.value) == f"element 'c': {expected}"
 
     def test_bowtie_quad_rejected(self):
         bowtie = np.array([[0.0, 0], [1, 1], [1, 0], [0, 1]])
@@ -257,9 +264,9 @@ class TestConcatenate:
         monkeypatch.setattr(map_model, "_certified_elements", batched)
         out = concatenate(small_world_map, [ego])
         # world elements are re-tagged unchecked, and the moved ego elements
-        # go to one batch check, which leaves a batch this small to MapElement
+        # go to one batch check, which certifies both
         assert batches == [["1:s", "1:c"]]
-        assert built == ["1:s", "1:c"]
+        assert built == []
         monkeypatch.undo()
         world = to_world(ego)
         assert not np.array_equal(world.element("c").points[0], moved[0])
@@ -461,13 +468,11 @@ class TestBatchBuild:
             expected = [MapElement(*spec) for spec in _copies(specs)]
         except ValueError as exc:
             expected = str(exc)
-        # batches of any size, small ones included, go through the batch check
-        with mock.patch.object(map_model, "_BATCH_MIN", 0):
-            try:
-                got = map_model._build_elements(_copies(specs))
-            except ValueError as exc:
-                got = str(exc)
-            certified = map_model._certified_elements(_copies(specs))
+        try:
+            got = map_model._build_elements(_copies(specs))
+        except ValueError as exc:
+            got = str(exc)
+        certified = map_model._certified_elements(_copies(specs))
         # where MapElement raises, the batch raises its text for the first bad element
         if isinstance(expected, str):
             assert got == expected

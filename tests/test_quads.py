@@ -1,6 +1,7 @@
 """Coverage-grid pipeline for crossing quads and the rotated rectangle fit."""
 
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -288,12 +289,12 @@ def _all_cells(values, kernel):
 
 class TestConvolveCells:
     @settings(max_examples=300, deadline=None)
-    @given(_convolution_case(), st.sampled_from([1, 37, quads._CONVOLVE_BLOCK]))
+    @given(_convolution_case(), st.sampled_from([1, 37, geometry._BLOCK_CELLS]))
     def test_full_grid_matches_plain_loop(self, case, block):
         values, kernel = case
         shape, rows, cols = _all_cells(values, kernel)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quads, "_CONVOLVE_BLOCK", block)
+            mp.setattr(geometry, "_BLOCK_CELLS", block)
             got = _convolve_cells(values, kernel, rows, cols).reshape(shape)
         assert got.tobytes() == reference_convolve_full(values, kernel).tobytes()
 
@@ -405,7 +406,7 @@ class TestBlur:
         th = data.draw(st.sampled_from([0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
                                         1.0 / members, 0.3, 0.9]))
         assume(0.0 < th < 1.0)
-        mask = _blurred_mask(values, sigma, th)
+        mask = _blurred_mask(values, gaussian_kernel(sigma), th)
         assert mask.tobytes() == reference_region_mask(values, sigma, th).tobytes()
 
 
@@ -509,12 +510,28 @@ class TestMinRotatedRect:
                 min_rotated_rect(pts)
 
     def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 3 distinct points"):
             min_rotated_rect([(0, 0), (1, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-collinear points"):
             min_rotated_rect([(0, 0), (1, 1), (2, 2), (3, 3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 3 distinct points"):
             min_rotated_rect([(0, 0), (0, 0), (0, 0)])
+        for empty in ([], np.empty((0, 2))):
+            with pytest.raises(ValueError, match="at least 3 distinct points"):
+                min_rotated_rect(empty)
+
+    def test_points_of_another_shape_rejected(self):
+        # a 4 x 3 m rectangle given as (x, y, z) rows at z = 5: read as
+        # pairs it would be a 5 x 5 m square of area 7.5
+        rows = np.column_stack([rect_quad(0, 0, 4, 3), np.full(4, 5.0)])
+        with pytest.raises(ValueError, match=re.escape("got shape (4, 3)")):
+            min_rotated_rect(rows)
+        with pytest.raises(ValueError, match=re.escape("got shape (4, 3)")):
+            quad_area(rows)
+        with pytest.raises(ValueError, match=re.escape("got shape (8,)")):
+            min_rotated_rect(rect_quad(0, 0, 4, 3).ravel())
+        assert quad_area(rows[:, :2]) == pytest.approx(12.0)
+        assert quad_area(min_rotated_rect(rows[:, :2])) == pytest.approx(12.0)
 
 
     @settings(max_examples=300, deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymerge.synth as synth
+from polymerge import geometry
 from polymerge import (
     MapElement,
     NoiseConfig,
@@ -89,6 +90,20 @@ class TestNoiseConfig:
         # numbers are ints or floats, numpy's too, never bools or strings
         with pytest.raises(ValueError, match=name):
             NoiseConfig(**kwargs)
+
+    @pytest.mark.parametrize("window", [[30, 60], (30, 60), np.array([30.0, 60.0]),
+                                        (np.int64(30), np.float32(60.0))])
+    def test_window_kept_as_a_tuple_of_floats(self, window):
+        # a list or an array would leave the frozen config unhashable
+        cfg = NoiseConfig(sigma=0.2, window=window)
+        assert cfg.window == (30.0, 60.0)
+        assert all(type(side) is float for side in cfg.window)
+        assert cfg == NoiseConfig(sigma=0.2)
+        assert hash(cfg) == hash(NoiseConfig(sigma=0.2))
+        gt = _gt_map()
+        poses = straight_path_poses(gt, 3)
+        _assert_same_instances(generate_instances(gt, poses, cfg),
+                               generate_instances(gt, poses, NoiseConfig(sigma=0.2)))
 
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7), np.int32(7)])
     def test_numpy_integer_seed_matches_python_int(self, seed):
@@ -391,7 +406,7 @@ class TestBatchedViewsMatchReference:
         # three views, so blocks of two leave one over
         poses = poses + poses[:1]
         vertices = sum(len(el.points) for el in gt.elements)
-        with mock.patch.object(synth, "_POSE_BLOCK", views * vertices), \
+        with mock.patch.object(geometry, "_BLOCK_CELLS", views * vertices), \
                 mock.patch.object(synth, "_inverse_poses", wraps=synth._inverse_poses) as spy, \
                 mock.patch.object(synth, "_crop_polylines", wraps=synth._crop_polylines) as crops:
             got = generate_instances(gt, poses, cfg)
