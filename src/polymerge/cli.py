@@ -13,7 +13,6 @@ from .map_model import (
     LABEL_PED_CROSSING,
     MapFormatError,
     VectorMap,
-    _check_range,
     atomic_writer,
     load_map,
     save_map,
@@ -219,17 +218,11 @@ def synth(gt_path, n_instances, sigma, dropout, window, seed, out_dir):
     cfg = NoiseConfig(sigma=sigma, dropout=dropout, window=window_wh, seed=seed)
     poses = straight_path_poses(gt, n_instances)
     # a large --sigma can push a noisy vertex past the float range or the
-    # map format's coordinate range: refuse before anything is written
+    # map format's coordinate range: both raise before anything is written
     try:
-        instances = generate_instances(gt, poses, cfg)
+        paths = write_instances(generate_instances(gt, poses, cfg), out_dir)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
-    for k, inst in enumerate(instances):
-        try:
-            _check_range(inst)
-        except MapFormatError as exc:
-            raise _InputError(f"instance {k}: {exc}") from None
-    paths = write_instances(instances, out_dir)
     click.echo(f"wrote {len(paths) - 1} instance(s) and poses.json to {out_dir}")
 
 

@@ -24,8 +24,9 @@ proportion to each region's edge rather than its area:
   ``_convolve_cells``;
 - the rectangle is fitted to the outline corners: per row, the leftmost
   cell's two left corners and the rightmost cell's two right corners, the
-  only cell corners that can be hull vertices; the hull's lower and upper
-  walks skip the points deep inside that half of the corners' octagon.
+  only cell corners that can be hull vertices.  One sort orders them for
+  the monotone-chain walk, whose lower and upper halves skip the points
+  deep inside that half of the corners' octagon.
 """
 
 from __future__ import annotations
@@ -439,7 +440,9 @@ def _outline_corners(mask: np.ndarray, first: np.ndarray, origin: np.ndarray, ce
     ``origin[k]``.  The rectangle fit works on cell extents rather than
     bare centers, otherwise the result shrinks by half a cell on every
     side.  Within a row, corner x grows with the column, so these are the
-    only corners that can be row extremes, the points the hull keeps.
+    only corners that can be row extremes, and a corner between two others
+    of its row lies on the segment joining them: every hull vertex is one
+    of these.
     """
     rows = np.flatnonzero(mask.any(axis=1))
     picked = mask[rows]
@@ -511,24 +514,13 @@ def _convex_hulls(x: np.ndarray, y: np.ndarray, point_set: np.ndarray, n_sets: i
     counter-clockwise, no duplicate endpoint; the distinct points
     themselves when fewer than 3.
 
-    Only the leftmost and rightmost points of each distinct y go on: a
-    point between two others of its row lies on the segment joining them,
-    so it is never a strict hull vertex.  Two sorts, each one call over
-    every set, are still needed: the rows by the bits of y, which rounding
-    can order other than the grid rows an outline comes in, and the walk's
-    order by x, then y.  Of equal points (``0.0`` equals ``-0.0``) the
-    first in input order stays.  The lower walk skips the points strictly
-    inside the lower half of the set's octagon and the upper walk those
-    inside the upper half (``_octagon_sides``); the walk's turn tests
-    decide the hull.
+    One stable sort over every set puts the points in the walk's order,
+    by x, then y, so of equal points (``0.0`` equals ``-0.0``) the first
+    in input order stays.  The lower walk skips the points strictly inside
+    the lower half of the set's octagon and the upper walk those inside
+    the upper half (``_octagon_sides``); the walk's turn tests decide the
+    hull.
     """
-    order = np.lexsort((x, y, point_set))
-    x, y, point_set = x[order], y[order], point_set[order]
-    ends = np.ones(len(x) + 1, dtype=bool)
-    ends[1:-1] = (y[1:] != y[:-1]) | (point_set[1:] != point_set[:-1])
-    row = np.cumsum(ends[:-1]) - 1
-    keep = (x == x[ends[:-1]][row]) | (x == x[ends[1:]][row])
-    x, y, point_set = x[keep], y[keep], point_set[keep]
     order = np.lexsort((y, x, point_set))
     x, y, point_set = x[order], y[order], point_set[order]
     fresh = np.ones(len(x), dtype=bool)

@@ -20,8 +20,10 @@ from .geometry import (Pose, _inverse_poses, _per_block, _require_number, _runs,
 from .map_model import (
     LABEL_PED_CROSSING,
     MapElement,
+    MapFormatError,
     VectorMap,
     _certified_elements,
+    _check_range,
     pose_to_doc,
     save_map,
     to_world,
@@ -228,15 +230,13 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
        block of the inverse's rotation matrix, so it maps a box of centre c
        and half extents h into the box of centre B c + d and half extents
        |B| h.  A skipped element's ego box thus lies beyond a window edge,
-       which the ego-box test below would find too.  Every kept element's
-       rows move in one ``_transform_rows`` call, each row by its own view's
-       inverse pose (``_inverse_poses``), which gives each row the bits of a
-       ``transform_to_world`` call on that view's rows.  Of the moved
-       elements, only those whose ego bounding box meets the window are
-       cropped: a box strictly beyond one window edge fails the clippers'
-       own comparisons, so the element would yield no piece.  A crossing
-       whose box lies within the window has every corner within it, and
-       is kept as it is; ``_crop_quad`` crops the others.
+       which fails the clippers' own comparisons: it would yield no piece.
+       Every kept element's rows move in one ``_transform_rows`` call, each
+       row by its own view's inverse pose (``_inverse_poses``), which gives
+       each row the bits of a ``transform_to_world`` call on that view's
+       rows.  A moved crossing whose ego bounding box lies within the window
+       has every corner within it, and is kept as it is; ``_crop_quad``
+       crops the others.
     2. One ``_crop_polylines`` call crops every line the block's views keep.
     3. Per view in order, on the RNG stream seeded with ``seed ^ k``, each
        cropped element's pieces (a crossing is cropped here by
@@ -287,11 +287,9 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
         ego = _transform_rows(stacked[starts[near][pair] + vertex], rotations[owner], shifts[owner])
         lo = np.minimum.reduceat(ego, first)
         hi = np.maximum.reduceat(ego, first)
-        meets = ((lo[:, 0] <= half_w) & (hi[:, 0] >= -half_w)
-                 & (lo[:, 1] <= half_h) & (hi[:, 1] >= -half_h))
         inside = ((lo[:, 0] >= -half_w) & (hi[:, 0] <= half_w)
                   & (lo[:, 1] >= -half_h) & (hi[:, 1] <= half_h)).tolist()
-        for n in np.flatnonzero(meets).tolist():
+        for n in range(len(near)):
             seen[view[n]].append((elements[near[n]], ego[first[n]:first[n] + counts[n]], inside[n]))
         return seen
 
@@ -338,7 +336,21 @@ def generate_instances(gt: VectorMap, poses, cfg: NoiseConfig) -> list[VectorMap
 
 
 def write_instances(instances, out_dir) -> list[str]:
-    """Write instance_<k>.json files plus a poses.json manifest."""
+    """Write instance_<k>.json files plus a poses.json manifest.
+
+    Every instance is checked first, and nothing is written unless all
+    pass: an instance not in the ego frame raises ValueError, and one with
+    a number beyond the map format's coordinate range MapFormatError, each
+    naming the instance.
+    """
+    instances = list(instances)
+    for k, inst in enumerate(instances):
+        if inst.frame != "ego":
+            raise ValueError(f"instance {k}: frame is '{inst.frame}', not 'ego' with a pose")
+        try:
+            _check_range(inst)
+        except MapFormatError as exc:
+            raise MapFormatError(f"instance {k}: {exc}") from None
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     poses = []

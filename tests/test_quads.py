@@ -559,8 +559,8 @@ class TestMinRotatedRect:
 
 
 class TestConvexHull:
-    """The row-extremes trim and the dedupe give the bytes of the monotone
-    chain over the distinct points, the first of equal ones in input order:
+    """The octagon skip and the dedupe give the bytes of the monotone chain
+    over the distinct points, the first of equal ones in input order:
     ``tobytes`` sees a flipped sign of zero, which ``np.array_equal`` does
     not."""
 
@@ -584,6 +584,24 @@ class TestConvexHull:
             centers = origin + (np.column_stack([cols, rows]) + 0.5) * cell
             pts = _all_cell_corners(centers, cell)
             assert _convex_hull(pts).tobytes() == monotone_chain_hull(pts).tobytes()
+
+    def test_several_sets_in_one_call(self):
+        # each set's hull is the monotone chain over its own points, in
+        # input order, whatever the other sets hold and however the input
+        # interleaves the sets
+        rng = np.random.default_rng(67)
+        for _ in range(100):
+            sizes = rng.integers(1, 40, int(rng.integers(2, 8)))
+            # a coarse lattice: shared, collinear and equal points are common
+            pts = rng.integers(-4, 5, (int(sizes.sum()), 2)) * 0.5
+            pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+            point_set = np.repeat(np.arange(len(sizes)), sizes)
+            shuffle = rng.permutation(len(pts))
+            pts, point_set = pts[shuffle], point_set[shuffle]
+            hulls = _convex_hulls(pts[:, 0], pts[:, 1], point_set, len(sizes))
+            assert len(hulls) == len(sizes)
+            for k, hull in enumerate(hulls):
+                assert hull.tobytes() == monotone_chain_hull(pts[point_set == k]).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ import polymerge.synth as synth
 from polymerge import geometry
 from polymerge import (
     MapElement,
+    MapFormatError,
     NoiseConfig,
     Pose,
     VectorMap,
@@ -458,7 +460,7 @@ class TestBatchedViewsMatchReference:
         assert [len(inst) for inst in got] == [0, 0]
         _assert_same_instances(got, reference_generate_instances(empty, poses, cfg))
 
-    def test_crops_only_elements_meeting_the_window(self, monkeypatch):
+    def test_crops_only_elements_near_the_window(self, monkeypatch):
         block = _gt_map().elements
         gt = VectorMap(tuple(
             MapElement(f"{el.id}@{i}_{j}", el.label, el.points + [40.0 * i, 40.0 * j])
@@ -468,22 +470,33 @@ class TestBatchedViewsMatchReference:
         poses = [Pose.from_yaw(0.0, 10.0 + 40.0 * i, 40.0 * j) for i in range(3) for j in range(3)]
         poses += [Pose.from_yaw(0.2, 30.0, 0.0), Pose.from_yaw(-0.1, 50.0, 22.0)]
         cfg = NoiseConfig(sigma=0.1, dropout=0.2, window=(30.0, 30.0), seed=11)
-        expected = inside = 0
+        near = rows = inside = 0
         for pose in poses:
             for el in gt.elements:
-                ego = transform_to_world(el.points, pose.inverse())
-                expected += bool(np.all(ego.min(axis=0) <= 15.0)
-                                 and np.all(ego.max(axis=0) >= -15.0))
-                inside += el.label == "ped_crossing" and bool(np.all(np.abs(ego) <= 15.0))
+                # an element moves into a view's frame when the box of its
+                # world box's corners there comes near the window
+                (x0, y0), (x1, y1) = el.points.min(axis=0), el.points.max(axis=0)
+                box = transform_to_world(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]),
+                                         pose.inverse())
+                if np.all(box.min(axis=0) <= 15.0) and np.all(box.max(axis=0) >= -15.0):
+                    near += 1
+                    rows += len(el.points)
+                    ego = transform_to_world(el.points, pose.inverse())
+                    inside += el.label == "ped_crossing" and bool(np.all(np.abs(ego) <= 15.0))
         # each center sees its own block's 3 elements, the view at (30, 0)
         # the 4 lines of two blocks, the one at (50, 22) a single boundary;
         # cropping everything would take 11 * 27 = 297 crops
-        assert expected == 9 * 3 + 4 + 1
+        assert near == 9 * 3 + 4 + 1
         # each center sees its crossing wholly inside the window
         assert inside == 9
 
-        queued, quads = [], []
-        crop_polylines, crop_quad = synth._crop_polylines, synth._crop_quad
+        moved, queued, quads = [], [], []
+        transform_rows, crop_polylines, crop_quad = (synth._transform_rows, synth._crop_polylines,
+                                                     synth._crop_quad)
+
+        def counted_rows(points, *args):
+            moved.append(len(points))
+            return transform_rows(points, *args)
 
         def counted_lines(polys, *args):
             queued.append(len(polys))
@@ -493,13 +506,16 @@ class TestBatchedViewsMatchReference:
             quads.append(1)
             return crop_quad(*args)
 
+        monkeypatch.setattr(synth, "_transform_rows", counted_rows)
         monkeypatch.setattr(synth, "_crop_polylines", counted_lines)
         monkeypatch.setattr(synth, "_crop_quad", counted_quad)
         got = generate_instances(gt, poses, cfg)
-        # every view's lines go to the cropper in one call, and a crossing
-        # wholly inside the window is not cropped
+        # the near elements of every view move in one call, every view's
+        # lines go to the cropper in one call, and a crossing wholly inside
+        # the window is not cropped
+        assert moved == [rows]
         assert len(queued) == 1
-        assert queued[0] + len(quads) + inside == expected
+        assert queued[0] + len(quads) + inside == near
         _assert_same_instances(got, reference_generate_instances(gt, poses, cfg))
 
 
@@ -613,6 +629,42 @@ class TestWriteInstances:
         write_instances(generate_instances(gt, poses, cfg), dir_b)
         for name in os.listdir(dir_a):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    @staticmethod
+    def _files(path):
+        return {name: (path / name).read_bytes() for name in os.listdir(path)} if path.exists() else None
+
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    def test_instance_beyond_the_range_writes_nothing(self, tmp_path, earlier_run):
+        # instance 1 holds a vertex past the map format's range: no file of
+        # it or of instance 0 is written, and neither is poses.json
+        gt = _gt_map()
+        instances = generate_instances(gt, straight_path_poses(gt, 3), NoiseConfig(window=(15.0, 15.0)))
+        out = tmp_path / "out"
+        if earlier_run:
+            write_instances(instances, out)
+        before = self._files(out)
+        far = MapElement("far", "divider", np.array([[0.0, 0.0], [0.0, 5.0], [0.0, -3e16]]))
+        instances[1] = VectorMap(instances[1].elements + (far,), "ego", instances[1].pose)
+        message = "instance 1: element 'far': points[2] holds a number beyond the coordinate range"
+        with pytest.raises(MapFormatError, match=re.escape(message)):
+            write_instances(instances, out)
+        assert self._files(out) == before
+
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    def test_world_frame_instance_writes_nothing(self, tmp_path, earlier_run):
+        # a world map has no pose for the manifest: it is refused before
+        # instance_0.json is written
+        gt = _gt_map()
+        instances = generate_instances(gt, straight_path_poses(gt, 2), NoiseConfig(window=(15.0, 15.0)))
+        out = tmp_path / "out"
+        if earlier_run:
+            write_instances(instances, out)
+        before = self._files(out)
+        instances[0] = to_world(instances[0])
+        with pytest.raises(ValueError, match="instance 0: frame is 'world', not 'ego'"):
+            write_instances(instances, out)
+        assert self._files(out) == before
 
 
 class TestStraightPathPoses:
